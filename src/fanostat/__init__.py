@@ -4,12 +4,10 @@ independent Bloch-equation solver, and parameter fitting."""
 
 __version__ = "0.1.0"
 
-from .params import (HBAR_UEV_PS, CouplingVector, DimensionlessParams,
-                     PhysicalParams, ScatteringMatrix, coupling_vector,
-                     detuning_to_delta, delta_to_detuning, energy_from_thz,
-                     from_dimensionless, hbar_gamma, phi_from_t0,
-                     scattering_matrix, tau_from_dimensionless,
-                     tau_to_dimensionless, thz_from_energy, to_dimensionless)
+from .params import (HBAR_UEV_PS, DimensionlessParams, FPBackground,
+                     PhysicalParams, ScatteringMatrix, detuning_to_delta,
+                     fp_background, hbar_gamma, phi_from_t0, scattering_matrix,
+                     tau_to_dimensionless, to_dimensionless)
 from .correlators import (CorrelatorDecomposition, G2Coefficients, g1_general,
                           g1_ideal, g2_coefficients, g2_tau_general,
                           g2_tau_parts, g2zero_ideal, ideal_min_g2zero)
@@ -25,6 +23,6 @@ from .fitting import (FanoFit, FitResult, G2Histogram, MeasurementSet,
 from .io import (DataFormatError, LoadReport, load_measurements,
                  merge_measurements, params_from_config, read_config,
                  write_series)
-from .cli import FPBackground, ScanRequest, fp_background, oracle_check, run_scan
+from .cli import ScanRequest, oracle_check, run_scan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

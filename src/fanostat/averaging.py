@@ -7,6 +7,10 @@ directly; for g2 the numerator and the squared-transmission denominator are
 averaged separately and then divided, so the averaged g2 still approaches 1
 at long delay and stays finite on top of the (unaveraged) divergences.
 
+The drive enters the averaged transmission through the reduced intensity
+``alpha``; the g2 closed form is weak-pump only (alpha -> 0), so the g2
+curves of :class:`ModelCurves` refuse a finite drive with ``ValueError``.
+
 Gauss-Hermite quadrature is the default integration rule; an adaptive-grid
 trapezoid over +-span*sigma is available as an independent cross-check.
 """
@@ -20,7 +24,8 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .correlators import g1_general, g2_tau_parts
-from .params import PhysicalParams, to_dimensionless
+from .params import (PhysicalParams, detuning_to_delta, tau_to_dimensionless,
+                     to_dimensionless)
 
 
 @lru_cache(maxsize=32)
@@ -58,9 +63,9 @@ class AveragingSpec:
             raise ValueError("quadrature_span must be >= 6")
 
     @classmethod
-    def from_params(cls, p: PhysicalParams, **kwargs) -> "AveragingSpec":
+    def from_params(cls, p: PhysicalParams) -> "AveragingSpec":
         d = to_dimensionless(p, p.omega0)
-        return cls(sigma=d.sigma, t_resp=d.t_resp, **kwargs)
+        return cls(sigma=d.sigma, t_resp=d.t_resp)
 
     def offsets_weights(self):
         """Gaussian-weight nodes (as detuning offsets) and unit-sum weights."""
@@ -201,34 +206,43 @@ class ModelCurves:
     Detunings are in ueV relative to the dataset reference; delays in ps.
     Transmission is normalized to the bare background; g2 curves are
     normalized to their long-delay value (unity by construction).
+
+    ``spec`` defaults to :meth:`AveragingSpec.from_params`; the detector
+    convolution runs where ``spec.t_resp > 0``, and ``sigma = t_resp = 0``
+    gives the bare closed forms. The drive enters the transmission through
+    the reduced intensity ``alpha``. The g2 closed form is weak-pump only,
+    so :meth:`g2zero` and :meth:`g2_trace` refuse a finite drive.
     """
 
-    def __init__(self, p: PhysicalParams, spec: AveragingSpec | None = None,
-                 convolve: bool = True):
+    def __init__(self, p: PhysicalParams, spec: AveragingSpec | None = None):
         self.params = p
         d = to_dimensionless(p, p.omega0)
         self.zeta = d.zeta
         self.phi = d.phi
+        self.alpha = d.alpha
         self.beta = p.beta
-        self.spec = spec if spec is not None else AveragingSpec(sigma=d.sigma,
-                                                                t_resp=d.t_resp)
-        self.convolve = convolve and self.spec.t_resp > 0
+        self.spec = spec if spec is not None else AveragingSpec.from_params(p)
 
     def _delta(self, detuning_uev):
-        return 2.0 * (np.asarray(detuning_uev, dtype=float) - self.params.omega0) \
-            / self.params.hbar_gamma
+        return detuning_to_delta(np.asarray(detuning_uev, dtype=float)
+                                 - self.params.omega0, self.params.lifetime)
+
+    def _weak_pump_only(self):
+        if self.alpha > 0:
+            raise ValueError(
+                f"g2 is modelled in the weak-pump limit only; got drive_amp = "
+                f"{self.params.drive_amp:g} (alpha = {self.alpha:.3g}), "
+                f"set drive_amp = 0")
 
     def transmission(self, detuning_uev):
-        """Wandering-averaged normalized transmission."""
+        """Wandering-averaged normalized transmission at the model's drive."""
         return avg_g1(self._delta(detuning_uev), self.zeta, self.beta,
-                      self.phi, self.spec)
+                      self.phi, self.spec, self.alpha)
 
-    def _g2_curve_reduced(self, delta, tau_t):
+    def _g2_curve_convolved(self, delta, tau_t):
         grid = SampledCurve(tau_t, avg_g2(tau_t, np.asarray(delta, float),
                                           self.zeta, self.beta, self.phi, self.spec))
-        if self.convolve:
-            grid = convolve_detector(grid, self.spec.t_resp)
-        return grid
+        return convolve_detector(grid, self.spec.t_resp)
 
     def _conv_grid(self, tau_t_min, tau_t_max):
         # uniform grid containing tau = 0 as an exact node, padded so the
@@ -240,22 +254,23 @@ class ModelCurves:
         return np.arange(-n_lo, n_hi + 1) * h
 
     def g2_trace(self, detuning_uev, tau_ps):
-        """g2(tau) at one detuning, averaged and (optionally) convolved."""
-        tau_ps = np.asarray(tau_ps, dtype=float)
-        tau_t = tau_ps / (2.0 * self.params.lifetime)
+        """Weak-pump g2(tau) at one detuning, averaged and convolved."""
+        self._weak_pump_only()
+        tau_t = tau_to_dimensionless(tau_ps, self.params.lifetime)
         delta = float(self._delta(detuning_uev))
-        if not self.convolve:
+        if self.spec.t_resp == 0:
             return avg_g2(tau_t, np.asarray(delta), self.zeta, self.beta,
                           self.phi, self.spec)
         grid = self._conv_grid(tau_t.min(), tau_t.max())
-        curve = self._g2_curve_reduced(delta, grid)
+        curve = self._g2_curve_convolved(delta, grid)
         return np.interp(tau_t, curve.tau, curve.values)
 
     def g2zero(self, detuning_uev):
-        """Zero-delay g2 per detuning, averaged and (optionally) convolved."""
+        """Weak-pump zero-delay g2 per detuning, averaged and convolved."""
+        self._weak_pump_only()
         detuning_uev = np.asarray(detuning_uev, dtype=float)
         deltas = np.atleast_1d(self._delta(detuning_uev))
-        if not self.convolve:
+        if self.spec.t_resp == 0:
             out = np.array([avg_g2(0.0, np.asarray(d), self.zeta, self.beta,
                                    self.phi, self.spec) for d in deltas])
         else:
@@ -263,5 +278,5 @@ class ModelCurves:
             i0 = int(np.argmin(np.abs(grid)))
             out = np.empty(deltas.shape)
             for i, d in enumerate(deltas):
-                out[i] = self._g2_curve_reduced(d, grid).values[i0]
+                out[i] = self._g2_curve_convolved(d, grid).values[i0]
         return float(out[0]) if detuning_uev.ndim == 0 else out

@@ -24,13 +24,12 @@ import numpy as np
 from . import __version__
 from .averaging import AveragingSpec, ModelCurves
 from .bloch import output_correlator_g2, output_correlator_g1
-from .correlators import (g1_general, g2_tau_general, g2zero_ideal,
-                          g2_tau_parts)
+from .correlators import g1_general, g2_tau_general, g2zero_ideal
 from .fitting import fit_full_model, fit_report
 from .io import (DataFormatError, load_measurements, merge_measurements,
                  params_from_config, write_series)
-from .params import (DimensionlessParams, PhysicalParams, phi_from_t0,
-                     to_dimensionless)
+from .params import (DimensionlessParams, FPBackground, PhysicalParams,
+                     detuning_to_delta, fp_background, phi_from_t0)
 
 SCAN_MODES = ("transmission", "g2zero", "g2trace", "decompose")
 
@@ -84,51 +83,40 @@ def _metadata(p: PhysicalParams, extra=None, timestamp=False):
 
 
 def run_scan(req: ScanRequest):
-    """Evaluate the requested scan; returns (columns, rows, metadata)."""
+    """Evaluate the requested scan; returns (columns, rows, metadata).
+
+    Every curve comes from one :class:`ModelCurves`. ``average=off`` is its
+    zero-width limit ``AveragingSpec(sigma=0, t_resp=0)``: the bare closed
+    forms, with no wandering and no detector. ``convolve=off`` sets only
+    ``t_resp = 0``.
+    """
     p = req.params
-    d0 = to_dimensionless(p, p.omega0)
     grid = req.grid()
-    spec = AveragingSpec(sigma=d0.sigma, t_resp=d0.t_resp)
+    full = AveragingSpec.from_params(p)
+    spec = AveragingSpec(sigma=full.sigma if req.average else 0.0,
+                         t_resp=full.t_resp if req.average and req.convolve else 0.0)
+    model = ModelCurves(p, spec)
     extra = {"mode": req.mode, "average": req.average, "convolve": req.convolve}
 
     if req.mode == "transmission":
-        if req.average:
-            model = ModelCurves(p, spec)
-            vals = model.transmission(grid)
-        else:
-            delta = 2.0 * (grid - p.omega0) / p.hbar_gamma
-            vals = g1_general(delta, d0.zeta, p.beta, d0.phi, d0.alpha)
-        rows = list(zip(grid, vals))
+        rows = list(zip(grid, model.transmission(grid)))
         return ("detuning_uev", "transmission"), rows, _metadata(p, extra, req.timestamp)
 
     if req.mode == "g2zero":
-        if req.average:
-            model = ModelCurves(p, spec, convolve=req.convolve)
-            vals = np.asarray(model.g2zero(grid))
-        else:
-            delta = 2.0 * (grid - p.omega0) / p.hbar_gamma
-            vals = g2_tau_general(0.0, delta, d0.zeta, p.beta, d0.phi)
         rows = [(g, v, "" if np.isfinite(v) else "divergent")
-                for g, v in zip(grid, vals)]
+                for g, v in zip(grid, model.g2zero(grid))]
         return ("detuning_uev", "g2zero", "flag"), rows, _metadata(p, extra, req.timestamp)
 
     if req.mode == "g2trace":
         det = float(req.detuning)
         extra["detuning_uev"] = det
-        if req.average:
-            model = ModelCurves(p, spec, convolve=req.convolve)
-            vals = model.g2_trace(det, grid)
-        else:
-            delta = 2.0 * (det - p.omega0) / p.hbar_gamma
-            tau_t = grid / (2.0 * p.lifetime)
-            vals = g2_tau_general(tau_t, np.asarray(delta), d0.zeta, p.beta, d0.phi)
         rows = [(g, v, "" if np.isfinite(v) else "divergent")
-                for g, v in zip(grid, np.atleast_1d(vals))]
+                for g, v in zip(grid, model.g2_trace(det, grid))]
         return ("tau_ps", "g2", "flag"), rows, _metadata(p, extra, req.timestamp)
 
     # decompose: ideal zero-delay split (unit beta, no dephasing), set by t0
-    delta = 2.0 * (grid - p.omega0) / p.hbar_gamma
-    dec = g2zero_ideal(delta, d0.phi)
+    delta = detuning_to_delta(grid - p.omega0, p.lifetime)
+    dec = g2zero_ideal(delta, model.phi)
     rows = [(g, dv, pr, b, i, t, "" if np.isfinite(t) else "divergent")
             for g, dv, pr, b, i, t in zip(grid, delta,
                                           np.broadcast_to(dec.product_term, delta.shape),
@@ -136,51 +124,6 @@ def run_scan(req: ScanRequest):
                                           dec.total)]
     return (("detuning_uev", "delta", "product", "bound", "interference",
              "total", "flag"), rows, _metadata(p, extra, req.timestamp))
-
-
-@dataclass(frozen=True)
-class FPBackground:
-    """Lossless symmetric two-mirror background specification.
-
-    Either a free spectral range (nm, at the reference wavelength) or a
-    physical length plus group index fixes the round-trip optical path.
-    """
-
-    reflectivity: float
-    wavelength_ref_nm: float = 915.0
-    fsr_nm: float | None = None
-    length_um: float | None = None
-    group_index: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity < 1.0:
-            raise ValueError("reflectivity must lie in [0, 1)")
-        if self.fsr_nm is None and (self.length_um is None or self.group_index is None):
-            raise ValueError("need fsr_nm, or length_um plus group_index")
-        if self.fsr_nm is not None and self.fsr_nm <= 0:
-            raise ValueError("fsr_nm must be positive")
-
-    @property
-    def roundtrip_nm(self):
-        if self.fsr_nm is not None:
-            return self.wavelength_ref_nm**2 / self.fsr_nm
-        return 2.0 * self.group_index * self.length_um * 1e3
-
-
-def fp_background(fp: FPBackground, wavelengths_nm):
-    """Amplitude transmission t0(lambda) of the background, with intensity.
-
-    Airy transmission of a lossless symmetric resonator: unity on resonance
-    for any mirror reflectivity, with adjacent maxima spaced by the free
-    spectral range. Returns ``(t0, T)`` arrays.
-    """
-    lam = np.asarray(wavelengths_nm, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("wavelengths must be positive")
-    R = fp.reflectivity
-    F = 4.0 * R / (1.0 - R) ** 2
-    T = 1.0 / (1.0 + F * np.sin(np.pi * fp.roundtrip_nm / lam) ** 2)
-    return np.sqrt(T), T
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +240,8 @@ def build_parser():
     sc.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a parameter (repeatable)")
     sc.add_argument("--grid", required=True, type=_parse_grid,
-                    help="start:stop:count; detuning ueV (g2trace: tau ps)")
+                    help="start:stop:count; detuning ueV (g2trace: tau ps); "
+                    "a negative start needs --grid=START:STOP:COUNT")
     sc.add_argument("--detuning", type=float, help="detuning ueV for g2trace")
     sc.add_argument("--average", type=_onoff, default=True, metavar="on|off")
     sc.add_argument("--convolve", type=_onoff, default=True, metavar="on|off")
@@ -338,7 +282,8 @@ def build_parser():
     fp.add_argument("--group-index", type=float)
     fp.add_argument("--wavelength-ref-nm", type=float, default=915.0)
     fp.add_argument("--grid", required=True, type=_parse_grid,
-                    help="start:stop:count in nm")
+                    help="start:stop:count in nm; a negative start needs "
+                    "--grid=START:STOP:COUNT")
     fp.add_argument("--out", required=True)
     fp.add_argument("--format", choices=("csv", "json"), default="csv")
     return ap
@@ -359,20 +304,17 @@ def _cmd_scan(args):
 
 def _cmd_fit(args):
     initial = params_from_config(args.config, _parse_set(args.set))
+    files = [(args.transmission, "transmission"), (args.g2zero, "g2zero")]
+    files += [(path, "g2_histogram") for path in args.histogram or ()]
     parts = []
     n_rejected = 0
-    for path, kind in ((args.transmission, "transmission"),
-                       (args.g2zero, "g2zero")):
+    for path, kind in files:
         if path:
             rep = load_measurements(path, kind)
             n_rejected += len(rep.rejected)
             for ln, why in rep.rejected:
                 print(f"note: {path}:{ln}: rejected row ({why})", file=sys.stderr)
             parts.append(rep.data)
-    for path in args.histogram or ():
-        rep = load_measurements(path, "g2_histogram")
-        n_rejected += len(rep.rejected)
-        parts.append(rep.data)
     if not parts:
         raise DataFormatError("fit needs at least one measurement file")
     data = merge_measurements(*parts)

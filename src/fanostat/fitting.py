@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .averaging import AveragingSpec, ModelCurves
+from .averaging import ModelCurves
 from .params import PhysicalParams, to_dimensionless
 
 FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "beta")
@@ -237,21 +237,14 @@ class _Objective:
     """Weighted residual vector shared by the objective and the fitter."""
 
     def __init__(self, data: MeasurementSet, template: PhysicalParams,
-                 avg_kwargs=None, g2_weight=1.0, datasets=("transmission", "g2")):
+                 g2_weight=1.0, datasets=("transmission", "g2")):
         self.data = data
         self.template = template
-        self.avg_kwargs = avg_kwargs or {}
         self.g2_weight = g2_weight
         self.datasets = datasets
-        self.n_excluded = 0
-
-    def model(self, params: PhysicalParams) -> ModelCurves:
-        d = to_dimensionless(params, params.omega0)
-        spec = AveragingSpec(sigma=d.sigma, t_resp=d.t_resp, **self.avg_kwargs)
-        return ModelCurves(params, spec)
 
     def residuals(self, params: PhysicalParams) -> dict:
-        mdl = self.model(params)
+        mdl = ModelCurves(params)
         out = {}
         if "transmission" in self.datasets and self.data.transmission.shape[0]:
             det, val, unc = self.data.transmission.T
@@ -267,39 +260,32 @@ class _Objective:
                 out[f"g2_histogram_{i}"] = self.g2_weight * (model - meas) / sig
         return out
 
-    def vector(self, x):
-        parts = []
-        res = self.residuals(unpack_params(x, self.template))
-        for key in sorted(res):
-            parts.append(res[key])
-        if not parts:
+    def flat(self, params: PhysicalParams):
+        """All residuals at ``params``, concatenated in key order."""
+        res = self.residuals(params)
+        if not res:
             raise ValueError("measurement set is empty")
-        vec = np.concatenate(parts)
-        bad = ~np.isfinite(vec)
-        if np.any(bad):
-            self.n_excluded += int(np.sum(bad))
-            vec = np.where(bad, 0.0, vec)
-        return vec
+        return np.concatenate([res[key] for key in sorted(res)])
+
+    def vector(self, x):
+        # non-finite residuals are zeroed for the solver and counted once,
+        # at the solution, by the caller
+        vec = self.flat(unpack_params(x, self.template))
+        return np.where(np.isfinite(vec), vec, 0.0)
 
 
-def model_objective(params: PhysicalParams, data: MeasurementSet,
-                    spec: AveragingSpec | None = None, g2_weight=1.0):
+def model_objective(params: PhysicalParams, data: MeasurementSet, g2_weight=1.0):
     """Weighted sum of squared residuals of the averaged model against data.
 
     Points where the model evaluation is not finite are excluded with a
     warning rather than poisoning the objective.
     """
-    if data.n_points == 0:
-        raise ValueError("measurement set is empty")
-    avg_kwargs = {}
-    if spec is not None:
-        avg_kwargs = {"quadrature_points": spec.quadrature_points,
-                      "quadrature_span": spec.quadrature_span}
-    obj = _Objective(data, params, avg_kwargs, g2_weight)
-    vec = obj.vector(pack_params(params))
-    if obj.n_excluded:
-        warnings.warn(f"{obj.n_excluded} residual(s) non-finite and excluded",
+    vec = _Objective(data, params, g2_weight).flat(params)
+    bad = ~np.isfinite(vec)
+    if np.any(bad):
+        warnings.warn(f"{int(np.sum(bad))} residual(s) non-finite and excluded",
                       RuntimeWarning, stacklevel=2)
+        vec = vec[~bad]
     return float(np.dot(vec, vec))
 
 
@@ -332,8 +318,7 @@ def _single_fit(obj: _Objective, x0, lo, hi):
 
 def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
                    bounds: dict | None = None, multi_start: bool = False,
-                   mode: str = "joint", g2_weight: float = 1.0,
-                   avg_kwargs: dict | None = None) -> FitResult:
+                   mode: str = "joint", g2_weight: float = 1.0) -> FitResult:
     """Fit the averaged model to a measurement set.
 
     Parameters
@@ -360,12 +345,16 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     bnds = dict(DEFAULT_BOUNDS)
     if bounds:
         bnds.update(bounds)
+    for name in FIT_FIELDS:
+        low, high = bnds[name]
+        value = getattr(initial, name)
+        if not low <= value <= high:
+            raise ValueError(f"initial {name} = {value:g} lies outside the "
+                             f"fit bounds [{low:g}, {high:g}]")
     lo, hi = _transformed_bounds(bnds)
     x_init = pack_params(initial)
-    if np.any(x_init < lo - 1e-12) or np.any(x_init > hi + 1e-12):
-        raise ValueError("initial parameters violate the bounds")
 
-    obj = _Objective(data, initial, avg_kwargs, g2_weight)
+    obj = _Objective(data, initial, g2_weight)
 
     starts = [x_init]
     if multi_start:
@@ -376,7 +365,7 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     best = None
     for x0 in starts:
         if mode == "sequential" and data.transmission.shape[0]:
-            stage1 = _Objective(data, initial, avg_kwargs, g2_weight,
+            stage1 = _Objective(data, initial, g2_weight,
                                 datasets=("transmission",))
             s1 = _single_fit(stage1, x0, lo, hi)
             x0 = s1.x
@@ -387,6 +376,7 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     params = unpack_params(best.x, initial)
     residuals = obj.residuals(params)
     vec = np.concatenate([residuals[k] for k in sorted(residuals)])
+    n_excluded = int(np.sum(~np.isfinite(vec)))
     objective = float(np.nansum(vec * vec))
 
     atol = 1e-6 * np.maximum(np.abs(lo), np.abs(hi))
@@ -398,7 +388,7 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     return FitResult(params=params, objective=objective, residuals=residuals,
                      n_eval=int(best.nfev), converged=bool(best.status > 0),
                      bounds_hit=bounds_hit, stderr=stderr,
-                     message=str(best.message), n_excluded=obj.n_excluded,
+                     message=str(best.message), n_excluded=n_excluded,
                      n_starts=len(starts))
 
 

@@ -50,34 +50,18 @@ def phi_from_t0(t0):
     return float(out) if out.ndim == 0 else out
 
 
-def energy_from_thz(freq_thz):
-    """Transition energy in ueV from an ordinary frequency in THz (E = h*nu)."""
-    return 2.0 * math.pi * HBAR_UEV_PS * freq_thz
-
-
-def thz_from_energy(energy_uev):
-    """Ordinary frequency in THz from an energy in ueV."""
-    return energy_uev / (2.0 * math.pi * HBAR_UEV_PS)
-
-
 def detuning_to_delta(detuning_uev, lifetime_ps):
-    """Dimensionless detuning from a laser-transition detuning in ueV."""
+    """Dimensionless detuning from a laser-transition detuning in ueV.
+
+    Also reduces spectral widths; with :func:`tau_to_dimensionless` it is the
+    one unit reduction behind :func:`to_dimensionless` and the model curves.
+    """
     return 2.0 * np.asarray(detuning_uev, dtype=float) / hbar_gamma(lifetime_ps)
-
-
-def delta_to_detuning(delta, lifetime_ps):
-    """Inverse of :func:`detuning_to_delta`."""
-    return np.asarray(delta, dtype=float) * hbar_gamma(lifetime_ps) / 2.0
 
 
 def tau_to_dimensionless(tau_ps, lifetime_ps):
     """Dimensionless delay tau*gamma/2 from a delay in ps."""
     return np.asarray(tau_ps, dtype=float) / (2.0 * lifetime_ps)
-
-
-def tau_from_dimensionless(tau_t, lifetime_ps):
-    """Inverse of :func:`tau_to_dimensionless`."""
-    return np.asarray(tau_t, dtype=float) * 2.0 * lifetime_ps
 
 
 @dataclass(frozen=True)
@@ -200,67 +184,15 @@ def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams
     """
     if not math.isfinite(laser_energy_uev):
         raise ValueError("laser energy must be finite")
-    hg = p.hbar_gamma
     return DimensionlessParams(
-        delta=2.0 * (laser_energy_uev - p.omega0) / hg,
+        delta=float(detuning_to_delta(laser_energy_uev - p.omega0, p.lifetime)),
         zeta=1.0 + 2.0 * p.lifetime / p.dephasing_time,
         alpha=4.0 * p.beta * p.drive_amp**2 * p.lifetime,
         phi=phi_from_t0(p.t0),
         T0=p.t0**2,
-        sigma=2.0 * p.sigma_wander / hg,
-        t_resp=p.detector_resp / (2.0 * p.lifetime),
+        sigma=float(detuning_to_delta(p.sigma_wander, p.lifetime)),
+        t_resp=float(tau_to_dimensionless(p.detector_resp, p.lifetime)),
     )
-
-
-def from_dimensionless(d: DimensionlessParams, lifetime_ps, omega0_uev=0.0):
-    """Invert the reduction back to dimensional quantities, given the lifetime.
-
-    Returns a dict with ``laser_energy``, ``dephasing_time``, ``sigma_wander``,
-    ``t0`` and ``detector_resp``; ``alpha`` is passed through unchanged since
-    splitting it into beta and drive amplitude is not unique.
-    """
-    hg = hbar_gamma(lifetime_ps)
-    out = {
-        "laser_energy": omega0_uev + d.delta * hg / 2.0,
-        "sigma_wander": d.sigma * hg / 2.0,
-        "t0": math.cos(d.phi),
-        "detector_resp": d.t_resp * 2.0 * lifetime_ps,
-        "alpha": d.alpha,
-    }
-    if d.zeta > 1.0:
-        out["dephasing_time"] = 2.0 * lifetime_ps / (d.zeta - 1.0)
-    else:
-        out["dephasing_time"] = math.inf
-    return out
-
-
-@dataclass(frozen=True)
-class CouplingVector:
-    """Coupling of the emitter to the left- and right-moving guided modes."""
-
-    left: complex
-    right: complex
-
-    @property
-    def norm_squared(self):
-        return abs(self.left) ** 2 + abs(self.right) ** 2
-
-    def as_array(self):
-        return np.array([self.left, self.right], dtype=complex)
-
-
-def coupling_vector(beta, gamma, phi) -> CouplingVector:
-    """Guided-mode coupling for an emitter centered in the background cavity.
-
-    Both components equal ``i*exp(i*phi/2)*sqrt(beta*gamma/2)``; the squared
-    norm is ``beta*gamma``.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = 1j * np.exp(1j * phi / 2.0) * math.sqrt(beta * gamma / 2.0)
-    return CouplingVector(left=complex(d), right=complex(d))
 
 
 @dataclass(frozen=True)
@@ -288,3 +220,48 @@ def scattering_matrix(t0) -> ScatteringMatrix:
         raise ValueError("t0 must lie in [0, 1]")
     r0 = -math.sqrt(1.0 - t0 * t0)
     return ScatteringMatrix(np.array([[t0, 1j * r0], [1j * r0, t0]], dtype=complex))
+
+
+@dataclass(frozen=True)
+class FPBackground:
+    """Lossless symmetric two-mirror background specification.
+
+    Either a free spectral range (nm, at the reference wavelength) or a
+    physical length plus group index fixes the round-trip optical path.
+    """
+
+    reflectivity: float
+    wavelength_ref_nm: float = 915.0
+    fsr_nm: float | None = None
+    length_um: float | None = None
+    group_index: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.reflectivity < 1.0:
+            raise ValueError("reflectivity must lie in [0, 1)")
+        if self.fsr_nm is None and (self.length_um is None or self.group_index is None):
+            raise ValueError("need fsr_nm, or length_um plus group_index")
+        if self.fsr_nm is not None and self.fsr_nm <= 0:
+            raise ValueError("fsr_nm must be positive")
+
+    @property
+    def roundtrip_nm(self):
+        if self.fsr_nm is not None:
+            return self.wavelength_ref_nm**2 / self.fsr_nm
+        return 2.0 * self.group_index * self.length_um * 1e3
+
+
+def fp_background(fp: FPBackground, wavelengths_nm):
+    """Amplitude transmission t0(lambda) of the background, with intensity.
+
+    Airy transmission of a lossless symmetric resonator: unity on resonance
+    for any mirror reflectivity, with adjacent maxima spaced by the free
+    spectral range. Returns ``(t0, T)`` arrays.
+    """
+    lam = np.asarray(wavelengths_nm, dtype=float)
+    if np.any(lam <= 0):
+        raise ValueError("wavelengths must be positive")
+    R = fp.reflectivity
+    F = 4.0 * R / (1.0 - R) ** 2
+    T = 1.0 / (1.0 + F * np.sin(np.pi * fp.roundtrip_nm / lam) ** 2)
+    return np.sqrt(T), T

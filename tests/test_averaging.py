@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestModelCurves:
         assert m.g2zero(9.0) == pytest.approx(1.961, abs=0.01)
         assert m.g2zero(-9.0) == pytest.approx(0.950, abs=0.01)
         # convolution pulls the bunching peak down
-        m_raw = ModelCurves(REF, convolve=False)
+        m_raw = ModelCurves(REF, replace(AveragingSpec.from_params(REF), t_resp=0.0))
         assert m.g2zero(9.0) < m_raw.g2zero(9.0)
 
     def test_trace_matches_zero_delay_point(self):

@@ -199,6 +199,21 @@ class TestFitFullModel:
                 assert res.objective > 1e-4
         assert at_truth >= 8
 
+    def test_excluded_residuals_counted_once_at_solution(self, monkeypatch):
+        data = synthetic_data(noise=0.0, histograms=False)
+        g2zero = ModelCurves.g2zero
+
+        def one_nan(self, detuning_uev):
+            out = np.array(g2zero(self, detuning_uev), dtype=float)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(ModelCurves, "g2zero", one_nan)
+        res = fit_full_model(data, REF)
+        assert res.n_excluded == 1
+        with pytest.warns(RuntimeWarning, match="^1 residual"):
+            model_objective(REF, data)
+
     def test_bounds_violation_rejected(self):
         data = synthetic_data(noise=0.0, histograms=False)
         with pytest.raises(ValueError, match="bounds"):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from fanostat import (DataFormatError, FPBackground, MeasurementSet,
-                      PhysicalParams, ScanRequest, fp_background,
-                      load_measurements, merge_measurements, oracle_check,
-                      params_from_config, read_config, run_scan, write_series)
+                      ModelCurves, PhysicalParams, ScanRequest,
+                      detuning_to_delta, fp_background, g1_general,
+                      g2_tau_general, load_measurements, merge_measurements,
+                      oracle_check, params_from_config, read_config, run_scan,
+                      tau_to_dimensionless, to_dimensionless, write_series)
 from fanostat.cli import main
 
 
@@ -204,6 +206,42 @@ class TestRunScan:
         assert rows[0][2] == "divergent"
         assert rows[1][2] == ""
 
+    @pytest.mark.parametrize("mode", ["transmission", "g2zero", "g2trace"])
+    def test_unaveraged_is_the_bare_closed_form(self, mode):
+        p = PhysicalParams(omega0=1.5, t0=0.45, lifetime=150.0)
+        start, stop = (-600.0, 600.0) if mode == "g2trace" else (-40.0, 40.0)
+        req = ScanRequest(mode=mode, params=p, grid_start=start, grid_stop=stop,
+                          grid_count=161, out_path="unused", average=False,
+                          detuning=9.0 if mode == "g2trace" else None)
+        got = np.array([r[1] for r in run_scan(req)[1]])
+        d = to_dimensionless(p, p.omega0)
+        delta = detuning_to_delta(req.grid() - p.omega0, p.lifetime)
+        if mode == "transmission":
+            want = g1_general(delta, d.zeta, p.beta, d.phi, d.alpha)
+        elif mode == "g2zero":
+            want = g2_tau_general(0.0, delta, d.zeta, p.beta, d.phi)
+        else:
+            want = g2_tau_general(tau_to_dimensionless(req.grid(), p.lifetime),
+                                  to_dimensionless(p, 9.0).delta, d.zeta, p.beta,
+                                  d.phi)
+        assert np.array_equal(got, want)
+
+    def test_finite_drive_enters_transmission_at_zero_width(self):
+        p = PhysicalParams(drive_amp=0.05, sigma_wander=0.0, detector_resp=0.0)
+        vals = {}
+        for average in (True, False):
+            req = ScanRequest(mode="transmission", params=p, grid_start=-2.0,
+                              grid_stop=2.0, grid_count=5, out_path="unused",
+                              average=average)
+            vals[average] = np.array([r[1] for r in run_scan(req)[1]])
+        d = to_dimensionless(p, p.omega0)
+        want = g1_general(detuning_to_delta(req.grid() - p.omega0, p.lifetime),
+                          d.zeta, p.beta, d.phi, d.alpha)
+        assert d.alpha > 0
+        assert np.array_equal(vals[True], vals[False])
+        assert np.array_equal(vals[False], want)
+        assert want[0] == pytest.approx(1.8734, abs=1e-4)
+
     def test_g2trace_needs_detuning(self):
         with pytest.raises(ValueError, match="detuning"):
             ScanRequest(mode="g2trace", params=PhysicalParams(),
@@ -315,6 +353,54 @@ class TestCLI:
         assert rep["converged"]
         assert abs(rep["parameters"]["t0"] - 0.62) < 0.02
         assert rep["conventions"]["frequency"].startswith("ordinary")
+
+    @pytest.mark.parametrize("mode", ["g2zero", "g2trace"])
+    def test_finite_drive_g2_refused(self, tmp_path, capsys, mode):
+        code = main(["scan", "--mode", mode, "--set", "drive_amp=0.05",
+                     "--grid=-20:20:5", "--detuning", "9",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "drive_amp" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("setting,field", [("t0=1", "t0"), ("beta=1", "beta"),
+                                               ("sigma_wander=0", "sigma_wander"),
+                                               ("beta=0", "beta")])
+    def test_fit_start_outside_bounds(self, tmp_path, capsys, setting, field):
+        det = np.linspace(-40, 40, 9)
+        f_t = tmp_path / "trans.csv"
+        write_series(("detuning_uev", "transmission", "uncertainty"),
+                     list(zip(det, ModelCurves(PhysicalParams()).transmission(det),
+                              np.full_like(det, 0.02))), f_t)
+        code = main(["fit", "--transmission", str(f_t), "--set", setting,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"initial {field} = " in err and "outside the fit bounds" in err
+        assert "Traceback" not in err
+
+    def test_rejected_histogram_row_reported(self, tmp_path, capsys):
+        model = ModelCurves(PhysicalParams())
+        det = np.linspace(-40, 40, 21)
+        f_t = tmp_path / "trans.csv"
+        write_series(("detuning_uev", "transmission", "uncertainty"),
+                     list(zip(det, model.transmission(det), np.full_like(det, 0.02))),
+                     f_t)
+        tau = np.linspace(-600, 600, 49)
+        lines = ["# detuning_uev: 9.0", "tau_ps,counts,uncertainty"]
+        lines += [f"{t:.17g},{1000.0 * g:.17g},20.0" for t, g in
+                  zip(tau, model.g2_trace(9.0, tau))]
+        lines.insert(4, "12.5,many,20.0")        # file line 5
+        f_h = tmp_path / "hist.csv"
+        f_h.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        code = main(["fit", "--transmission", str(f_t), "--histogram", str(f_h),
+                     "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert f"note: {f_h}:5: rejected row (non-numeric cell)" in err
+        assert json.loads(out.read_text())["rejected_rows"] == 1
 
     def test_oracle_check_small_grid(self, tmp_path):
         out = tmp_path / "oracle.csv"
