@@ -11,8 +11,8 @@ from .params import (HBAR_UEV_PS, DimensionlessParams, FPBackground,
 from .correlators import (CorrelatorDecomposition, G2Coefficients, g1_general,
                           g1_ideal, g2_coefficients, g2_tau_general,
                           g2_tau_parts, g2zero_ideal, ideal_min_g2zero)
-from .averaging import (AveragingSpec, ModelCurves, SampledCurve, avg_g1,
-                        avg_g2, check_refinement, convolve_detector)
+from .averaging import (AveragingSpec, ModelCurves, avg_g1, avg_g2,
+                        check_refinement)
 from .bloch import (BlochState, RegressionVector, bloch_matrix, evolve,
                     output_correlator_g1, output_correlator_g2,
                     propagate_exact, reduce_product, regression_initials,

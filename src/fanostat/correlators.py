@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 _HALF_PI = np.pi / 2.0
 
@@ -32,6 +33,18 @@ def _check_phi(phi):
     phi = float(phi)
     if not -_HALF_PI < phi <= 0.0:
         raise ValueError("phi must lie in (-pi/2, 0]; phi = -pi/2 (t0 = 0) is singular")
+    return phi
+
+
+def check_params(zeta, beta, phi, alpha=0.0):
+    """Validate the model parameters shared by the closed forms; returns phi."""
+    phi = _check_phi(phi)
+    if zeta < 1.0:
+        raise ValueError("zeta must be >= 1")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    if alpha < 0.0:
+        raise ValueError("alpha must be >= 0")
     return phi
 
 
@@ -136,13 +149,7 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
     Fano zero (zeta = beta = 1, delta = -tan(phi)) rounding can leave the
     formula a few ulp below it.
     """
-    phi = _check_phi(phi)
-    if zeta < 1.0:
-        raise ValueError("zeta must be >= 1")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    phi = check_params(zeta, beta, phi, alpha)
     out = np.maximum(_g1_formula(delta, zeta, beta, phi, alpha), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -202,11 +209,7 @@ class G2Coefficients:
 
 def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     """Evaluate the weak-pump g2 coefficients; see :class:`G2Coefficients`."""
-    phi = _check_phi(phi)
-    if zeta < 1.0:
-        raise ValueError("zeta must be >= 1")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    phi = check_params(zeta, beta, phi)
     delta = np.asarray(delta, dtype=float)
     # the zeta = 2, delta = 0 decay-rate collision divides by zero; let it
     # propagate as inf rather than warn (documented out-of-domain corner)
@@ -220,21 +223,57 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     return G2Coefficients(A, B, g20, g1)
 
 
-def g2_tau_parts(tau, delta, zeta, beta, phi):
+def detected_decay(a, tau, t_resp):
+    """``exp(-a|tau|)`` convolved with a centred Gaussian of width ``t_resp``.
+
+    ``a`` is real or complex with ``Re a > 0`` and broadcasts against
+    ``tau``. With s = t_resp, t = |tau|, u = (a s^2 - t)/(sqrt(2) s),
+    v = (a s^2 + t)/(sqrt(2) s) and g = exp(-t^2/(2 s^2)):
+
+    * D = g/2 [erfcx(u) + erfcx(v)] where Re u >= 0;
+    * D = exp(a^2 s^2/2 - a t) - g/2 [erfcx(-u) - erfcx(v)] elsewhere.
+
+    Every erfcx argument has a non-negative real part, where |erfcx| <= 1,
+    and the exponential is only taken where it is below 1 in modulus, so
+    neither branch overflows. The g-terms are dropped where t >= 9 s
+    (g < 3e-18). ``t_resp = 0`` gives ``exp(-a|tau|)`` exactly.
+    """
+    t = np.abs(np.asarray(tau, dtype=float))
+    if t_resp == 0.0:
+        return np.exp(-a * t)
+    s2, r2s = t_resp * t_resp, np.sqrt(2.0) * t_resp
+    a, t = np.broadcast_arrays(a, t)
+    tail = t > np.real(a) * s2              # Re u < 0
+    out = np.zeros(a.shape, dtype=np.result_type(a, float))
+    out[tail] = np.exp(a[tail] * (0.5 * s2 * a[tail] - t[tail]))
+    near = t < 9.0 * t_resp
+    q, x = a[near] * (t_resp / np.sqrt(2.0)), t[near] / r2s   # u = q - x, v = q + x
+    sign = np.where(tail[near], -1.0, 1.0)
+    out[near] += 0.5 * np.exp(-x * x) * (erfcx(q + x) + sign * erfcx(sign * (q - x)))
+    return out
+
+
+def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0):
     """Numerator and squared-transmission denominator of the weak-pump g2.
 
     Broadcasts ``tau`` against ``delta``. Returned separately so ensemble
-    averaging can weight them independently before dividing.
+    averaging can weight them independently before dividing; the
+    denominator does not depend on ``tau`` and keeps the shape of ``delta``.
+
+    The numerator is ``g1^2 + A D(2, tau) + Re[(C - iB) D(zeta - i delta,
+    tau)]`` with ``C = g2zero - g1^2 - A`` (see :class:`G2Coefficients`),
+    where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by a detector of Gaussian
+    response width ``t_resp`` (:func:`detected_decay`). ``t_resp = 0`` is
+    the bare correlator.
     """
-    phi = _check_phi(phi)
-    tau = np.abs(np.asarray(tau, dtype=float))
+    if t_resp < 0:
+        raise ValueError("t_resp must be non-negative")
     delta = np.asarray(delta, dtype=float)
     c = g2_coefficients(delta, zeta, beta, phi)
     g1sq = c.g1 * c.g1
-    num = (g1sq + c.A * np.exp(-2.0 * tau)
-           + (c.g2zero - g1sq - c.A) * np.cos(delta * tau) * np.exp(-zeta * tau)
-           + c.B * np.sin(delta * tau) * np.exp(-zeta * tau))
-    return num, np.broadcast_to(g1sq, num.shape) if np.ndim(num) else g1sq
+    osc = (c.g2zero - g1sq - c.A - 1j * c.B) * detected_decay(
+        zeta - 1j * delta, tau, t_resp)
+    return g1sq + c.A * detected_decay(2.0, tau, t_resp) + osc.real, g1sq
 
 
 def g2_tau_general(tau, delta, zeta, beta, phi):

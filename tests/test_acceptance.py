@@ -19,10 +19,10 @@ from scipy.special import erfcx
 
 from fanostat import (AveragingSpec, DimensionlessParams, G2Histogram,
                       MeasurementSet, ModelCurves, PhysicalParams, avg_g1,
-                      avg_g2, convolve_detector, fit_full_model, g1_general,
-                      g2_tau_general, g2zero_ideal, ideal_min_g2zero,
-                      output_correlator_g1, output_correlator_g2, phi_from_t0,
-                      scattering_matrix, SampledCurve)
+                      avg_g2, fit_full_model, g1_general, g2_coefficients,
+                      g2_tau_general, g2_tau_parts, g2zero_ideal,
+                      ideal_min_g2zero, output_correlator_g1,
+                      output_correlator_g2, phi_from_t0, scattering_matrix)
 
 REF = PhysicalParams()          # the documented reference configuration
 
@@ -305,11 +305,17 @@ def test_criterion_8_identity_suite():
                        g2_tau_general(tau, 1.5, 1.05, 0.9, phi), atol=0):
         problems.append("sigma=0 g2 averaging identity")
 
-    # zero detector width: convolution is the identity
-    curve = SampledCurve(np.linspace(-4, 4, 401),
-                         1 + np.exp(-np.abs(np.linspace(-4, 4, 401))))
-    if convolve_detector(curve, 0.0) is not curve:
-        problems.append("t_resp=0 convolution identity")
+    # vanishing detector width: the detected g2 tends to the bare one. The
+    # tiny width is the overflow-prone corner; at tau = 0 the cusp of g2
+    # lowers the detected value by s*sqrt(2/pi)*|slope| (about 7e-8 here)
+    s = 1e-7
+    bare, _ = g2_tau_parts(tau, 1.5, 1.05, 0.9, phi)
+    detected, _ = g2_tau_parts(tau, 1.5, 1.05, 0.9, phi, t_resp=s)
+    c = g2_coefficients(1.5, 1.05, 0.9, phi)
+    slope = -2 * c.A - 1.05 * (c.g2zero - c.g1**2 - c.A) + 1.5 * c.B
+    cusp = np.where(tau == 0.0, s * math.sqrt(2 / math.pi) * slope, 0.0)
+    if not np.max(np.abs(detected - bare - cusp)) <= 1e-9:
+        problems.append("t_resp -> 0 detection limit")
 
     # decoupled emitter: coherent output everywhere
     if abs(g1_general(0.7, 1.2, 0.0, phi) - 1.0) > 1e-15:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fanostat import (AveragingSpec, ModelCurves, PhysicalParams, SampledCurve,
-                      avg_g1, avg_g2, check_refinement, convolve_detector,
-                      g1_general, g2_tau_general, phi_from_t0)
-from fanostat.averaging import gaussian_kernel
+from fanostat import (AveragingSpec, ModelCurves, PhysicalParams, avg_g1,
+                      avg_g2, check_refinement, g1_general, g2_tau_general,
+                      phi_from_t0)
+from fanostat.correlators import detected_decay
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 REF = PhysicalParams()
@@ -18,15 +18,12 @@ class TestSpecValidation:
     def test_defaults(self):
         spec = AveragingSpec(sigma=1.0, t_resp=0.1)
         assert spec.quadrature_points == 301
-        assert spec.quadrature_span == 8.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             AveragingSpec(sigma=-1.0, t_resp=0.0)
         with pytest.raises(ValueError):
             AveragingSpec(sigma=1.0, t_resp=0.0, quadrature_points=40)
-        with pytest.raises(ValueError):
-            AveragingSpec(sigma=1.0, t_resp=0.0, quadrature_span=4.0)
 
     def test_from_params(self):
         spec = AveragingSpec.from_params(REF)
@@ -62,22 +59,28 @@ class TestAvgG1:
         assert err < 1e-7
         assert expected == pytest.approx(0.527441, abs=1e-6)
         spec = AveragingSpec(sigma=s, t_resp=0.0)
-        assert avg_g1(0.0, 1.0, 1.0, 0.0, spec) == pytest.approx(expected, abs=1e-7)
-        assert avg_g1(0.0, 1.0, 1.0, 0.0, spec, method="trapezoid") == \
-            pytest.approx(expected, abs=1e-6)
+        assert avg_g1(0.0, 1.0, 1.0, 0.0, spec) == pytest.approx(expected, abs=1e-12)
 
-    def test_hermite_and_trapezoid_agree(self):
-        spec = AveragingSpec(sigma=0.8, t_resp=0.0, quadrature_points=61,
-                             quadrature_span=10.0)
+    def test_voigt_and_hermite_agree(self):
+        # the closed form against the 2001-node rule over the detuning nodes
+        spec = AveragingSpec(sigma=0.8, t_resp=0.0)
+        x, w = AveragingSpec(sigma=0.8, t_resp=0.0, quadrature_points=2001).offsets_weights()
         delta = np.linspace(-6, 6, 25)
-        a = avg_g1(delta, 1.2, 0.95, PHI15, spec)
-        b = avg_g1(delta, 1.2, 0.95, PHI15, spec, method="trapezoid")
-        assert np.allclose(a, b, atol=2e-6)
+        for zeta, beta, alpha in ((1.2, 0.95, 0.0), (1.0, 1.0, 0.0), (1.5, 0.7, 0.8)):
+            a = avg_g1(delta, zeta, beta, PHI15, spec, alpha)
+            b = g1_general(delta[:, None] + x, zeta, beta, PHI15, alpha) @ w
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     def test_refinement_converged(self):
+        # the reference configuration's width: doubling moves g2(0) by 2.4e-7
         spec = AveragingSpec(sigma=1.7852, t_resp=0.0)
         delta = np.linspace(-10, 10, 21)
-        assert check_refinement(delta, 1.0, 1.0, PHI15, spec) < 1e-6
+        assert 1e-8 < check_refinement(delta, 1.0, 1.0, PHI15, spec) < 1e-6
+
+    def test_refinement_fails_at_large_width(self):
+        spec = AveragingSpec(sigma=6.0, t_resp=0.0)
+        with pytest.raises(RuntimeError, match=r"changed avg_g2 by 3\.3\d*e-02"):
+            check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, spec)
 
     def test_refinement_failure_reported(self):
         spec = AveragingSpec(sigma=1.7852, t_resp=0.0, quadrature_points=3)
@@ -124,60 +127,71 @@ class TestAvgG2:
         assert np.isfinite(smeared)
 
 
+def quad_decay(a, t, s):
+    """Independent oracle: exp(-a|t - x|) against the Gaussian over +-40 s,
+    split at the kink x = t."""
+    kink = min(max(t, -40 * s), 40 * s)
+
+    def part(f):
+        return sum(quad(lambda x: f(np.exp(-a * abs(t - x)))
+                        * math.exp(-0.5 * (x / s) ** 2) / (math.sqrt(2 * math.pi) * s),
+                        lo, hi, epsabs=1e-14, epsrel=1e-13, limit=2000)[0]
+                   for lo, hi in ((-40 * s, kink), (kink, 40 * s)) if hi > lo)
+    return part(np.real) + 1j * part(np.imag)
+
+
 class TestConvolution:
     def test_zero_width_identity(self):
         tau = np.linspace(-3, 3, 301)
-        c = SampledCurve(tau, np.cos(tau))
-        assert convolve_detector(c, 0.0) is c
+        a = 1.2 - 0.7j
+        assert np.array_equal(detected_decay(a, tau, 0.0), np.exp(-a * np.abs(tau)))
 
     def test_constant_preserved(self):
+        # a decoupled emitter (beta = 0) stays exactly coherent after
+        # detection; the wandering average sums in its own order
         tau = np.linspace(-3, 3, 301)
-        c = SampledCurve(tau, np.ones_like(tau))
-        out = convolve_detector(c, 0.136)
-        assert np.allclose(out.values, 1.0, atol=1e-12)
-
-    def test_kernel_normalized(self):
-        k = gaussian_kernel(0.02, 0.136)
-        assert k.sum() == pytest.approx(1.0, abs=1e-12)
+        spec = AveragingSpec(sigma=0.0, t_resp=0.136)
+        assert np.array_equal(avg_g2(tau, 0.7, 1.2, 0.0, PHI15, spec), np.ones_like(tau))
+        spec = replace(spec, sigma=1.7852)
+        assert np.allclose(avg_g2(tau, 0.7, 1.2, 0.0, PHI15, spec), 1.0, rtol=0, atol=1e-15)
 
     def test_commutes_with_reflection(self):
         tau = np.linspace(-4, 4, 401)
-        vals = np.exp(-np.abs(tau)) * np.cos(2 * tau) + 1.0
-        out = convolve_detector(SampledCurve(tau, vals), 0.1)
-        assert np.allclose(out.values, out.values[::-1], atol=1e-12)
-
-    def test_undersampled_grid_rejected(self):
-        tau = np.linspace(-3, 3, 31)
-        c = SampledCurve(tau, np.ones_like(tau))
-        with pytest.raises(ValueError, match="undersample"):
-            convolve_detector(c, 0.136)
+        spec = AveragingSpec(sigma=1.2, t_resp=0.1)
+        out = avg_g2(tau, 1.3, 1.1, 0.9, PHI15, spec)
+        assert np.allclose(out, out[::-1], rtol=0, atol=1e-12)
 
     def test_interior_matches_exact_convolution(self):
-        # independent oracle: pointwise adaptive quadrature of the convolution
         sigma = 0.136
-        tau = np.linspace(-5, 5, 4001)
-        vals = 1.0 + np.exp(-np.abs(tau)) * np.cos(1.3 * tau)
-        out = convolve_detector(SampledCurve(tau, vals), sigma)
+        for a in (2.0, 1.0 - 1.3j, 1.4 + 0.6j):
+            for t_chk in (-2.0, -0.5, 0.0, 0.05, 1.0, 2.5):
+                got = complex(detected_decay(a, t_chk, sigma))
+                assert abs(got - quad_decay(a, t_chk, sigma)) < 1e-10
+        assert detected_decay(2.0, 0.0, sigma) < 1.0
 
-        def f(t):
-            return 1.0 + math.exp(-abs(t)) * math.cos(1.3 * t)
+    def test_stable_over_the_parameter_grid(self):
+        # overflow-prone corners: large |a| s, small s, delays far past s
+        worst = 0.0
+        for s in (1e-6, 0.01, 0.136, 1.0, 3.0):
+            for a in (2.0, 1.0 - 66.0j, 50.0 - 5.0j, 1.0 - 200.0j / s if s >= 1.0
+                      else 1.0 - 20.0j):
+                for t in (0.0, 0.5 * s, 3.0 * s, 8.9 * s, 9.1 * s, 40.0 * s, 200.0 * s):
+                    got = complex(detected_decay(a, t, s))
+                    assert np.isfinite(got)
+                    worst = max(worst, abs(got - quad_decay(a, t, s)))
+        assert worst < 1e-10
 
-        for t_chk in (-2.0, -0.5, 0.0, 1.0, 2.5):
-            exact, _ = quad(
-                lambda x: f(t_chk - x)
-                * math.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2 * math.pi) * sigma),
-                -8 * sigma, 8 * sigma, limit=200)
-            i = np.argmin(np.abs(tau - t_chk))
-            assert out.values[i] == pytest.approx(exact, abs=2e-5)
-        i0 = np.argmin(np.abs(tau))
-        assert out.values[i0] < vals[i0]
-
-    def test_curve_container_immutable(self):
-        c = SampledCurve(np.linspace(0, 1, 11), np.zeros(11))
-        with pytest.raises(ValueError):
-            c.values[0] = 1.0
-        with pytest.raises(ValueError):
-            SampledCurve(np.array([0.0, 0.1, 0.3]), np.zeros(3))
+    def test_detected_g2_is_the_convolved_curve(self):
+        # avg_g2 with a detector equals the quad convolution of its t_resp = 0 curve
+        s = 0.136
+        bare = AveragingSpec(sigma=1.7852, t_resp=0.0)
+        spec = replace(bare, t_resp=s)
+        for t_chk in (0.0, 0.1, 0.7):
+            want = sum(quad(lambda x: avg_g2(t_chk - x, 2.0, 1.05, 0.95, PHI15, bare)
+                            * math.exp(-0.5 * (x / s) ** 2) / (math.sqrt(2 * math.pi) * s),
+                            lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+                       for lo, hi in ((-12 * s, t_chk), (t_chk, 12 * s)))
+            assert avg_g2(t_chk, 2.0, 1.05, 0.95, PHI15, spec) == pytest.approx(want, abs=1e-9)
 
 
 class TestModelCurves:

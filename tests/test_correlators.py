@@ -5,8 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fanostat import (g1_general, g1_ideal, g2_coefficients, g2_tau_general,
-                      g2_tau_parts, g2zero_ideal, ideal_min_g2zero,
-                      phi_from_t0)
+                      g2zero_ideal, ideal_min_g2zero, phi_from_t0)
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 COT15 = 1 / math.tan(PHI15)

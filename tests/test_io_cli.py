@@ -8,7 +8,7 @@ from fanostat import (DataFormatError, FPBackground, MeasurementSet,
                       ModelCurves, PhysicalParams, ScanRequest,
                       detuning_to_delta, fp_background, g1_general,
                       g2_tau_general, load_measurements, merge_measurements,
-                      oracle_check, params_from_config, read_config, run_scan,
+                      params_from_config, read_config, run_scan,
                       tau_to_dimensionless, to_dimensionless, write_series)
 from fanostat.cli import main
 
