@@ -13,13 +13,12 @@ from .correlators import (CorrelatorDecomposition, G2Coefficients, g1_general,
                           g2_tau_parts, g2zero_ideal, ideal_min_g2zero)
 from .averaging import (AveragingSpec, ModelCurves, avg_g1, avg_g2,
                         check_refinement)
-from .bloch import (BlochState, RegressionVector, bloch_matrix, evolve,
+from .bloch import (BlochState, RegressionVector, bloch_matrix,
                     output_correlator_g1, output_correlator_g2,
                     propagate_exact, reduce_product, regression_initials,
                     steady_state)
-from .fitting import (FanoFit, FitResult, G2Histogram, MeasurementSet,
-                      fano_lineshape, fit_fano, fit_full_model, fit_report,
-                      model_objective)
+from .fitting import (FitResult, G2Histogram, MeasurementSet, fit_full_model,
+                      fit_report, model_objective)
 from .io import (DataFormatError, LoadReport, load_measurements,
                  merge_measurements, params_from_config, read_config,
                  write_series)

@@ -1,11 +1,12 @@
 """Numerical ground truth: driven two-level dynamics and output correlators.
 
-This module never touches the closed-form correlators. It integrates the
-rotating-frame equations of motion for the emitter averages, applies the
-regression rule (two-time correlators obey the same linear system, with the
-inhomogeneous term scaled by the equal-time expectation of the sandwich
-operators), and assembles the transmitted-field correlators from the
-input-output relation ``c_out = t0*c_in + d*sigma_minus``.
+This module never touches the closed-form correlators. It propagates the
+linear rotating-frame equations of motion for the emitter averages exactly,
+through the matrix exponential; applies the regression rule (two-time
+correlators obey the same linear system, with the inhomogeneous term scaled
+by the equal-time expectation of the sandwich operators); and assembles the
+transmitted-field correlators from the input-output relation
+``c_out = t0*c_in + d*sigma_minus``.
 
 Reduced units as elsewhere: time in 2/gamma, so the population decays at
 rate 2 and the coherence at rate zeta; the drive enters as
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .params import DimensionlessParams
@@ -152,37 +152,26 @@ def _as_vector(initial):
     raise TypeError("initial must be a BlochState or RegressionVector")
 
 
-def evolve(initial, duration, params: DimensionlessParams, t_eval=None,
-           rtol=1e-10, atol=1e-12):
-    """Propagate a state or regression vector for a reduced duration.
+def propagate_exact(initials, tau, params: DimensionlessParams):
+    """Exact propagation of states or regression vectors to every delay.
 
-    Returns ``(times, states)`` with ``states`` of shape (n, 3). Uses an
-    adaptive high-order explicit integrator; the system is linear, so the
-    terminal state can be cross-checked against the matrix exponential
-    (see :func:`propagate_exact`).
+    ``initials`` is a sequence of :class:`BlochState` or
+    :class:`RegressionVector`; ``tau`` a 1-d array of non-negative reduced
+    delays. The system is linear, so v(tau) = v_inf + exp(M tau)(v0 - v_inf),
+    with all exponentials from one batched ``expm``. Returns an array of
+    shape (len(initials), 3, len(tau)): the components (-, +, z) of each
+    initial vector along the delays.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    v0, ident = _as_vector(initial)
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or np.any(tau < 0):
+        raise ValueError("tau must be a 1-d array of non-negative delays")
+    pairs = [_as_vector(x) for x in initials]
+    v0 = np.array([v for v, _ in pairs])
+    ident = np.array([i for _, i in pairs])
     M, b = bloch_matrix(params)
-    binh = b * ident
-
-    def rhs(_t, y):
-        return M @ y + binh
-
-    sol = solve_ivp(rhs, (0.0, duration), v0, method="DOP853", rtol=rtol,
-                    atol=atol, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return sol.t, sol.y.T
-
-
-def propagate_exact(initial, tau, params: DimensionlessParams):
-    """Closed-form propagation of the linear system via matrix exponential."""
-    v0, ident = _as_vector(initial)
-    M, b = bloch_matrix(params)
-    vinf = np.linalg.solve(M, -b * ident)
-    return vinf + expm(M * tau) @ (v0 - vinf)
+    vinf = np.linalg.solve(M, -np.outer(b, ident)).T
+    E = expm(tau[:, None, None] * M)
+    return vinf[:, :, None] + np.einsum("tij,kj->kit", E, v0 - vinf)
 
 
 def _kappa(params: DimensionlessParams, beta):
@@ -219,47 +208,28 @@ def regression_initials(ss: BlochState):
     return u0, v0
 
 
-def output_correlator_g2(tau_grid, params: DimensionlessParams, beta,
-                         rtol=1e-10, atol=1e-12):
+def output_correlator_g2(tau_grid, params: DimensionlessParams, beta):
     """Normalized two-time intensity correlator of the transmitted field.
 
-    Propagates the two regression vectors over ``tau_grid`` (reduced units,
-    non-negative, increasing) and assembles the normally ordered four-point
+    Propagates the two regression vectors exactly over ``tau_grid`` (reduced
+    units, non-negative) and assembles the normally ordered four-point
     correlator; the result is normalized by the squared stationary intensity
-    so it approaches 1 at long delay.
+    so it approaches 1 at long delay. The propagation adds only rounding, so
+    the difference from the alpha -> 0 closed form is the physical
+    finite-drive term.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-d array")
-    if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
-        raise ValueError("tau_grid must be non-negative and increasing")
+    if np.any(tau_grid < 0):
+        raise ValueError("tau_grid must be non-negative")
     if beta == 0.0:
         return np.ones_like(tau_grid)
 
     ss = steady_state(params)
     kap = _kappa(params, beta)
     u0, v0 = regression_initials(ss)
-    M, b = bloch_matrix(params)
-
-    # propagate both vectors as one 6-dimensional linear system
-    y0 = np.concatenate([u0.components, v0.components])
-    binh = np.concatenate([b * u0.identity, b * v0.identity])
-    Mbig = np.zeros((6, 6), dtype=complex)
-    Mbig[:3, :3] = M
-    Mbig[3:, 3:] = M
-
-    def rhs(_t, y):
-        return Mbig @ y + binh
-
-    span = (0.0, float(tau_grid[-1])) if tau_grid[-1] > 0 else (0.0, 1e-12)
-    t_eval = tau_grid if tau_grid[-1] > 0 else None
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    y = sol.y if t_eval is not None else y0[:, None]
-    um, up, uz = y[0], y[1], y[2]
-    vm, _vp, vz = y[3], y[4], y[5]
+    (um, up, uz), (vm, _vp, vz) = propagate_exact((u0, v0), tau_grid, params)
 
     n_ss = np.real(ss.moment(reduce_product(("+", "-"))))
     u_n = (u0.identity + uz) / 2.0          # <(sig+ sig-)(t+tau) sig-(t)>
@@ -281,5 +251,5 @@ def output_correlator_g2(tau_grid, params: DimensionlessParams, beta,
     g1 = 1.0 + 2.0 * np.real(kap * ss.s_minus) + k2 * n_ss
     g2 = G / g1**2
     if np.any(g2 < -1e-8):
-        raise RuntimeError("negative correlator beyond tolerance: integration fault")
+        raise RuntimeError("negative correlator beyond tolerance: propagation fault")
     return g2

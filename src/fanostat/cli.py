@@ -145,10 +145,10 @@ def oracle_check(alpha=1e-3, deltas=None, t0s=None, zetas=None, betas=None,
     the weak-pump closed form diverges are marked and not compared.
 
     g2 is compared at the one finite drive ``alpha`` against the alpha -> 0
-    closed form, so ``max_g2_error`` carries an O(alpha) relative error
-    that grows with g2 near the transmission zeros (it read about 2e31 at
-    the rounded Fano zero T0 = 0.5, delta = +1 before the transmission was
-    clamped at zero). Extrapolate over several drives for a tight check.
+    closed form. The solver propagates exactly and adds only rounding, so
+    ``max_g2_error`` is the physical O(alpha) relative term, which grows
+    with g2 near the transmission zeros. Extrapolate over several drives for
+    a tight check.
     """
     deltas = ORACLE_DEFAULTS["deltas"] if deltas is None else deltas
     t0s = ORACLE_DEFAULTS["t0s"] if t0s is None else t0s

@@ -1,8 +1,7 @@
 """Least-squares inference of physical parameters from measured data.
 
-Two layers: a phenomenological asymmetric-lineshape fit for quick looks at
-transmission scans, and the full physical model fit (transmission plus
-photon-correlation data, jointly or sequentially) over the parameter set
+The physical model is fit to transmission plus photon-correlation data,
+jointly or sequentially, over the parameter set
 (omega0, gamma, gamma_de, sigma, t0, beta).
 
 The full fit runs a bounded trust-region least-squares in a transformed
@@ -117,70 +116,6 @@ class MeasurementSet:
     def n_points(self):
         return (self.transmission.shape[0] + self.g2zero.shape[0]
                 + sum(h.tau_ps.size for h in self.g2_histograms))
-
-
-def fano_lineshape(delta_uev, q, gamma_uev, amplitude, offset):
-    """Asymmetric lineshape amplitude*(q + eps)^2/(1 + eps^2) + offset.
-
-    ``eps = 2*delta/gamma`` is the detuning in half-linewidth units; q sets
-    the asymmetry (the zero sits at delta = -q*gamma/2).
-    """
-    if gamma_uev <= 0:
-        raise ValueError("gamma_uev must be positive")
-    eps = 2.0 * np.asarray(delta_uev, dtype=float) / gamma_uev
-    out = amplitude * (q + eps) ** 2 / (1.0 + eps * eps) + offset
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class FanoFit:
-    q: float
-    gamma_uev: float
-    amplitude: float
-    offset: float
-    residuals: np.ndarray
-    converged: bool
-    degenerate: bool
-
-
-def _fano_initial_guess(delta, value):
-    i_min, i_max = int(np.argmin(value)), int(np.argmax(value))
-    d_min, d_max = delta[i_min], delta[i_max]
-    if d_min * d_max < 0 and abs(d_min) > 1e-12:
-        gamma = 2.0 * math.sqrt(-d_min * d_max)
-        q = -2.0 * d_min / gamma
-    else:
-        gamma = max(np.ptp(delta) / 4.0, 1e-6)
-        q = -1.0
-    amp = (value[i_max] - value[i_min]) / (1.0 + q * q)
-    return q, gamma, max(amp, 1e-12), value[i_min]
-
-
-def fit_fano(transmission_points) -> FanoFit:
-    """Weighted lineshape fit of (detuning, transmission, uncertainty) rows."""
-    pts = np.asarray(transmission_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("transmission_points must be an (n, 3) array")
-    if pts.shape[0] < 8:
-        raise ValueError("need at least 8 points to fit the lineshape")
-    delta, value, unc = pts[:, 0], pts[:, 1], pts[:, 2]
-    if np.any(unc <= 0):
-        raise ValueError("uncertainties must be positive")
-
-    def resid(p):
-        q, lg, amp, off = p
-        return (fano_lineshape(delta, q, math.exp(lg), amp, off) - value) / unc
-
-    q0, g0, a0, o0 = _fano_initial_guess(delta, value)
-    sol = least_squares(resid, [q0, math.log(g0), a0, o0], method="trf",
-                        x_scale="jac", max_nfev=200 * 5)
-    jac = sol.jac
-    sv = np.linalg.svd(jac, compute_uv=False)
-    degenerate = bool(sv[0] / max(sv[-1], 1e-300) > 1e8)
-    return FanoFit(q=float(sol.x[0]), gamma_uev=float(math.exp(sol.x[1])),
-                   amplitude=float(sol.x[2]), offset=float(sol.x[3]),
-                   residuals=sol.fun, converged=bool(sol.status > 0),
-                   degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

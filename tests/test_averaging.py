@@ -215,3 +215,11 @@ class TestModelCurves:
         vals = m.transmission(det)
         assert vals.shape == det.shape
         assert np.all((vals > 0) & (vals < 2.5))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open fault, ROADMAP item 1: at zeta = 2 the rate collision divides "
+        "by |2 - a|^2 = 0 on the delta = 0 node and gives NaN"))
+    def test_finite_at_the_rate_collision(self):
+        # dephasing_time = 250 ps with the default 125 ps lifetime is zeta = 2
+        g2 = ModelCurves(PhysicalParams(dephasing_time=250.0)).g2zero([0.0, 1.0])
+        assert np.all(np.isfinite(g2))

@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from fanostat import (BlochState, DimensionlessParams, RegressionVector,
-                      bloch_matrix, evolve, g1_general, g1_ideal,
-                      g2_tau_general, output_correlator_g1,
-                      output_correlator_g2, phi_from_t0, propagate_exact,
-                      reduce_product, regression_initials, steady_state)
+from fanostat import (BlochState, DimensionlessParams, bloch_matrix,
+                      g1_general, g1_ideal, g2_tau_general,
+                      output_correlator_g1, output_correlator_g2, phi_from_t0,
+                      propagate_exact, reduce_product, regression_initials,
+                      steady_state)
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 
@@ -80,56 +81,113 @@ class TestSteadyState:
             assert got == pytest.approx(g1_ideal(delta, PHI15), abs=1e-6)
 
 
-class TestEvolve:
+def mp_output_g2(tau, params, beta):
+    """40-digit reference for ``output_correlator_g2``.
+
+    The same regression system, solved in mpmath: the stationary state by LU,
+    each delay through ``mpmath.expm``, the initial vectors from their
+    product-table values (pinned in ``TestRegressionInitials``).
+    """
+    with mpmath.workdps(40):
+        M, b = bloch_matrix(params)
+        M = mpmath.matrix(M.tolist())
+        b = mpmath.matrix(b.tolist())
+        s_minus, _, s_z = mpmath.lu_solve(M, -b)
+        n = (1 + s_z.real) / 2
+        # (components, identity) of u = (1, sigma_-) and v = (sigma_+, sigma_-)
+        u0, u_id = mpmath.matrix([0, n, -s_minus]), s_minus
+        v0, v_id = mpmath.matrix([0, 0, -n]), n
+        u_inf = mpmath.lu_solve(M, -b * u_id)
+        v_inf = mpmath.lu_solve(M, -b * v_id)
+        t0 = mpmath.cos(params.phi)
+        kap = (1j * mpmath.exp(1j * mpmath.mpf(params.phi) / 2) * beta
+               * mpmath.sqrt(2 / mpmath.mpf(params.alpha)) / t0)
+        k2 = abs(kap) ** 2
+        g1 = 1 + 2 * (kap * s_minus).real + k2 * n
+        out = []
+        for t in tau:
+            E = mpmath.expm(M * mpmath.mpf(t))
+            um, up, uz = u_inf + E * (u0 - u_inf)
+            vm, _, vz = v_inf + E * (v0 - v_inf)
+            G = (1 + 4 * (kap * s_minus).real + 2 * k2 * n
+                 + 2 * (kap**2 * um).real + 2 * k2 * up.real
+                 + 2 * k2 * (kap * (u_id + uz) / 2).real
+                 + 2 * k2 * (kap * vm).real + k2**2 * ((v_id + vz) / 2).real)
+            out.append(float(G / g1**2))
+    return np.array(out)
+
+
+def scaled_error(got, want):
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+class TestPropagateExact:
     def test_steady_state_is_fixed_point(self):
         params = dp(delta=1.2, zeta=1.2, alpha=0.4)
         ss = steady_state(params)
-        _, traj = evolve(ss, 5.0, params, t_eval=np.linspace(0, 5, 21))
-        assert np.max(np.abs(traj[:, 0] - ss.s_minus)) < 1e-8
-        assert np.max(np.abs(traj[:, 2] - ss.s_z)) < 1e-8
+        [traj] = propagate_exact([ss], np.linspace(0, 5, 21), params)
+        assert np.max(np.abs(traj[0] - ss.s_minus)) < 1e-12
+        assert np.max(np.abs(traj[2] - ss.s_z)) < 1e-12
 
     def test_undriven_decay_from_excited_state(self):
         params = dp(alpha=0.0)
-        t_eval = np.linspace(0, 4, 41)
-        _, traj = evolve(BlochState(s_minus=0.0, s_z=1.0), 4.0, params,
-                         t_eval=t_eval)
-        expected = -1.0 + 2.0 * np.exp(-2.0 * t_eval)   # rate gamma in lab time
-        assert np.allclose(traj[:, 2].real, expected, atol=1e-9)
+        tau = np.linspace(0, 4, 41)
+        [traj] = propagate_exact([BlochState(s_minus=0.0, s_z=1.0)], tau, params)
+        expected = -1.0 + 2.0 * np.exp(-2.0 * tau)   # rate gamma in lab time
+        assert np.allclose(traj[2].real, expected, rtol=0, atol=1e-14)
 
     def test_coherence_decays_faster_with_dephasing(self):
         params = dp(alpha=0.0, zeta=4.0)
-        t_eval = np.array([0.0, 1.0])
         init = BlochState(s_minus=0.3, s_z=-0.5)
-        _, traj = evolve(init, 1.0, params, t_eval=t_eval)
-        coh_factor = abs(traj[-1, 0]) / abs(traj[0, 0])
-        pop_factor = (1 + traj[-1, 2].real) / (1 + traj[0, 2].real)
-        assert coh_factor == pytest.approx(math.exp(-4.0), rel=1e-6)
-        assert pop_factor == pytest.approx(math.exp(-2.0), rel=1e-6)
+        [traj] = propagate_exact([init], np.array([0.0, 1.0]), params)
+        coh_factor = abs(traj[0, -1]) / abs(traj[0, 0])
+        pop_factor = (1 + traj[2, -1].real) / (1 + traj[2, 0].real)
+        assert coh_factor == pytest.approx(math.exp(-4.0), rel=1e-12)
+        assert pop_factor == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert coh_factor < pop_factor
-
-    def test_matches_matrix_exponential(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            params = dp(delta=rng.uniform(-4, 4), zeta=rng.uniform(1, 1.8),
-                        alpha=rng.uniform(0, 2))
-            comp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            vec = RegressionVector(comp, identity=complex(rng.standard_normal()))
-            _, traj = evolve(vec, 3.0, params, t_eval=np.array([3.0]))
-            exact = propagate_exact(vec, 3.0, params)
-            assert np.max(np.abs(traj[-1] - exact)) < 1e-8
 
     def test_conjugation_and_physicality_along_trajectory(self):
         params = dp(delta=0.8, zeta=1.1, alpha=2.0)
-        t_eval = np.linspace(0, 6, 61)
-        _, traj = evolve(BlochState(s_minus=0.0, s_z=-1.0), 6.0, params,
-                         t_eval=t_eval)
-        assert np.max(np.abs(traj[:, 1] - np.conj(traj[:, 0]))) < 1e-10
-        assert np.all(traj[:, 2].real >= -1 - 1e-8)
-        assert np.all(traj[:, 2].real <= 1 + 1e-8)
+        [traj] = propagate_exact([BlochState(s_minus=0.0, s_z=-1.0)],
+                                 np.linspace(0, 6, 61), params)
+        assert np.max(np.abs(traj[1] - np.conj(traj[0]))) < 1e-14
+        assert np.all(traj[2].real >= -1 - 1e-12)
+        assert np.all(traj[2].real <= 1 + 1e-12)
 
-    def test_negative_duration_rejected(self):
+    def test_each_initial_vector_propagated_alone(self):
+        params = dp(delta=-0.7, zeta=1.3, alpha=0.6)
+        u0, v0 = regression_initials(steady_state(params))
+        tau = np.linspace(0, 3, 7)
+        both = propagate_exact([u0, v0], tau, params)
+        assert np.array_equal(both[0], propagate_exact([u0], tau, params)[0])
+        assert np.array_equal(both[1], propagate_exact([v0], tau, params)[0])
+
+    def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            evolve(BlochState(0.0, -1.0), -1.0, dp())
+            propagate_exact([BlochState(0.0, -1.0)], np.array([0.0, -1.0]), dp())
+
+    def test_g2_matches_mpmath_reference(self):
+        # the finite-drive amplitude kappa ~ alpha**-1/2 scales absolute
+        # propagation errors by |kappa|**4 ~ 1e8 in g2
+        tau = np.linspace(0, 8, 17)
+        worst = 0.0
+        for T0 in (0.15, 1.0):
+            phi = phi_from_t0(math.sqrt(T0))
+            for delta in (-6.0, -1.0, 0.0, 2.0):
+                for zeta in (1.0, 1.2):
+                    params = dp(delta=delta, zeta=zeta, phi=phi, alpha=1e-3)
+                    got = output_correlator_g2(tau, params, 0.9)
+                    worst = max(worst, scaled_error(got, mp_output_g2(tau, params, 0.9)))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("params", [
+        dp(delta=0.0, zeta=1.0, alpha=0.125, phi=0.0),   # two eigenvalues -1.5
+        dp(delta=0.0, zeta=2.0, alpha=1e-3),             # three near -2
+    ], ids=["exceptional-point", "zeta-2"])
+    def test_coincident_eigenvalues_match_mpmath_reference(self, params):
+        tau = np.linspace(0, 8, 17)
+        got = output_correlator_g2(tau, params, 0.9)
+        assert scaled_error(got, mp_output_g2(tau, params, 0.9)) < 1e-10
 
 
 class TestRegressionInitials:

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from fanostat import (G2Histogram, MeasurementSet, ModelCurves, PhysicalParams,
-                      fano_lineshape, fit_fano, fit_full_model, fit_report,
-                      model_objective, phi_from_t0)
+                      fit_full_model, fit_report, model_objective)
 from fanostat.fitting import pack_params, unpack_params
 
 REF = PhysicalParams()
@@ -36,72 +33,6 @@ def synthetic_data(params=REF, noise=0.0, seed=0, histograms=True,
     return MeasurementSet(transmission=np.column_stack([det_t, T_n, sT]),
                           g2zero=np.column_stack([det_g, G_n, sG]),
                           g2_histograms=hists)
-
-
-class TestFanoLineshape:
-    def test_symmetric_dip_center(self):
-        assert fano_lineshape(0.0, 0.0, 3.0, 1.5, 0.25) == pytest.approx(0.25)
-
-    def test_zero_location(self):
-        q, gamma = 1.7, 4.0
-        assert fano_lineshape(-q * gamma / 2, q, gamma, 2.0, 0.3) == \
-            pytest.approx(0.3, abs=1e-14)
-
-    def test_maps_onto_normalized_transmission_maximum(self):
-        phi = phi_from_t0(math.sqrt(0.15))
-        q = math.tan(phi)
-        amp, off = 0.8, 0.1
-        # with gamma = 2 the reduced detunings coincide
-        val = fano_lineshape(1 / math.tan(phi), q, 2.0, amp, off)
-        assert val == pytest.approx(amp / 0.15 + off, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fano_lineshape(0.0, 1.0, 0.0, 1.0, 0.0)
-
-
-class TestFitFano:
-    def make_points(self, q=-1.3, gamma=8.0, amp=0.6, off=0.35, noise=0.0,
-                    seed=1, n=41):
-        rng = np.random.default_rng(seed)
-        det = np.linspace(-30, 30, n)
-        val = fano_lineshape(det, q, gamma, amp, off)
-        val = val * (1 + noise * rng.standard_normal(val.shape))
-        unc = np.maximum(noise * np.abs(val), 1e-4)
-        return np.column_stack([det, val, unc])
-
-    def test_exact_recovery(self):
-        fit = fit_fano(self.make_points())
-        assert fit.converged and not fit.degenerate
-        assert fit.q == pytest.approx(-1.3, abs=1e-8)
-        assert fit.gamma_uev == pytest.approx(8.0, abs=1e-7)
-        assert fit.amplitude == pytest.approx(0.6, abs=1e-8)
-        assert fit.offset == pytest.approx(0.35, abs=1e-8)
-
-    def test_noisy_recovery(self):
-        fit = fit_fano(self.make_points(noise=0.01, seed=5))
-        assert abs(fit.q - (-1.3)) / 1.3 < 0.05
-        assert abs(fit.gamma_uev - 8.0) / 8.0 < 0.05
-        assert abs(fit.amplitude - 0.6) / 0.6 < 0.05
-
-    def test_model_transmission_gives_negative_q(self):
-        model = ModelCurves(REF)
-        det = np.linspace(-40, 40, 61)
-        tr = model.transmission(det)
-        pts = np.column_stack([det, tr, 0.01 * np.ones_like(det)])
-        fit = fit_fano(pts)
-        assert fit.q < 0
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError, match="8 points"):
-            fit_fano(self.make_points(n=5))
-
-    def test_degenerate_data_flagged(self):
-        det = np.linspace(-10, 10, 21)
-        pts = np.column_stack([det, np.full_like(det, 0.7),
-                               np.full_like(det, 0.01)])
-        fit = fit_fano(pts)
-        assert fit.degenerate
 
 
 class TestModelObjective:
