@@ -16,6 +16,12 @@ closed form to every decay component before averaging (see
 The drive enters the averaged transmission through the reduced intensity
 ``alpha``; the g2 closed form is weak-pump only (alpha -> 0), so the g2
 curves of :class:`ModelCurves` refuse a finite drive with ``ValueError``.
+
+Each average can also return its exact partials in the reduced quantities:
+the Voigt profile through w'(z) = -2z w(z) + 2i/sqrt(pi), the g2 average
+by averaging the partials of its numerator and denominator on the same
+nodes and applying the quotient rule. :class:`ModelCurves` chains them to
+the physical fields of :data:`FIT_FIELDS`.
 """
 
 from __future__ import annotations
@@ -26,9 +32,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_hermite, wofz
 
-from .correlators import check_params, g1_general, g2_tau_parts
-from .params import (PhysicalParams, detuning_to_delta, tau_to_dimensionless,
-                     to_dimensionless)
+from .correlators import (_g1_formula, check_params, complex_step, g1_general,
+                          g2_tau_parts)
+from .params import (HBAR_UEV_PS, PhysicalParams, detuning_to_delta,
+                     tau_to_dimensionless, to_dimensionless)
+
+# the physical fields the model curves are differentiated in, in this order
+FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "beta")
 
 
 @lru_cache(maxsize=32)
@@ -77,7 +87,7 @@ class AveragingSpec:
         return np.sqrt(2.0) * self.sigma * y, w / np.sqrt(np.pi)
 
 
-def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0):
+def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0, jac=False):
     """Wandering-averaged normalized transmission at reduced detuning.
 
     With ``g1 = 1 + (c0 + c1 delta)/(delta^2 + G^2)`` (see
@@ -85,40 +95,87 @@ def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0):
     ``<1/(delta^2 + G^2)> = Re W/G`` and ``<delta/(delta^2 + G^2)> = Im W``
     with ``W = sqrt(pi/2)/sigma * w((delta + iG)/(sqrt(2) sigma))`` and
     ``w`` the Faddeeva function.
+
+    With ``jac``, also returns the partials with respect to (delta, zeta,
+    beta, phi, alpha, sigma) along a new last axis. They reuse the value of
+    w through w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20),
+    with G = sqrt(zeta^2 + zeta alpha). At ``sigma = 0`` they are those of
+    :func:`fanostat.correlators.g1_general` by the complex step, and the
+    sigma partial is zero (the average is even in sigma).
     """
     delta = np.asarray(delta, dtype=float)
     if spec.sigma == 0.0:
-        return g1_general(delta, zeta, beta, phi, alpha)
+        out = g1_general(delta, zeta, beta, phi, alpha)
+        if not jac:
+            return out
+        d = complex_step(_g1_formula, delta, zeta, beta, phi, alpha)
+        d = np.where(np.asarray(out)[..., None] > 0.0, d, 0.0)
+        return out, np.concatenate([d, np.zeros_like(d[..., :1])], axis=-1)
     phi = check_params(zeta, beta, phi, alpha)
     gam = np.sqrt(zeta * zeta + zeta * alpha)
     c0 = beta * beta * zeta / np.cos(phi) ** 2 - 2.0 * beta * zeta
     c1 = 2.0 * beta * np.tan(phi)
-    W = (np.sqrt(np.pi / 2.0) / spec.sigma
-         * wofz((delta + 1j * gam) / (np.sqrt(2.0) * spec.sigma)))
+    z = (delta + 1j * gam) / (np.sqrt(2.0) * spec.sigma)
+    w = wofz(z)
+    W = np.sqrt(np.pi / 2.0) / spec.sigma * w
     out = 1.0 + c0 * W.real / gam + c1 * W.imag
-    return float(out) if out.ndim == 0 else out
+    if not jac:
+        return float(out) if out.ndim == 0 else out
+    W_z = np.sqrt(np.pi / 2.0) / spec.sigma * (2j / np.sqrt(np.pi) - 2.0 * z * w)
+    W_delta = W_z / (np.sqrt(2.0) * spec.sigma)
+    gam_zeta, gam_alpha = (zeta + 0.5 * alpha) / gam, 0.5 * zeta / gam
+    sec2, tan = 1.0 / np.cos(phi) ** 2, np.tan(phi)
+
+    def partial(dc0=0.0, dc1=0.0, dW=0.0, dgam=0.0):
+        return (dc0 * W.real / gam + c0 * (np.real(dW) - W.real * dgam / gam) / gam
+                + dc1 * W.imag + c1 * np.imag(dW))
+
+    return out, np.stack([
+        partial(dW=W_delta),
+        partial(dc0=beta * beta * sec2 - 2.0 * beta,
+                dW=1j * W_delta * gam_zeta, dgam=gam_zeta),
+        partial(dc0=2.0 * beta * zeta * sec2 - 2.0 * zeta, dc1=2.0 * tan),
+        partial(dc0=2.0 * beta * beta * zeta * tan * sec2, dc1=2.0 * beta * sec2),
+        partial(dW=1j * W_delta * gam_alpha, dgam=gam_alpha),
+        partial(dW=-(W + z * W_z) / spec.sigma),
+    ], axis=-1)
 
 
-def avg_g2(tau, delta, zeta, beta, phi, spec: AveragingSpec):
+def avg_g2(tau, delta, zeta, beta, phi, spec: AveragingSpec, jac=False):
     """Wandering-averaged, detected weak-pump g2 at reduced delay and detuning.
 
     ``tau`` and ``delta`` broadcast against each other. Numerator and
     denominator of the normalized correlator are averaged over the same
     Gaussian before dividing; the numerator carries the detector response
-    of width ``spec.t_resp``.
+    of width ``spec.t_resp``. ``sigma = 0`` is the one-node rule.
+
+    With ``jac``, also returns the partials with respect to (delta, zeta,
+    beta, phi, tau, t_resp, sigma) along a new last axis: the averaged
+    partials of :func:`fanostat.correlators.g2_tau_parts` through the
+    quotient rule. The nodes are delta + sqrt(2) sigma y_k, so the sigma
+    partial is the delta partial weighted by sqrt(2) y_k.
     """
     tau = np.asarray(tau, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if spec.sigma == 0.0:
-        num, g1sq = g2_tau_parts(tau, delta, zeta, beta, phi, spec.t_resp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / g1sq
-        return float(out) if np.ndim(out) == 0 else out
-    x, w = spec.offsets_weights()
-    num, g1sq = g2_tau_parts(tau[..., None], delta[..., None] + x, zeta, beta,
-                             phi, spec.t_resp)
-    out = (num @ w) / (g1sq @ w)
-    return float(out) if out.ndim == 0 else out
+    if spec.sigma > 0.0:
+        x, w = spec.offsets_weights()
+    else:
+        x, w = np.zeros(1), np.ones(1)
+    parts = g2_tau_parts(tau[..., None], delta[..., None] + x, zeta, beta,
+                         phi, spec.t_resp, jac)
+    num, den = parts[0] @ w, parts[1] @ w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    if not jac:
+        return float(out) if out.ndim == 0 else out
+    dx = x / spec.sigma if spec.sigma > 0.0 else x      # d(node)/d(sigma)
+    dnum, dden = parts[2], parts[3]
+    sig_num, sig_den = (dnum[..., 0] * dx) @ w, (dden[..., 0] * dx) @ w
+    dnum = np.concatenate([w @ dnum, sig_num[..., None]], axis=-1)
+    dden = w @ dden
+    dden = np.concatenate([dden, np.zeros(dden.shape[:-1] + (2,)),
+                           sig_den[..., None]], axis=-1)
+    return out, (dnum - out[..., None] * dden) / den[..., None]
 
 
 def check_refinement(delta, zeta, beta, phi, spec: AveragingSpec, rtol=1e-6):
@@ -150,6 +207,12 @@ class ModelCurves:
     closed forms. The drive enters the transmission through the reduced
     intensity ``alpha``. The g2 closed form is weak-pump only, so
     :meth:`g2zero` and :meth:`g2_trace` refuse a finite drive.
+
+    Each curve method ``name`` has a twin ``name_jac`` that also returns
+    the partials with respect to :data:`FIT_FIELDS` along a new last axis,
+    the widths following the parameters as in
+    :meth:`AveragingSpec.from_params`. The value methods do no derivative
+    work.
     """
 
     def __init__(self, p: PhysicalParams, spec: AveragingSpec | None = None):
@@ -172,6 +235,30 @@ class ModelCurves:
                 f"{self.params.drive_amp:g} (alpha = {self.alpha:.3g}), "
                 f"set drive_amp = 0")
 
+    def _fields(self, delta, d_delta, d_zeta, d_beta, d_phi, d_sigma,
+                d_alpha=0.0, tau=0.0, d_tau=0.0, d_tresp=0.0):
+        """Partials along FIT_FIELDS from those in the reduced quantities.
+
+        With L the lifetime: delta = 2L(E - omega0)/hbar, sigma =
+        2L sigma_wander/hbar and alpha = 4 beta drive^2 L grow with L;
+        tau = tau_ps/(2L) and t_resp = detector_resp/(2L) shrink with it;
+        zeta = 1 + 2L/dephasing_time; dphi/dt0 = 1/sqrt(1 - t0^2).
+        """
+        if self.spec != AveragingSpec.from_params(self.params):
+            raise ValueError("partials need the widths of AveragingSpec.from_params")
+        p = self.params
+        L, T2 = p.lifetime, p.dephasing_time
+        scale = 2.0 * L / HBAR_UEV_PS
+        return np.stack([
+            -scale * d_delta,
+            (delta * d_delta + self.spec.sigma * d_sigma + self.alpha * d_alpha
+             - tau * d_tau - self.spec.t_resp * d_tresp) / L + 2.0 / T2 * d_zeta,
+            -2.0 * L / T2**2 * d_zeta,
+            scale * d_sigma,
+            d_phi / np.sqrt(1.0 - p.t0 * p.t0),
+            d_beta + 4.0 * p.drive_amp**2 * L * d_alpha,
+        ], axis=-1)
+
     def transmission(self, detuning_uev):
         """Wandering-averaged normalized transmission at the model's drive."""
         return avg_g1(self._delta(detuning_uev), self.zeta, self.beta,
@@ -189,3 +276,29 @@ class ModelCurves:
         self._weak_pump_only()
         return avg_g2(0.0, self._delta(detuning_uev), self.zeta, self.beta,
                       self.phi, self.spec)
+
+    def transmission_jac(self, detuning_uev):
+        """:meth:`transmission` and its partials along FIT_FIELDS."""
+        delta = self._delta(detuning_uev)
+        out, d = avg_g1(delta, self.zeta, self.beta, self.phi, self.spec,
+                        self.alpha, jac=True)
+        dd, dz, db, dp, da, ds = np.moveaxis(d, -1, 0)
+        return out, self._fields(delta, dd, dz, db, dp, ds, d_alpha=da)
+
+    def g2_trace_jac(self, detuning_uev, tau_ps):
+        """:meth:`g2_trace` and its partials along FIT_FIELDS."""
+        self._weak_pump_only()
+        tau = tau_to_dimensionless(tau_ps, self.params.lifetime)
+        return self._g2_jac(tau, float(self._delta(detuning_uev)))
+
+    def g2zero_jac(self, detuning_uev):
+        """:meth:`g2zero` and its partials along FIT_FIELDS."""
+        self._weak_pump_only()
+        return self._g2_jac(0.0, self._delta(detuning_uev))
+
+    def _g2_jac(self, tau, delta):
+        out, d = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.spec,
+                        jac=True)
+        dd, dz, db, dp, dt, dr, ds = np.moveaxis(d, -1, 0)
+        return out, self._fields(delta, dd, dz, db, dp, ds, tau=tau, d_tau=dt,
+                                 d_tresp=dr)

@@ -17,6 +17,12 @@ the numerical regression solver to machine precision for all zeta >= 1 (see
 tests). They are singular at the parameter point zeta = 2, delta = 0 where
 the population and coherence decay rates collide; evaluate nearby values
 with the regression solver instead if that corner is ever needed.
+
+Derivatives for the fit come with the values they differentiate:
+:func:`detected_decay` returns its partials from its own ``erfcx`` values
+(erfcx'(z) = 2z erfcx(z) - 2/sqrt(pi)), and :func:`g2_tau_parts`
+differentiates the rational coefficients by the complex step
+(:func:`complex_step`), which is exact to rounding.
 """
 
 from __future__ import annotations
@@ -150,17 +156,30 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
     formula a few ulp below it.
     """
     phi = check_params(zeta, beta, phi, alpha)
+    delta = np.asarray(delta, dtype=float)
     out = np.maximum(_g1_formula(delta, zeta, beta, phi, alpha), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def _g1_formula(delta, zeta, beta, phi, alpha=0.0):
-    # unvalidated core; g2_coefficients also evaluates it at doubled beta
-    delta = np.asarray(delta, dtype=float)
+    # unvalidated core, analytic in every argument (complex step);
+    # g2_coefficients also evaluates it at doubled beta
     D = zeta * alpha + zeta * zeta + delta * delta
-    out = (1.0 - 2.0 * beta * (zeta - delta * np.tan(phi)) / D
-           + beta * beta * zeta / (np.cos(phi) ** 2 * D))
-    return float(out) if out.ndim == 0 else out
+    return (1.0 - 2.0 * beta * (zeta - delta * np.tan(phi)) / D
+            + beta * beta * zeta / (np.cos(phi) ** 2 * D))
+
+
+def complex_step(f, *args, h=1e-20):
+    """Partials of an analytic ``f(*args)``, stacked along a new last axis.
+
+    Slice k of the stack moves argument k by ``h`` along the imaginary
+    axis; Im f(x + ih)/h is the derivative up to O(h^2), with no
+    subtraction to lose digits (Squire & Trapp, SIAM Rev. 40, 1998), so the
+    partials are exact to rounding.
+    """
+    push = 1j * h * np.eye(len(args))
+    return f(*(np.asarray(v)[..., None] + push[i]
+               for i, v in enumerate(args))).imag / h
 
 
 def _g2_decay_amplitude(delta, zeta, beta, phi):
@@ -223,7 +242,20 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     return G2Coefficients(A, B, g20, g1)
 
 
-def detected_decay(a, tau, t_resp):
+def _coefficient_partials(delta, zeta, beta, phi, g1):
+    """Partials of A, B, g2zero and g1 along a last axis (delta, zeta, beta, phi)."""
+    args = (delta, zeta, beta, phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dA = complex_step(_g2_decay_amplitude, *args)
+        dB = complex_step(_g2_sin_amplitude, *args)
+    dg20 = complex_step(lambda d, z, b, p: _g1_formula(d, z, 2.0 * b, p), *args)
+    # the clamped g1 is flat where the clamp acts
+    dg1 = np.where(np.asarray(g1)[..., None] > 0.0,
+                   complex_step(_g1_formula, *args), 0.0)
+    return dA, dB, dg20, dg1
+
+
+def detected_decay(a, tau, t_resp, partials=False):
     """``exp(-a|tau|)`` convolved with a centred Gaussian of width ``t_resp``.
 
     ``a`` is real or complex with ``Re a > 0`` and broadcasts against
@@ -237,10 +269,27 @@ def detected_decay(a, tau, t_resp):
     and the exponential is only taken where it is below 1 in modulus, so
     neither branch overflows. The g-terms are dropped where t >= 9 s
     (g < 3e-18). ``t_resp = 0`` gives ``exp(-a|tau|)`` exactly.
+
+    With ``partials``, returns ``(D, dD/da, dD/dt, dD/ds)``. Write
+    D = (P_u + P_v)/2 with P_v = g erfcx(v) and P_u = 2D - P_v. Since
+    erfc'(z) = -2 exp(-z^2)/sqrt(pi) (equivalently erfcx'(z) = 2z erfcx(z)
+    - 2/sqrt(pi)) and exp(a^2 s^2/2 -+ a t - u^2 or v^2) = g, the partials
+    reuse the erfcx values of D and need no new special function:
+
+    * dD/dt = a (P_v - D);
+    * dD/da = s k + t (P_v - D);
+    * dD/ds = a k (the heat equation: d/ds = s d^2/dt^2 on a Gaussian
+      convolution, and exp(-a|t|)'' = a^2 exp(-a|t|) - 2a delta(t)),
+
+    with k = a s D - sqrt(2/pi) g. At ``t_resp = 0`` the t_resp partial is
+    returned as zero (a zero width does not vary in the model).
     """
     t = np.abs(np.asarray(tau, dtype=float))
     if t_resp == 0.0:
-        return np.exp(-a * t)
+        out = np.exp(-a * t)
+        if not partials:
+            return out
+        return out, -t * out, -a * out, np.zeros_like(out)
     s2, r2s = t_resp * t_resp, np.sqrt(2.0) * t_resp
     a, t = np.broadcast_arrays(a, t)
     tail = t > np.real(a) * s2              # Re u < 0
@@ -249,11 +298,39 @@ def detected_decay(a, tau, t_resp):
     near = t < 9.0 * t_resp
     q, x = a[near] * (t_resp / np.sqrt(2.0)), t[near] / r2s   # u = q - x, v = q + x
     sign = np.where(tail[near], -1.0, 1.0)
-    out[near] += 0.5 * np.exp(-x * x) * (erfcx(q + x) + sign * erfcx(sign * (q - x)))
-    return out
+    g, erfcx_v = np.exp(-x * x), erfcx(q + x)
+    out[near] += 0.5 * g * (erfcx_v + sign * erfcx(sign * (q - x)))
+    if not partials:
+        return out
+    gauss, p_v = np.zeros(t.shape), np.zeros_like(out)
+    gauss[near], p_v[near] = g, g * erfcx_v
+    k = a * t_resp * out - np.sqrt(2.0 / np.pi) * gauss
+    return out, t_resp * k + t * (p_v - out), a * (p_v - out), a * k
 
 
-def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0):
+def _distinct_delays(tau, delta):
+    """|tau| reduced to its distinct values along its one long axis.
+
+    Returns the reduced delays and the inverse index and axis (counted from
+    the end) that expand a result on them back to the grid of ``tau``, or
+    ``None`` where nothing repeats or ``delta`` varies along that axis.
+    """
+    t = np.abs(tau)
+    long_axes = [i - t.ndim for i, n in enumerate(t.shape) if n > 1]
+    if len(long_axes) != 1:
+        return t, None
+    axis = long_axes[0]
+    if delta.ndim >= -axis and delta.shape[axis] > 1:
+        return t, None
+    distinct, inverse = np.unique(t, return_inverse=True)
+    if distinct.size == t.size:
+        return t, None
+    shape = list(t.shape)
+    shape[axis] = distinct.size
+    return distinct.reshape(shape), (inverse.ravel(), axis)
+
+
+def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     """Numerator and squared-transmission denominator of the weak-pump g2.
 
     Broadcasts ``tau`` against ``delta``. Returned separately so ensemble
@@ -264,16 +341,47 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0):
     tau)]`` with ``C = g2zero - g1^2 - A`` (see :class:`G2Coefficients`),
     where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by a detector of Gaussian
     response width ``t_resp`` (:func:`detected_decay`). ``t_resp = 0`` is
-    the bare correlator.
+    the bare correlator. ``D`` depends on |tau| only, so it is evaluated
+    once per distinct |tau| along the delay axis and then expanded.
+
+    With ``jac``, also returns the partials of the numerator with respect to
+    (delta, zeta, beta, phi, tau, t_resp) and of the denominator with
+    respect to (delta, zeta, beta, phi), each along a new last axis. The
+    rational coefficients ``A``, ``B``, ``g2zero`` and ``g1`` are
+    differentiated by the complex step (:func:`complex_step`), ``D`` in
+    closed form; ``a = zeta - i delta`` gives dD/ddelta = -i dD/da.
     """
     if t_resp < 0:
         raise ValueError("t_resp must be non-negative")
+    tau = np.asarray(tau, dtype=float)
     delta = np.asarray(delta, dtype=float)
     c = g2_coefficients(delta, zeta, beta, phi)
     g1sq = c.g1 * c.g1
-    osc = (c.g2zero - g1sq - c.A - 1j * c.B) * detected_decay(
-        zeta - 1j * delta, tau, t_resp)
-    return g1sq + c.A * detected_decay(2.0, tau, t_resp) + osc.real, g1sq
+    t, expand = _distinct_delays(tau, delta)
+    K = c.g2zero - g1sq - c.A - 1j * c.B
+    decay = detected_decay(2.0, t, t_resp, jac)
+    osc = detected_decay(zeta - 1j * delta, t, t_resp, jac)
+    if not jac:
+        num = g1sq + c.A * decay + (K * osc).real
+        return (num if expand is None else np.take(num, *expand)), g1sq
+    (decay, _, decay_t, decay_s), (osc, osc_a, osc_t, osc_s) = decay, osc
+    num = g1sq + c.A * decay + (K * osc).real
+    dA, dB, dg20, dg1 = _coefficient_partials(delta, zeta, beta, phi, c.g1)
+    dg1sq = 2.0 * c.g1[..., None] * dg1
+    dK = dg20 - dg1sq - dA - 1j * dB
+    dnum = (dg1sq + dA * decay[..., None]
+            + (dK * osc[..., None]).real)           # (delta, zeta, beta, phi)
+    K_osc_a = K * osc_a
+    dnum[..., 0] += K_osc_a.imag
+    dnum[..., 1] += K_osc_a.real
+    dnum = np.concatenate([dnum, np.stack([c.A * decay_t + (K * osc_t).real,
+                                           c.A * decay_s + (K * osc_s).real],
+                                          axis=-1)], axis=-1)
+    if expand is not None:
+        num = np.take(num, expand[0], axis=expand[1])
+        dnum = np.take(dnum, expand[0], axis=expand[1] - 1)
+    dnum[..., 4] *= np.sign(tau)                     # d|tau|/dtau
+    return num, g1sq, dnum, dg1sq
 
 
 def g2_tau_general(tau, delta, zeta, beta, phi):

@@ -8,6 +8,14 @@ The full fit runs a bounded trust-region least-squares in a transformed
 space: rates and widths are fit in log space, t0 and beta through a logistic
 map, and omega0 linearly. Weights are inverse variance; an optional scalar
 knob rebalances transmission against correlation data.
+
+The solver gets the exact Jacobian of the weighted residuals with respect
+to the packed vector x, computed alongside the residuals by the ``*_jac``
+curve methods of :class:`~fanostat.averaging.ModelCurves` and chained
+through the packing maps (d lifetime/dx1 = -lifetime, d dephasing_time/dx2
+= -dephasing_time, d sigma/dx3 = sigma, d t0/dx4 = t0 (1 - t0), d beta/dx5
+= beta (1 - beta)). A histogram's tail normalization enters through the
+quotient rule. Rows of non-finite residuals are zeroed like the residuals.
 """
 
 from __future__ import annotations
@@ -19,10 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .averaging import ModelCurves
+from .averaging import FIT_FIELDS, ModelCurves
 from .params import PhysicalParams, to_dimensionless
-
-FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "beta")
 
 DEFAULT_BOUNDS = {
     "omega0": (-20.0, 20.0),
@@ -154,6 +160,12 @@ def unpack_params(x, template: PhysicalParams) -> PhysicalParams:
     )
 
 
+def _packing_slopes(p: PhysicalParams):
+    """d(physical)/d(packed) along FIT_FIELDS, from the maps of pack_params."""
+    return np.array([1.0, -p.lifetime, -p.dephasing_time, p.sigma_wander,
+                     p.t0 * (1.0 - p.t0), p.beta * (1.0 - p.beta)])
+
+
 def _transformed_bounds(bounds):
     lo = pack_params(PhysicalParams(
         omega0=bounds["omega0"][0], lifetime=bounds["lifetime"][1],
@@ -169,37 +181,61 @@ def _transformed_bounds(bounds):
 
 
 class _Objective:
-    """Weighted residual vector shared by the objective and the fitter."""
+    """Weighted residual vector shared by the objective and the fitter.
+
+    Each dataset compares one model curve with measured values, scaled by
+    ``weight / sigma``. The measured side, including each histogram's tail
+    normalization, is fixed and prepared once.
+    """
 
     def __init__(self, data: MeasurementSet, template: PhysicalParams,
                  g2_weight=1.0, datasets=("transmission", "g2")):
-        self.data = data
         self.template = template
-        self.g2_weight = g2_weight
-        self.datasets = datasets
+        # (key, ModelCurves method, its arguments, measured, sigma, weight, tail bins)
+        self.terms = []
+        if "transmission" in datasets and data.transmission.shape[0]:
+            det, val, unc = data.transmission.T
+            self.terms.append(("transmission", "transmission", (det,),
+                               val, unc, 1.0, None))
+        if "g2" in datasets:
+            if data.g2zero.shape[0]:
+                det, val, unc = data.g2zero.T
+                self.terms.append(("g2zero", "g2zero", (det,),
+                                   val, unc, g2_weight, None))
+            for i, hist in enumerate(data.g2_histograms):
+                meas, sig = hist.normalized()
+                self.terms.append((f"g2_histogram_{i}", "g2_trace",
+                                   (hist.detuning, hist.tau_ps), meas, sig,
+                                   g2_weight, hist.tail_mask()))
 
-    def residuals(self, params: PhysicalParams) -> dict:
+    def residuals(self, params: PhysicalParams, jac=False) -> dict:
+        """Residuals by dataset; with ``jac``, pairs of (residuals, partials
+        along FIT_FIELDS on a last axis) from the ``*_jac`` curve methods.
+
+        A histogram's model curve is divided by its own mean over the tail
+        bins, so its partials follow the quotient rule.
+        """
         mdl = ModelCurves(params)
         out = {}
-        if "transmission" in self.datasets and self.data.transmission.shape[0]:
-            det, val, unc = self.data.transmission.T
-            out["transmission"] = (mdl.transmission(det) - val) / unc
-        if "g2" in self.datasets:
-            if self.data.g2zero.shape[0]:
-                det, val, unc = self.data.g2zero.T
-                out["g2zero"] = self.g2_weight * (mdl.g2zero(det) - val) / unc
-            for i, hist in enumerate(self.data.g2_histograms):
-                meas, sig = hist.normalized()
-                model = mdl.g2_trace(hist.detuning, hist.tau_ps)
-                model = model / np.mean(model[hist.tail_mask()])
-                out[f"g2_histogram_{i}"] = self.g2_weight * (model - meas) / sig
+        for key, method, args, val, sig, weight, tail in self.terms:
+            if jac:
+                model, d = getattr(mdl, method + "_jac")(*args)
+            else:
+                model = getattr(mdl, method)(*args)
+            if tail is not None:
+                level = np.mean(model[tail])
+                model = model / level
+                if jac:
+                    d = (d - model[:, None] * np.mean(d[tail], axis=0)) / level
+            r = weight * (model - val) / sig
+            out[key] = (r, weight * d / sig[:, None]) if jac else r
+        if not out:
+            raise ValueError("measurement set is empty")
         return out
 
     def flat(self, params: PhysicalParams):
         """All residuals at ``params``, concatenated in key order."""
         res = self.residuals(params)
-        if not res:
-            raise ValueError("measurement set is empty")
         return np.concatenate([res[key] for key in sorted(res)])
 
     def vector(self, x):
@@ -207,6 +243,22 @@ class _Objective:
         # at the solution, by the caller
         vec = self.flat(unpack_params(x, self.template))
         return np.where(np.isfinite(vec), vec, 0.0)
+
+    def vector_and_jacobian(self, x):
+        """:meth:`vector` and its exact Jacobian with respect to ``x``.
+
+        Rows of non-finite residuals are zero, as the residuals are, and so
+        is any non-finite entry.
+        """
+        params = unpack_params(x, self.template)
+        res = self.residuals(params, jac=True)
+        vec = np.concatenate([res[key][0] for key in sorted(res)])
+        J = np.concatenate([res[key][1] for key in sorted(res)])
+        J *= _packing_slopes(params)
+        bad = ~np.isfinite(vec)
+        J[bad] = 0.0
+        J[~np.isfinite(J)] = 0.0
+        return np.where(bad, 0.0, vec), J
 
 
 def model_objective(params: PhysicalParams, data: MeasurementSet, g2_weight=1.0):
@@ -238,6 +290,7 @@ class FitResult:
     message: str
     n_excluded: int = 0
     n_starts: int = 1
+    n_jev: int = 0
 
 
 MULTISTART_T0 = (0.3, 0.5, 0.7, 0.9)
@@ -245,8 +298,22 @@ MULTISTART_SIGMA = (2.0, 5.0, 10.0)
 
 
 def _single_fit(obj: _Objective, x0, lo, hi):
+    # the solver asks for the Jacobian at the point it has just evaluated,
+    # so each evaluation computes both and keeps the Jacobian for that call
+    last = {}
+
+    def fun(x):
+        last["x"] = x.copy()
+        vec, last["jac"] = obj.vector_and_jacobian(x)
+        return vec
+
+    def jac(x):
+        if not np.array_equal(x, last["x"]):
+            fun(x)
+        return last["jac"]
+
     x0 = np.clip(x0, lo + 1e-9, hi - 1e-9)
-    return least_squares(obj.vector, x0, bounds=(lo, hi), method="trf",
+    return least_squares(fun, x0, jac=jac, bounds=(lo, hi), method="trf",
                          x_scale="jac", ftol=1e-10, gtol=1e-8, xtol=1e-10,
                          max_nfev=4000)
 
@@ -318,20 +385,21 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     hit = (np.abs(best.x - lo) <= atol) | (np.abs(best.x - hi) <= atol)
     bounds_hit = dict(zip(FIT_FIELDS, map(bool, hit)))
 
-    stderr = _stderr_proxy(best, initial, vec.size)
+    stderr = _stderr_proxy(best, params, vec.size - n_excluded)
 
     return FitResult(params=params, objective=objective, residuals=residuals,
                      n_eval=int(best.nfev), converged=bool(best.status > 0),
                      bounds_hit=bounds_hit, stderr=stderr,
                      message=str(best.message), n_excluded=n_excluded,
-                     n_starts=len(starts))
+                     n_starts=len(starts), n_jev=int(best.njev))
 
 
-def _stderr_proxy(sol, template, n_res):
+def _stderr_proxy(sol, params, n_res):
     """Curvature-based parameter uncertainties in physical units.
 
-    A diagnostic, not a posterior: inverse Gauss-Newton curvature scaled by
-    the residual variance, pushed through the parameter transform.
+    A diagnostic, not a posterior: inverse Gauss-Newton curvature of the
+    exact Jacobian, scaled by the residual variance over the ``n_res``
+    finite residuals, pushed through the parameter transform.
     """
     J = sol.jac
     n_par = J.shape[1]
@@ -341,17 +409,8 @@ def _stderr_proxy(sol, template, n_res):
         cov_t = np.linalg.inv(J.T @ J) * scale
     except np.linalg.LinAlgError:
         return {k: math.inf for k in FIT_FIELDS}
-    x = sol.x
-    # d(physical)/d(transformed): lifetime = exp(-p1), sigma = exp(p3), etc.
-    grads = np.array([
-        1.0,
-        math.exp(-x[1]),
-        math.exp(-x[2]),
-        math.exp(x[3]),
-        _expit(x[4]) * (1.0 - _expit(x[4])),
-        _expit(x[5]) * (1.0 - _expit(x[5])),
-    ])
-    err = np.sqrt(np.maximum(np.diag(cov_t), 0.0)) * grads
+    err = (np.sqrt(np.maximum(np.diag(cov_t), 0.0))
+           * np.abs(_packing_slopes(params)))
     return dict(zip(FIT_FIELDS, map(float, err)))
 
 
@@ -369,6 +428,7 @@ def fit_report(result: FitResult, data: MeasurementSet) -> dict:
         "objective": result.objective,
         "converged": result.converged,
         "n_eval": result.n_eval,
+        "n_jev": result.n_jev,
         "n_starts": result.n_starts,
         "n_excluded_residuals": result.n_excluded,
         "bounds_hit": result.bounds_hit,

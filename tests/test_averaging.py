@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from fanostat import (AveragingSpec, ModelCurves, PhysicalParams, avg_g1,
                       avg_g2, check_refinement, g1_general, g2_tau_general,
                       phi_from_t0)
-from fanostat.correlators import detected_decay
+from fanostat.correlators import detected_decay, g2_tau_parts
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 REF = PhysicalParams()
@@ -192,6 +192,86 @@ class TestConvolution:
                             lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
                        for lo, hi in ((-12 * s, t_chk), (t_chk, 12 * s)))
             assert avg_g2(t_chk, 2.0, 1.05, 0.95, PHI15, spec) == pytest.approx(want, abs=1e-9)
+
+
+    def test_partials_match_central_differences(self):
+        # both branches, the dropped Gaussian terms beyond 9 s, and no
+        # detector (away from its cusp at tau = 0)
+        h = 1e-6
+        worst = 0.0
+        for s in (0.0, 0.05, 0.136, 1.0):
+            for a in (2.0, 1.0 - 3.0j, 1.2 + 0.4j, 6.0 - 20.0j):
+                t = np.array([0.0 if s else 0.01, 0.3, 2.0, 8.0, 12.0]) * max(s, 0.1)
+                _, da, dt, ds = detected_decay(a, t, s, partials=True)
+                fd_a = (detected_decay(a + h, t, s) - detected_decay(a - h, t, s)) / (2 * h)
+                fd_t = (detected_decay(a, t + h, s) - detected_decay(a, t - h, s)) / (2 * h)
+                worst = max(worst, np.max(np.abs(da - fd_a)), np.max(np.abs(dt - fd_t)))
+                if s > 0:
+                    fd_s = (detected_decay(a, t, s + h) - detected_decay(a, t, s - h)) / (2 * h)
+                    worst = max(worst, np.max(np.abs(ds - fd_s)))
+        assert worst < 1e-8
+
+    @pytest.mark.parametrize("t_resp", [0.136, 0.0])
+    def test_repeated_delays_evaluated_once(self, t_resp):
+        # the detector factor is computed once per distinct |tau| and
+        # expanded; that must not change a single bit
+        tau = np.arange(-600.0, 600.0 + 1e-9, 12.5) / 250.0
+        spec = AveragingSpec(sigma=1.7852, t_resp=t_resp)
+        x, _ = spec.offsets_weights()
+        grid = g2_tau_parts(tau[:, None], 0.7 + x, 1.05, 0.9, PHI15, t_resp)[0]
+        single = [g2_tau_parts(t, 0.7 + x, 1.05, 0.9, PHI15, t_resp)[0] for t in tau]
+        assert np.array_equal(grid, single)
+        # avg_g2 alike: exact with the one-node rule, and with the Hermite
+        # rule up to the summation order of the matrix-vector product
+        for sigma, rtol in ((0.0, 0.0), (1.7852, 1e-15)):
+            spec = replace(spec, sigma=sigma)
+            grid = avg_g2(tau, 0.7, 1.05, 0.9, PHI15, spec)
+            single = [avg_g2(t, 0.7, 1.05, 0.9, PHI15, spec) for t in tau]
+            assert np.allclose(grid, single, rtol=rtol, atol=0)
+
+
+class TestPartials:
+    """Partials of the averages in the reduced quantities, against differences.
+
+    Each output depends elementwise on the array argument (delta for the
+    transmission, tau for g2), so one shifted array gives all its partials.
+    """
+
+    @staticmethod
+    def central(f, args, i, h=1e-4):
+        def at(k):
+            moved = list(args)
+            moved[i] = args[i] + k * h
+            return f(*moved)
+        return (at(-2) - 8 * at(-1) + 8 * at(1) - at(2)) / (12 * h)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.7852])
+    def test_transmission(self, sigma):
+        def g1(delta, zeta, beta, phi, alpha, sig):
+            return avg_g1(delta, zeta, beta, phi, AveragingSpec(sig, 0.0), alpha)
+
+        args = [np.linspace(-6.0, 6.0, 13), 1.05, 0.9, PHI15, 0.3, sigma]
+        _, d = avg_g1(*args[:4], AveragingSpec(sigma, 0.0), args[4], jac=True)
+        # at sigma = 0 the sigma partial is zero (the average is even in sigma)
+        want = [self.central(g1, args, i) for i in range(6 if sigma else 5)]
+        want += [] if sigma else [np.zeros(13)]
+        assert np.allclose(d, np.column_stack(want), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.7852])
+    def test_g2(self, sigma):
+        def g2(delta, zeta, beta, phi, tau, t_resp, sig):
+            return avg_g2(tau, delta, zeta, beta, phi, AveragingSpec(sig, t_resp))
+
+        args = [0.7, 1.05, 0.9, PHI15, np.linspace(-1.0, 1.0, 9), 0.136, sigma]
+        _, d = avg_g2(args[4], *args[:4], AveragingSpec(sigma, 0.136), jac=True)
+        want = [self.central(g2, args, i) for i in range(7 if sigma else 6)]
+        want += [] if sigma else [np.zeros(9)]
+        assert np.allclose(d, np.column_stack(want), rtol=0, atol=1e-8)
+
+    def test_partials_need_the_widths_of_the_params(self):
+        m = ModelCurves(REF, AveragingSpec(sigma=1.0, t_resp=0.1))
+        with pytest.raises(ValueError, match="from_params"):
+            m.g2zero_jac([0.0])
 
 
 class TestModelCurves:

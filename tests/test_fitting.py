@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import least_squares
+
 from fanostat import (G2Histogram, MeasurementSet, ModelCurves, PhysicalParams,
                       fit_full_model, fit_report, model_objective)
-from fanostat.fitting import pack_params, unpack_params
+from fanostat import fitting
+from fanostat.fitting import (DEFAULT_BOUNDS, FIT_FIELDS, _Objective,
+                              _transformed_bounds, pack_params, unpack_params)
 
 REF = PhysicalParams()
 
@@ -33,6 +37,57 @@ def synthetic_data(params=REF, noise=0.0, seed=0, histograms=True,
     return MeasurementSet(transmission=np.column_stack([det_t, T_n, sT]),
                           g2zero=np.column_stack([det_g, G_n, sG]),
                           g2_histograms=hists)
+
+
+def criterion7_trial(seed):
+    """Data and start of one trial of acceptance criterion 7."""
+    model = ModelCurves(REF)
+    det_t, det_g = np.linspace(-40.0, 40.0, 25), np.linspace(-20.0, 20.0, 9)
+    tau = np.arange(-600.0, 600.0 + 1e-9, 12.5)
+    T_true, G_true = model.transmission(det_t), np.asarray(model.g2zero(det_g))
+    H_true = {d: model.g2_trace(d, tau) for d in (9.0, -9.0)}
+    rng = np.random.default_rng(seed)
+    noise = 0.03
+    T = T_true * (1 + noise * rng.standard_normal(T_true.shape))
+    G = G_true * (1 + noise * rng.standard_normal(G_true.shape))
+    hists = tuple(
+        G2Histogram(detuning=d, tau_ps=tau,
+                    counts=H_true[d] * (1 + noise * rng.standard_normal(tau.shape)),
+                    uncertainty=noise * np.abs(H_true[d]))
+        for d in (9.0, -9.0))
+    data = MeasurementSet(
+        transmission=np.column_stack([det_t, T, noise * np.abs(T_true)]),
+        g2zero=np.column_stack([det_g, G, noise * np.abs(G_true)]),
+        g2_histograms=hists)
+    pert = 1 + 0.2 * rng.uniform(-1, 1, 5)
+    start = REF.replace(
+        lifetime=REF.lifetime * pert[0],
+        dephasing_time=REF.dephasing_time * pert[1],
+        t0=min(REF.t0 * pert[2], 0.98),
+        beta=min(REF.beta * pert[3], 0.999),
+        sigma_wander=REF.sigma_wander * pert[4],
+        omega0=2.0 * rng.uniform(-1, 1))
+    return data, start
+
+
+def central_jacobian(obj, x, h=1e-4):
+    """Fourth-order central differences of ``obj.vector``, column by column."""
+    cols = []
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h * max(1.0, abs(x[j]))
+        f = [obj.vector(x + k * step) for k in (-2, -1, 1, 2)]
+        cols.append((f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * step[j]))
+    return np.column_stack(cols)
+
+
+def assert_exact_jacobian(obj, x):
+    vec, J = obj.vector_and_jacobian(x)
+    assert np.array_equal(vec, obj.vector(x))
+    fd = central_jacobian(obj, x)
+    # per column, by max-norm
+    err = np.max(np.abs(J - fd), axis=0) / np.max(np.abs(fd), axis=0)
+    assert np.all(err < 1e-6), dict(zip(FIT_FIELDS, err))
 
 
 class TestModelObjective:
@@ -165,6 +220,94 @@ class TestFitFullModel:
                             "conventions", "parameter_stderr"}
         assert rep["conventions"]["reduced_time"].startswith("tau_t")
         assert rep["data_summary"]["transmission_points"] == 25
+
+
+    def test_stderr_counts_only_finite_residuals(self, monkeypatch):
+        # one excluded residual leaves n - 1 - 6 degrees of freedom
+        data = synthetic_data(noise=0.02, seed=5, histograms=False)
+        g2zero = ModelCurves.g2zero
+
+        def one_nan(self, detuning_uev):
+            out = np.array(g2zero(self, detuning_uev), dtype=float)
+            out[0] = np.nan
+            return out
+
+        seen = {}
+        stderr_proxy = fitting._stderr_proxy
+
+        def spy(sol, params, n_res):
+            seen["sol"] = sol
+            return stderr_proxy(sol, params, n_res)
+
+        monkeypatch.setattr(ModelCurves, "g2zero", one_nan)
+        monkeypatch.setattr(fitting, "_stderr_proxy", spy)
+        res = fit_full_model(data, REF)
+        assert res.n_excluded == 1
+        sol, p = seen["sol"], res.params
+        dof = data.n_points - 1 - 6
+        cov = np.linalg.inv(sol.jac.T @ sol.jac) * 2.0 * sol.cost / dof
+        slopes = [1.0, p.lifetime, p.dephasing_time, p.sigma_wander,
+                  p.t0 * (1 - p.t0), p.beta * (1 - p.beta)]
+        want = np.sqrt(np.diag(cov)) * slopes
+        got = [res.stderr[k] for k in FIT_FIELDS]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_report_counts_jacobian_evaluations(self):
+        data = synthetic_data(noise=0.02, seed=4, histograms=False)
+        res = fit_full_model(data, REF)
+        rep = fit_report(res, data)
+        assert rep["n_jev"] == res.n_jev
+        assert 1 <= res.n_jev <= res.n_eval
+
+
+class TestJacobian:
+    """The analytic Jacobian of the weighted residuals against differences."""
+
+    @pytest.fixture(scope="class")
+    def trial0(self):
+        return criterion7_trial(0)
+
+    @pytest.mark.parametrize("where", ["start", "truth", "lower-bounds",
+                                       "upper-bounds"])
+    def test_criterion_7_data(self, trial0, where):
+        data, start = trial0
+        p = {"start": start, "truth": REF,
+             "lower-bounds": start.replace(sigma_wander=0.2, t0=0.02),
+             "upper-bounds": start.replace(sigma_wander=50.0, t0=0.995)}[where]
+        assert_exact_jacobian(_Objective(data, start), pack_params(p))
+
+    def test_ideal_detector(self, trial0):
+        data, start = trial0
+        obj = _Objective(data, start.replace(detector_resp=0.0))
+        assert_exact_jacobian(obj, pack_params(start))
+
+    def test_driven_transmission_only(self):
+        # alpha = 4 beta drive^2 lifetime moves with beta and the lifetime
+        driven = REF.replace(drive_amp=0.05)
+        det = np.linspace(-40.0, 40.0, 25)
+        T = ModelCurves(driven).transmission(det)
+        noisy = T * (1 + 0.02 * np.random.default_rng(3).standard_normal(T.shape))
+        data = MeasurementSet(transmission=np.column_stack([det, noisy, 0.02 * T]))
+        start = driven.replace(lifetime=140.0, beta=0.8, t0=0.5, omega0=1.0)
+        assert_exact_jacobian(_Objective(data, start), pack_params(start))
+
+    def test_sequential_stage_one(self, trial0):
+        data, start = trial0
+        obj = _Objective(data, start, datasets=("transmission",))
+        assert_exact_jacobian(obj, pack_params(start))
+
+    def test_fit_agrees_with_finite_difference_solve(self, trial0):
+        data, start = trial0
+        res = fit_full_model(data, start)
+        lo, hi = _transformed_bounds(DEFAULT_BOUNDS)
+        obj = _Objective(data, start)
+        sol = least_squares(obj.vector, np.clip(pack_params(start), lo + 1e-9, hi - 1e-9),
+                            jac="2-point", bounds=(lo, hi), method="trf",
+                            x_scale="jac", ftol=1e-10, gtol=1e-8, xtol=1e-10)
+        fd = unpack_params(sol.x, start)
+        for name in FIT_FIELDS:
+            assert getattr(res.params, name) == pytest.approx(
+                getattr(fd, name), rel=1e-5), name
 
 
 class TestHistogramNormalization:
