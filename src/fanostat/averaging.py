@@ -208,14 +208,15 @@ class ModelCurves:
     intensity ``alpha``. The g2 closed form is weak-pump only, so
     :meth:`g2zero` and :meth:`g2_trace` refuse a finite drive.
 
-    Each curve method ``name`` has a twin ``name_jac`` that also returns
-    the partials with respect to :data:`FIT_FIELDS` along a new last axis,
-    the widths following the parameters as in
-    :meth:`AveragingSpec.from_params`. The value methods do no derivative
-    work.
+    With ``jac``, every curve also carries its partials with respect to
+    :data:`FIT_FIELDS`: the result gains a last axis of length 7 holding the
+    value and then the six partials. The widths must then follow the
+    parameters as in :meth:`AveragingSpec.from_params`. Without ``jac`` the
+    curves do no derivative work.
     """
 
-    def __init__(self, p: PhysicalParams, spec: AveragingSpec | None = None):
+    def __init__(self, p: PhysicalParams, spec: AveragingSpec | None = None,
+                 jac: bool = False):
         self.params = p
         d = to_dimensionless(p, p.omega0)
         self.zeta = d.zeta
@@ -223,6 +224,9 @@ class ModelCurves:
         self.alpha = d.alpha
         self.beta = p.beta
         self.spec = spec if spec is not None else AveragingSpec.from_params(p)
+        if jac and self.spec != AveragingSpec.from_params(p):
+            raise ValueError("partials need the widths of AveragingSpec.from_params")
+        self.jac = jac
 
     def _delta(self, detuning_uev):
         return detuning_to_delta(np.asarray(detuning_uev, dtype=float)
@@ -235,21 +239,21 @@ class ModelCurves:
                 f"{self.params.drive_amp:g} (alpha = {self.alpha:.3g}), "
                 f"set drive_amp = 0")
 
-    def _fields(self, delta, d_delta, d_zeta, d_beta, d_phi, d_sigma,
-                d_alpha=0.0, tau=0.0, d_tau=0.0, d_tresp=0.0):
-        """Partials along FIT_FIELDS from those in the reduced quantities.
+    def _with_fields(self, value, delta, d_delta, d_zeta, d_beta, d_phi,
+                     d_sigma, d_alpha=0.0, tau=0.0, d_tau=0.0, d_tresp=0.0):
+        """The value followed by its partials along FIT_FIELDS, from those
+        in the reduced quantities.
 
         With L the lifetime: delta = 2L(E - omega0)/hbar, sigma =
         2L sigma_wander/hbar and alpha = 4 beta drive^2 L grow with L;
         tau = tau_ps/(2L) and t_resp = detector_resp/(2L) shrink with it;
         zeta = 1 + 2L/dephasing_time; dphi/dt0 = 1/sqrt(1 - t0^2).
         """
-        if self.spec != AveragingSpec.from_params(self.params):
-            raise ValueError("partials need the widths of AveragingSpec.from_params")
         p = self.params
         L, T2 = p.lifetime, p.dephasing_time
         scale = 2.0 * L / HBAR_UEV_PS
         return np.stack([
+            value,
             -scale * d_delta,
             (delta * d_delta + self.spec.sigma * d_sigma + self.alpha * d_alpha
              - tau * d_tau - self.spec.t_resp * d_tresp) / L + 2.0 / T2 * d_zeta,
@@ -261,44 +265,31 @@ class ModelCurves:
 
     def transmission(self, detuning_uev):
         """Wandering-averaged normalized transmission at the model's drive."""
-        return avg_g1(self._delta(detuning_uev), self.zeta, self.beta,
-                      self.phi, self.spec, self.alpha)
+        delta = self._delta(detuning_uev)
+        out = avg_g1(delta, self.zeta, self.beta, self.phi, self.spec,
+                     self.alpha, self.jac)
+        if not self.jac:
+            return out
+        out, d = out
+        dd, dz, db, dp, da, ds = np.moveaxis(d, -1, 0)
+        return self._with_fields(out, delta, dd, dz, db, dp, ds, d_alpha=da)
 
     def g2_trace(self, detuning_uev, tau_ps):
         """Weak-pump g2(tau) at one detuning, averaged and detected."""
-        self._weak_pump_only()
-        return avg_g2(tau_to_dimensionless(tau_ps, self.params.lifetime),
-                      float(self._delta(detuning_uev)), self.zeta, self.beta,
-                      self.phi, self.spec)
+        return self._g2(tau_to_dimensionless(tau_ps, self.params.lifetime),
+                        float(self._delta(detuning_uev)))
 
     def g2zero(self, detuning_uev):
         """Weak-pump zero-delay g2 per detuning, averaged and detected."""
+        return self._g2(0.0, self._delta(detuning_uev))
+
+    def _g2(self, tau, delta):
         self._weak_pump_only()
-        return avg_g2(0.0, self._delta(detuning_uev), self.zeta, self.beta,
-                      self.phi, self.spec)
-
-    def transmission_jac(self, detuning_uev):
-        """:meth:`transmission` and its partials along FIT_FIELDS."""
-        delta = self._delta(detuning_uev)
-        out, d = avg_g1(delta, self.zeta, self.beta, self.phi, self.spec,
-                        self.alpha, jac=True)
-        dd, dz, db, dp, da, ds = np.moveaxis(d, -1, 0)
-        return out, self._fields(delta, dd, dz, db, dp, ds, d_alpha=da)
-
-    def g2_trace_jac(self, detuning_uev, tau_ps):
-        """:meth:`g2_trace` and its partials along FIT_FIELDS."""
-        self._weak_pump_only()
-        tau = tau_to_dimensionless(tau_ps, self.params.lifetime)
-        return self._g2_jac(tau, float(self._delta(detuning_uev)))
-
-    def g2zero_jac(self, detuning_uev):
-        """:meth:`g2zero` and its partials along FIT_FIELDS."""
-        self._weak_pump_only()
-        return self._g2_jac(0.0, self._delta(detuning_uev))
-
-    def _g2_jac(self, tau, delta):
-        out, d = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.spec,
-                        jac=True)
+        out = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.spec,
+                     self.jac)
+        if not self.jac:
+            return out
+        out, d = out
         dd, dz, db, dp, dt, dr, ds = np.moveaxis(d, -1, 0)
-        return out, self._fields(delta, dd, dz, db, dp, ds, tau=tau, d_tau=dt,
-                                 d_tresp=dr)
+        return self._with_fields(out, delta, dd, dz, db, dp, ds, tau=tau,
+                                 d_tau=dt, d_tresp=dr)

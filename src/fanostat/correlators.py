@@ -169,17 +169,17 @@ def _g1_formula(delta, zeta, beta, phi, alpha=0.0):
             + beta * beta * zeta / (np.cos(phi) ** 2 * D))
 
 
-def complex_step(f, *args, h=1e-20):
+def complex_step(f, *args):
     """Partials of an analytic ``f(*args)``, stacked along a new last axis.
 
-    Slice k of the stack moves argument k by ``h`` along the imaginary
+    Slice k of the stack moves argument k by h = 1e-20 along the imaginary
     axis; Im f(x + ih)/h is the derivative up to O(h^2), with no
     subtraction to lose digits (Squire & Trapp, SIAM Rev. 40, 1998), so the
     partials are exact to rounding.
     """
-    push = 1j * h * np.eye(len(args))
+    push = 1e-20j * np.eye(len(args))
     return f(*(np.asarray(v)[..., None] + push[i]
-               for i, v in enumerate(args))).imag / h
+               for i, v in enumerate(args))).imag / 1e-20
 
 
 def _g2_decay_amplitude(delta, zeta, beta, phi):
@@ -367,7 +367,7 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     (decay, _, decay_t, decay_s), (osc, osc_a, osc_t, osc_s) = decay, osc
     num = g1sq + c.A * decay + (K * osc).real
     dA, dB, dg20, dg1 = _coefficient_partials(delta, zeta, beta, phi, c.g1)
-    dg1sq = 2.0 * c.g1[..., None] * dg1
+    dg1sq = 2.0 * np.asarray(c.g1)[..., None] * dg1
     dK = dg20 - dg1sq - dA - 1j * dB
     dnum = (dg1sq + dA * decay[..., None]
             + (dK * osc[..., None]).real)           # (delta, zeta, beta, phi)

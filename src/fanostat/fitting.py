@@ -10,12 +10,13 @@ map, and omega0 linearly. Weights are inverse variance; an optional scalar
 knob rebalances transmission against correlation data.
 
 The solver gets the exact Jacobian of the weighted residuals with respect
-to the packed vector x, computed alongside the residuals by the ``*_jac``
-curve methods of :class:`~fanostat.averaging.ModelCurves` and chained
-through the packing maps (d lifetime/dx1 = -lifetime, d dephasing_time/dx2
-= -dephasing_time, d sigma/dx3 = sigma, d t0/dx4 = t0 (1 - t0), d beta/dx5
-= beta (1 - beta)). A histogram's tail normalization enters through the
-quotient rule. Rows of non-finite residuals are zeroed like the residuals.
+to the packed vector x, computed alongside the residuals by the curves of
+a :class:`~fanostat.averaging.ModelCurves` built with ``jac=True`` and
+chained through the packing maps (d lifetime/dx1 = -lifetime,
+d dephasing_time/dx2 = -dephasing_time, d sigma/dx3 = sigma,
+d t0/dx4 = t0 (1 - t0), d beta/dx5 = beta (1 - beta)). A histogram's tail
+normalization enters through the quotient rule. Rows of non-finite
+residuals are zeroed like the residuals.
 """
 
 from __future__ import annotations
@@ -210,18 +211,17 @@ class _Objective:
 
     def residuals(self, params: PhysicalParams, jac=False) -> dict:
         """Residuals by dataset; with ``jac``, pairs of (residuals, partials
-        along FIT_FIELDS on a last axis) from the ``*_jac`` curve methods.
+        along FIT_FIELDS on a last axis) from curves that carry them.
 
         A histogram's model curve is divided by its own mean over the tail
         bins, so its partials follow the quotient rule.
         """
-        mdl = ModelCurves(params)
+        mdl = ModelCurves(params, jac=jac)
         out = {}
         for key, method, args, val, sig, weight, tail in self.terms:
+            model = getattr(mdl, method)(*args)
             if jac:
-                model, d = getattr(mdl, method + "_jac")(*args)
-            else:
-                model = getattr(mdl, method)(*args)
+                model, d = model[..., 0], model[..., 1:]
             if tail is not None:
                 level = np.mean(model[tail])
                 model = model / level

@@ -268,10 +268,28 @@ class TestPartials:
         want += [] if sigma else [np.zeros(9)]
         assert np.allclose(d, np.column_stack(want), rtol=0, atol=1e-8)
 
+    def test_scalar_delay_and_detuning(self):
+        # 0-d tau and delta give the entries of the 1-d evaluation
+        got = g2_tau_parts(0.3, 0.7, 1.05, 0.9, PHI15, 0.136, jac=True)
+        want = g2_tau_parts(np.array([0.3]), np.array([0.7]), 1.05, 0.9, PHI15,
+                            0.136, jac=True)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)[1:]
+            assert np.allclose(g, w[0], rtol=1e-13, atol=0)
+
     def test_partials_need_the_widths_of_the_params(self):
-        m = ModelCurves(REF, AveragingSpec(sigma=1.0, t_resp=0.1))
         with pytest.raises(ValueError, match="from_params"):
-            m.g2zero_jac([0.0])
+            ModelCurves(REF, AveragingSpec(sigma=1.0, t_resp=0.1), jac=True)
+
+    def test_curves_with_partials_keep_their_values(self):
+        # the value column of a curve with partials is the value-only curve
+        plain, with_jac = ModelCurves(REF), ModelCurves(REF, jac=True)
+        det, tau = np.linspace(-20.0, 20.0, 9), np.arange(-600.0, 601.0, 12.5)
+        for name, args in (("transmission", (det,)), ("g2zero", (det,)),
+                           ("g2_trace", (9.0, tau))):
+            got = getattr(with_jac, name)(*args)
+            assert got.shape == np.shape(getattr(plain, name)(*args)) + (7,)
+            assert np.array_equal(got[..., 0], getattr(plain, name)(*args)), name
 
 
 class TestModelCurves:

@@ -251,6 +251,41 @@ class TestFitFullModel:
         want = np.sqrt(np.diag(cov)) * slopes
         got = [res.stderr[k] for k in FIT_FIELDS]
         assert got == pytest.approx(want, rel=1e-12)
+        # the solve saw the NaN too: its cost leaves the residual out
+        assert 2.0 * sol.cost == pytest.approx(res.objective, rel=1e-12)
+
+    def test_non_finite_model_values_zeroed_in_the_solve(self, monkeypatch):
+        # a NaN value and a NaN partial on the Jacobian path: the row of the
+        # NaN value is zero, so is the NaN partial, and the rest is kept
+        data = synthetic_data(noise=0.0, histograms=False)
+        g2zero = ModelCurves.g2zero
+
+        def poisoned(self, detuning_uev):
+            out = np.array(g2zero(self, detuning_uev), dtype=float)
+            if self.jac:
+                out[0, 0] = np.nan      # the value of the first point
+                out[1, 3] = np.nan      # its dephasing_time partial, second point
+            else:
+                out[0] = np.nan
+            return out
+
+        obj = _Objective(data, REF)
+        x = pack_params(REF.replace(lifetime=150.0, t0=0.5))
+        clean_vec, clean_J = obj.vector_and_jacobian(x)
+        monkeypatch.setattr(ModelCurves, "g2zero", poisoned)
+        vec, J = obj.vector_and_jacobian(x)
+        assert np.all(np.isfinite(vec)) and np.all(np.isfinite(J))
+        # g2zero rows come first (datasets in key order)
+        col = FIT_FIELDS.index("dephasing_time")
+        assert np.all(clean_J[0] != 0.0) and clean_J[1, col] != 0.0
+        assert vec[0] == 0.0 and not np.any(J[0])
+        assert J[1, col] == 0.0
+        assert np.array_equal(vec[1:], clean_vec[1:])
+        kept = np.ones(J.shape, dtype=bool)
+        kept[0] = False
+        kept[1, col] = False
+        assert np.array_equal(J[kept], clean_J[kept])
+        assert fit_full_model(data, REF).n_excluded == 1
 
     def test_report_counts_jacobian_evaluations(self):
         data = synthetic_data(noise=0.02, seed=4, histograms=False)
