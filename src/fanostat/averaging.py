@@ -8,9 +8,9 @@ averaged separately and then divided, so the averaged g2 still approaches 1
 at long delay and stays finite on top of the (unaveraged) divergences.
 
 The averaged transmission is a Voigt profile in closed form (Faddeeva
-function). The g2 average uses Gauss-Hermite quadrature over the detuning
-offsets; the detector's Gaussian response of width ``t_resp`` is applied in
-closed form to every decay component before averaging (see
+function). The g2 average uses the Gauss-Hermite rule of order
+:data:`HERMITE_ORDER` over the detuning offsets; the detector's Gaussian
+response of width ``t_resp`` is applied in closed form to every decay component before averaging (see
 :func:`fanostat.correlators.g2_tau_parts`).
 
 The drive enters the averaged transmission through the reduced intensity
@@ -26,7 +26,6 @@ the physical fields of :data:`FIT_FIELDS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +40,12 @@ from .params import (HBAR_UEV_PS, PhysicalParams, detuning_to_delta,
 FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "beta")
 
 
-@lru_cache(maxsize=32)
+# doubling it moves the zero-delay g2 by 2.4e-7 at sigma = 1.79 (the reference
+# configuration) and by 3.3e-2 at sigma = 6 (see check_refinement)
+HERMITE_ORDER = 301
+
+
+@lru_cache(maxsize=2)
 def _hermite_rule(n):
     # weights below 1e-18 of the largest change no sum beyond rounding (301 -> 99)
     nodes, weights = roots_hermite(n)
@@ -52,43 +56,19 @@ def _hermite_rule(n):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class AveragingSpec:
-    """Wandering width, detector width, and the g2 quadrature order.
-
-    ``sigma`` and ``t_resp`` are in reduced units (see ``params``). The
-    averaged transmission is exact. The g2 average uses the
-    ``quadrature_points``-node Gauss-Hermite rule, which must be odd so the
-    undisplaced point is a node; doubling the default 301 nodes moves the
-    zero-delay g2 by 2.4e-7 at sigma = 1.79 (the reference configuration)
-    and by 3.3e-2 at sigma = 6, where the emitter's unit-scale structure
-    is too fine for the rule (see :func:`check_refinement`).
-    """
-
-    sigma: float
-    t_resp: float
-    quadrature_points: int = 301
-
-    def __post_init__(self):
-        if self.sigma < 0 or self.t_resp < 0:
-            raise ValueError("sigma and t_resp must be non-negative")
-        n = self.quadrature_points
-        if n < 1 or n % 2 == 0:
-            raise ValueError("quadrature_points must be odd and >= 1")
-
-    @classmethod
-    def from_params(cls, p: PhysicalParams) -> "AveragingSpec":
-        d = to_dimensionless(p, p.omega0)
-        return cls(sigma=d.sigma, t_resp=d.t_resp)
-
-    def offsets_weights(self):
-        """Gaussian-weight nodes (as detuning offsets) and unit-sum weights."""
-        y, w = _hermite_rule(self.quadrature_points)
-        return np.sqrt(2.0) * self.sigma * y, w / np.sqrt(np.pi)
+def _wandering_nodes(sigma, n=HERMITE_ORDER):
+    """Detuning offsets and unit-sum weights of the Gaussian of width sigma;
+    ``sigma = 0`` is the one-node rule."""
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if sigma == 0.0:
+        return np.zeros(1), np.ones(1)
+    y, w = _hermite_rule(n)
+    return np.sqrt(2.0) * sigma * y, w / np.sqrt(np.pi)
 
 
-def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0, jac=False):
-    """Wandering-averaged normalized transmission at reduced detuning.
+def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
+    """Transmission at reduced detuning averaged over a wandering of width sigma.
 
     With ``g1 = 1 + (c0 + c1 delta)/(delta^2 + G^2)`` (see
     :func:`fanostat.correlators.g1_general`), the Gaussian averages are
@@ -103,8 +83,10 @@ def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0, jac=False):
     :func:`fanostat.correlators.g1_general` by the complex step, and the
     sigma partial is zero (the average is even in sigma).
     """
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     delta = np.asarray(delta, dtype=float)
-    if spec.sigma == 0.0:
+    if sigma == 0.0:
         out = g1_general(delta, zeta, beta, phi, alpha)
         if not jac:
             return out
@@ -115,14 +97,14 @@ def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0, jac=False):
     gam = np.sqrt(zeta * zeta + zeta * alpha)
     c0 = beta * beta * zeta / np.cos(phi) ** 2 - 2.0 * beta * zeta
     c1 = 2.0 * beta * np.tan(phi)
-    z = (delta + 1j * gam) / (np.sqrt(2.0) * spec.sigma)
+    z = (delta + 1j * gam) / (np.sqrt(2.0) * sigma)
     w = wofz(z)
-    W = np.sqrt(np.pi / 2.0) / spec.sigma * w
+    W = np.sqrt(np.pi / 2.0) / sigma * w
     out = 1.0 + c0 * W.real / gam + c1 * W.imag
     if not jac:
         return float(out) if out.ndim == 0 else out
-    W_z = np.sqrt(np.pi / 2.0) / spec.sigma * (2j / np.sqrt(np.pi) - 2.0 * z * w)
-    W_delta = W_z / (np.sqrt(2.0) * spec.sigma)
+    W_z = np.sqrt(np.pi / 2.0) / sigma * (2j / np.sqrt(np.pi) - 2.0 * z * w)
+    W_delta = W_z / (np.sqrt(2.0) * sigma)
     gam_zeta, gam_alpha = (zeta + 0.5 * alpha) / gam, 0.5 * zeta / gam
     sec2, tan = 1.0 / np.cos(phi) ** 2, np.tan(phi)
 
@@ -137,17 +119,17 @@ def avg_g1(delta, zeta, beta, phi, spec: AveragingSpec, alpha=0.0, jac=False):
         partial(dc0=2.0 * beta * zeta * sec2 - 2.0 * zeta, dc1=2.0 * tan),
         partial(dc0=2.0 * beta * beta * zeta * tan * sec2, dc1=2.0 * beta * sec2),
         partial(dW=1j * W_delta * gam_alpha, dgam=gam_alpha),
-        partial(dW=-(W + z * W_z) / spec.sigma),
+        partial(dW=-(W + z * W_z) / sigma),
     ], axis=-1)
 
 
-def avg_g2(tau, delta, zeta, beta, phi, spec: AveragingSpec, jac=False):
+def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
     """Wandering-averaged, detected weak-pump g2 at reduced delay and detuning.
 
     ``tau`` and ``delta`` broadcast against each other. Numerator and
     denominator of the normalized correlator are averaged over the same
     Gaussian before dividing; the numerator carries the detector response
-    of width ``spec.t_resp``. ``sigma = 0`` is the one-node rule.
+    of width ``t_resp``. ``sigma = 0`` is the one-node rule.
 
     With ``jac``, also returns the partials with respect to (delta, zeta,
     beta, phi, tau, t_resp, sigma) along a new last axis: the averaged
@@ -157,18 +139,15 @@ def avg_g2(tau, delta, zeta, beta, phi, spec: AveragingSpec, jac=False):
     """
     tau = np.asarray(tau, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if spec.sigma > 0.0:
-        x, w = spec.offsets_weights()
-    else:
-        x, w = np.zeros(1), np.ones(1)
+    x, w = _wandering_nodes(sigma)
     parts = g2_tau_parts(tau[..., None], delta[..., None] + x, zeta, beta,
-                         phi, spec.t_resp, jac)
+                         phi, t_resp, jac)
     num, den = parts[0] @ w, parts[1] @ w
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
     if not jac:
         return float(out) if out.ndim == 0 else out
-    dx = x / spec.sigma if spec.sigma > 0.0 else x      # d(node)/d(sigma)
+    dx = x / sigma if sigma > 0.0 else x  # d(node)/d(sigma)
     dnum, dden = parts[2], parts[3]
     sig_num, sig_den = (dnum[..., 0] * dx) @ w, (dden[..., 0] * dx) @ w
     dnum = np.concatenate([w @ dnum, sig_num[..., None]], axis=-1)
@@ -178,16 +157,19 @@ def avg_g2(tau, delta, zeta, beta, phi, spec: AveragingSpec, jac=False):
     return out, (dnum - out[..., None] * dden) / den[..., None]
 
 
-def check_refinement(delta, zeta, beta, phi, spec: AveragingSpec, rtol=1e-6):
-    """Relative change of the zero-delay avg_g2 when the order is doubled.
+def check_refinement(delta, zeta, beta, phi, sigma, t_resp, rtol=1e-6):
+    """Relative change of the zero-delay avg_g2 when its order is doubled.
 
-    The g2 average is the one quadrature of the model. Raises
-    ``RuntimeError`` when the refinement moves the result by more than
-    ``rtol`` (non-convergent quadrature for these parameters).
+    The g2 average is the one quadrature of the model; the refined rule has
+    ``2 HERMITE_ORDER + 1`` nodes. Raises ``RuntimeError`` when the
+    refinement moves the result by more than ``rtol`` (non-convergent
+    quadrature for these parameters).
     """
-    fine = replace(spec, quadrature_points=2 * spec.quadrature_points + 1)
-    a = avg_g2(0.0, delta, zeta, beta, phi, spec)
-    b = avg_g2(0.0, delta, zeta, beta, phi, fine)
+    a = avg_g2(0.0, delta, zeta, beta, phi, sigma, t_resp)
+    x, w = _wandering_nodes(sigma, 2 * HERMITE_ORDER + 1)
+    num, den = g2_tau_parts(0.0, np.asarray(delta, dtype=float)[..., None] + x,
+                            zeta, beta, phi, t_resp)
+    b = (num @ w) / (den @ w)
     change = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
     if change > rtol:
         raise RuntimeError(
@@ -202,30 +184,27 @@ class ModelCurves:
     Transmission is normalized to the bare background; g2 curves are
     normalized to their long-delay value (unity by construction).
 
-    ``spec`` defaults to :meth:`AveragingSpec.from_params`; ``t_resp = 0``
-    means an ideal detector, and ``sigma = t_resp = 0`` gives the bare
-    closed forms. The drive enters the transmission through the reduced
-    intensity ``alpha``. The g2 closed form is weak-pump only, so
+    Both widths are those of ``p``: ``detector_resp = 0`` means an ideal
+    detector, and ``sigma_wander = detector_resp = 0`` gives the bare closed
+    forms. The drive enters the transmission through the reduced intensity
+    ``alpha``. The g2 closed form is weak-pump only, so
     :meth:`g2zero` and :meth:`g2_trace` refuse a finite drive.
 
     With ``jac``, every curve also carries its partials with respect to
     :data:`FIT_FIELDS`: the result gains a last axis of length 7 holding the
-    value and then the six partials. The widths must then follow the
-    parameters as in :meth:`AveragingSpec.from_params`. Without ``jac`` the
-    curves do no derivative work.
+    value and then the six partials. Without ``jac`` the curves do no
+    derivative work.
     """
 
-    def __init__(self, p: PhysicalParams, spec: AveragingSpec | None = None,
-                 jac: bool = False):
+    def __init__(self, p: PhysicalParams, jac: bool = False):
         self.params = p
         d = to_dimensionless(p, p.omega0)
         self.zeta = d.zeta
         self.phi = d.phi
         self.alpha = d.alpha
+        self.sigma = d.sigma
+        self.t_resp = d.t_resp
         self.beta = p.beta
-        self.spec = spec if spec is not None else AveragingSpec.from_params(p)
-        if jac and self.spec != AveragingSpec.from_params(p):
-            raise ValueError("partials need the widths of AveragingSpec.from_params")
         self.jac = jac
 
     def _delta(self, detuning_uev):
@@ -255,8 +234,8 @@ class ModelCurves:
         return np.stack([
             value,
             -scale * d_delta,
-            (delta * d_delta + self.spec.sigma * d_sigma + self.alpha * d_alpha
-             - tau * d_tau - self.spec.t_resp * d_tresp) / L + 2.0 / T2 * d_zeta,
+            (delta * d_delta + self.sigma * d_sigma + self.alpha * d_alpha
+             - tau * d_tau - self.t_resp * d_tresp) / L + 2.0 / T2 * d_zeta,
             -2.0 * L / T2**2 * d_zeta,
             scale * d_sigma,
             d_phi / np.sqrt(1.0 - p.t0 * p.t0),
@@ -266,7 +245,7 @@ class ModelCurves:
     def transmission(self, detuning_uev):
         """Wandering-averaged normalized transmission at the model's drive."""
         delta = self._delta(detuning_uev)
-        out = avg_g1(delta, self.zeta, self.beta, self.phi, self.spec,
+        out = avg_g1(delta, self.zeta, self.beta, self.phi, self.sigma,
                      self.alpha, self.jac)
         if not self.jac:
             return out
@@ -285,8 +264,8 @@ class ModelCurves:
 
     def _g2(self, tau, delta):
         self._weak_pump_only()
-        out = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.spec,
-                     self.jac)
+        out = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.sigma,
+                     self.t_resp, self.jac)
         if not self.jac:
             return out
         out, d = out

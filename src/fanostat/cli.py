@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .averaging import AveragingSpec, ModelCurves
+from .averaging import ModelCurves
 from .bloch import output_correlator_g2, output_correlator_g1
 from .correlators import g1_general, g2_tau_general, g2zero_ideal
 from .fitting import fit_full_model, fit_report
@@ -86,16 +86,15 @@ def run_scan(req: ScanRequest):
     """Evaluate the requested scan; returns (columns, rows, metadata).
 
     Every curve comes from one :class:`ModelCurves`. ``average=off`` is its
-    zero-width limit ``AveragingSpec(sigma=0, t_resp=0)``: the bare closed
+    zero-width limit ``sigma_wander = detector_resp = 0``: the bare closed
     forms, with no wandering and no detector. ``convolve=off`` sets only
-    ``t_resp = 0``.
+    ``detector_resp = 0``. The metadata keep the requested parameters.
     """
     p = req.params
     grid = req.grid()
-    full = AveragingSpec.from_params(p)
-    spec = AveragingSpec(sigma=full.sigma if req.average else 0.0,
-                         t_resp=full.t_resp if req.average and req.convolve else 0.0)
-    model = ModelCurves(p, spec)
+    model = ModelCurves(p.replace(
+        sigma_wander=p.sigma_wander if req.average else 0.0,
+        detector_resp=p.detector_resp if req.average and req.convolve else 0.0))
     extra = {"mode": req.mode, "average": req.average, "convolve": req.convolve}
 
     if req.mode == "transmission":

@@ -231,7 +231,8 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     phi = check_params(zeta, beta, phi)
     delta = np.asarray(delta, dtype=float)
     # the zeta = 2, delta = 0 decay-rate collision divides by zero; let it
-    # propagate as inf rather than warn (documented out-of-domain corner)
+    # propagate as inf rather than warn. It lies inside the fit bounds: see
+    # ROADMAP item 1 and the strict xfail test_finite_at_the_rate_collision
     with np.errstate(divide="ignore", invalid="ignore"):
         A = _g2_decay_amplitude(delta, zeta, beta, phi)
         B = _g2_sin_amplitude(delta, zeta, beta, phi)

@@ -191,6 +191,8 @@ class _Objective:
 
     def __init__(self, data: MeasurementSet, template: PhysicalParams,
                  g2_weight=1.0, datasets=("transmission", "g2")):
+        if not (math.isfinite(g2_weight) and g2_weight >= 0.0):
+            raise ValueError(f"g2_weight must be finite and non-negative, got {g2_weight!r}")
         self.template = template
         # (key, ModelCurves method, its arguments, measured, sigma, weight, tail bins)
         self.terms = []
@@ -330,7 +332,8 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
         Starting point; also supplies the fixed instrument fields
         (detector response, drive amplitude).
     bounds : dict, optional
-        Per-field (low, high) in physical units; merged over defaults.
+        Per-field (low, high) in physical units; merged over defaults. A key
+        that is not a fitted field raises ``ValueError``.
     multi_start : bool
         Additionally start from the coarse (t0, sigma) grid and keep the
         best result. Useful against lineshape-asymmetry local minima.
@@ -338,15 +341,16 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
         "joint" fits all datasets at once; "sequential" first fits the
         transmission scan alone, then refines on everything.
     g2_weight : float
-        Scalar rebalancing of correlation data against transmission.
+        Scalar rebalancing of correlation data against transmission; must
+        be finite and non-negative.
     """
     if mode not in ("joint", "sequential"):
         raise ValueError("mode must be 'joint' or 'sequential'")
     if data.n_points == 0:
         raise ValueError("measurement set is empty")
-    bnds = dict(DEFAULT_BOUNDS)
-    if bounds:
-        bnds.update(bounds)
+    bnds = {**DEFAULT_BOUNDS, **(bounds or {})}
+    if set(bnds) != set(FIT_FIELDS):
+        raise ValueError(f"unknown bounds keys: {sorted(set(bnds) - set(FIT_FIELDS))}")
     for name in FIT_FIELDS:
         low, high = bnds[name]
         value = getattr(initial, name)
@@ -415,7 +419,9 @@ def _stderr_proxy(sol, params, n_res):
 
 
 def fit_report(result: FitResult, data: MeasurementSet) -> dict:
-    """JSON-ready summary of a fit, including conventions and diagnostics."""
+    """JSON-ready summary of a fit, including conventions and diagnostics.
+
+    Residual counts and rms cover finite residuals only (strict JSON)."""
     p = result.params
     d = to_dimensionless(p, p.omega0)
     return {
@@ -433,8 +439,8 @@ def fit_report(result: FitResult, data: MeasurementSet) -> dict:
         "n_excluded_residuals": result.n_excluded,
         "bounds_hit": result.bounds_hit,
         "residual_summary": {
-            k: {"n": int(v.size), "rms": float(np.sqrt(np.mean(v**2)))}
-            for k, v in result.residuals.items()
+            k: {"n": int(v.size), "rms": float(np.sqrt(np.mean(v**2))) if v.size else None}
+            for k, v in ((k, v[np.isfinite(v)]) for k, v in result.residuals.items())
         },
         "data_summary": {
             "transmission_points": int(data.transmission.shape[0]),

@@ -17,8 +17,8 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import erfcx
 
-from fanostat import (AveragingSpec, DimensionlessParams, G2Histogram,
-                      MeasurementSet, ModelCurves, PhysicalParams, avg_g1,
+from fanostat import (DimensionlessParams, G2Histogram, MeasurementSet,
+                      ModelCurves, PhysicalParams, avg_g1,
                       avg_g2, fit_full_model, g1_general, g2_coefficients,
                       g2_tau_general, g2_tau_parts, g2zero_ideal,
                       ideal_min_g2zero, output_correlator_g1,
@@ -202,9 +202,8 @@ def test_criterion_5_reference_configuration_bands():
 
 def test_criterion_6_wandering_floor():
     sigma = 1.7852
-    spec = AveragingSpec(sigma=sigma, t_resp=0.0)
     delta = np.linspace(-12.0, 12.0, 241)
-    avg = avg_g1(delta, 1.0, 1.0, 0.0, spec)
+    avg = avg_g1(delta, 1.0, 1.0, 0.0, sigma)
     at = float(delta[np.argmin(avg)])
     floor = float(np.min(avg))
     # Gaussian (standard deviation sigma) average of the ideal dip
@@ -294,14 +293,13 @@ def test_criterion_8_identity_suite():
     problems = []
 
     # zero wandering width: averaging is the identity
-    spec0 = AveragingSpec(sigma=0.0, t_resp=0.0)
     delta = np.linspace(-6.0, 6.0, 25)
     phi = phi_from_t0(0.62)
-    if not np.array_equal(avg_g1(delta, 1.05, 0.9, phi, spec0),
+    if not np.array_equal(avg_g1(delta, 1.05, 0.9, phi, 0.0),
                           g1_general(delta, 1.05, 0.9, phi)):
         problems.append("sigma=0 averaging identity")
     tau = np.linspace(0.0, 6.0, 40)
-    if not np.allclose(avg_g2(tau, np.asarray(1.5), 1.05, 0.9, phi, spec0),
+    if not np.allclose(avg_g2(tau, np.asarray(1.5), 1.05, 0.9, phi, 0.0, 0.0),
                        g2_tau_general(tau, 1.5, 1.05, 0.9, phi), atol=0):
         problems.append("sigma=0 g2 averaging identity")
 

@@ -1,51 +1,29 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fanostat import (AveragingSpec, ModelCurves, PhysicalParams, avg_g1,
-                      avg_g2, check_refinement, g1_general, g2_tau_general,
+from scipy.special import roots_hermite
+
+from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2,
+                      check_refinement, g1_general, g2_tau_general,
                       phi_from_t0)
+from fanostat.averaging import _wandering_nodes
 from fanostat.correlators import detected_decay, g2_tau_parts
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 REF = PhysicalParams()
 
 
-class TestSpecValidation:
-    def test_defaults(self):
-        spec = AveragingSpec(sigma=1.0, t_resp=0.1)
-        assert spec.quadrature_points == 301
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            AveragingSpec(sigma=-1.0, t_resp=0.0)
-        with pytest.raises(ValueError):
-            AveragingSpec(sigma=1.0, t_resp=0.0, quadrature_points=40)
-
-    def test_from_params(self):
-        spec = AveragingSpec.from_params(REF)
-        assert spec.sigma == pytest.approx(1.7851392513954498, rel=1e-12)
-        assert spec.t_resp == pytest.approx(0.136, rel=1e-12)
-
-    def test_weights_sum_to_one(self):
-        spec = AveragingSpec(sigma=2.3, t_resp=0.0)
-        _, w = spec.offsets_weights()
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestAvgG1:
     def test_zero_width_identity(self):
-        spec = AveragingSpec(sigma=0.0, t_resp=0.0)
         delta = np.linspace(-5, 5, 41)
-        assert np.array_equal(avg_g1(delta, 1.1, 0.9, PHI15, spec),
+        assert np.array_equal(avg_g1(delta, 1.1, 0.9, PHI15, 0.0),
                               g1_general(delta, 1.1, 0.9, PHI15))
 
     def test_far_detuned_limit(self):
-        spec = AveragingSpec(sigma=1.7852, t_resp=0.0)
-        assert avg_g1(1e6, 1.0, 1.0, 0.0, spec) == pytest.approx(1.0, abs=1e-6)
+        assert avg_g1(1e6, 1.0, 1.0, 0.0, 1.7852) == pytest.approx(1.0, abs=1e-6)
 
     def test_against_adaptive_quadrature(self):
         # independent oracle for the averaged dip floor at full transmission
@@ -58,39 +36,47 @@ class TestAvgG1:
         expected, err = quad(integrand, -np.inf, np.inf)
         assert err < 1e-7
         assert expected == pytest.approx(0.527441, abs=1e-6)
-        spec = AveragingSpec(sigma=s, t_resp=0.0)
-        assert avg_g1(0.0, 1.0, 1.0, 0.0, spec) == pytest.approx(expected, abs=1e-12)
+        assert avg_g1(0.0, 1.0, 1.0, 0.0, s) == pytest.approx(expected, abs=1e-12)
 
     def test_voigt_and_hermite_agree(self):
         # the closed form against the 2001-node rule over the detuning nodes
-        spec = AveragingSpec(sigma=0.8, t_resp=0.0)
-        x, w = AveragingSpec(sigma=0.8, t_resp=0.0, quadrature_points=2001).offsets_weights()
+        y, w = roots_hermite(2001)
+        x, w = np.sqrt(2.0) * 0.8 * y, w / np.sqrt(np.pi)
         delta = np.linspace(-6, 6, 25)
         for zeta, beta, alpha in ((1.2, 0.95, 0.0), (1.0, 1.0, 0.0), (1.5, 0.7, 0.8)):
-            a = avg_g1(delta, zeta, beta, PHI15, spec, alpha)
+            a = avg_g1(delta, zeta, beta, PHI15, 0.8, alpha)
             b = g1_general(delta[:, None] + x, zeta, beta, PHI15, alpha) @ w
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     def test_refinement_converged(self):
         # the reference configuration's width: doubling moves g2(0) by 2.4e-7
-        spec = AveragingSpec(sigma=1.7852, t_resp=0.0)
         delta = np.linspace(-10, 10, 21)
-        assert 1e-8 < check_refinement(delta, 1.0, 1.0, PHI15, spec) < 1e-6
+        assert 1e-8 < check_refinement(delta, 1.0, 1.0, PHI15, 1.7852, 0.0) < 1e-6
 
     def test_refinement_fails_at_large_width(self):
-        spec = AveragingSpec(sigma=6.0, t_resp=0.0)
         with pytest.raises(RuntimeError, match=r"changed avg_g2 by 3\.3\d*e-02"):
-            check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, spec)
+            check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, 6.0, 0.0)
 
     def test_refinement_failure_reported(self):
-        spec = AveragingSpec(sigma=1.7852, t_resp=0.0, quadrature_points=3)
+        # the 2.4e-7 change of the reference width, against a tighter rtol
         with pytest.raises(RuntimeError, match="not converged"):
-            check_refinement(np.array([0.0]), 1.0, 1.0, PHI15, spec)
+            check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, 1.7852,
+                             0.0, rtol=1e-8)
+
+    def test_rejects_negative_widths(self):
+        with pytest.raises(ValueError, match="sigma"):
+            avg_g1(0.0, 1.0, 1.0, PHI15, -1.0)
+        for sigma, t_resp in ((-1.0, 0.0), (1.0, -0.1)):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                avg_g2(0.0, 0.0, 1.0, 1.0, PHI15, sigma, t_resp)
+            with pytest.raises(ValueError, match="must be non-negative"):
+                check_refinement(np.array([0.0]), 1.0, 1.0, PHI15, sigma, t_resp)
 
     def test_linearity_of_the_weighting(self):
-        # the average is a fixed linear functional of the curve samples
-        spec = AveragingSpec(sigma=1.2, t_resp=0.0)
-        x, w = spec.offsets_weights()
+        # the average is a fixed linear functional of the curve samples,
+        # with weights that sum to one
+        x, w = _wandering_nodes(1.2)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
         f = g1_general(0.7 + x, 1.0, 1.0, PHI15)
         g = g1_general(0.7 + x, 1.4, 0.8, PHI15)
         combo = 2.0 * f + 3.0 * g
@@ -99,30 +85,28 @@ class TestAvgG1:
 
 class TestAvgG2:
     def test_zero_width_identity(self):
-        spec = AveragingSpec(sigma=0.0, t_resp=0.0)
         tau = np.linspace(0, 6, 31)
-        assert np.allclose(avg_g2(tau, np.asarray(1.3), 1.1, 0.9, PHI15, spec),
+        assert np.allclose(avg_g2(tau, np.asarray(1.3), 1.1, 0.9, PHI15, 0.0, 0.0),
                            g2_tau_general(tau, 1.3, 1.1, 0.9, PHI15), atol=0)
 
     def test_long_delay_normalization(self):
-        spec = AveragingSpec(sigma=1.7852, t_resp=0.0)
         assert avg_g2(50.0, np.asarray(2.0), 1.0066, 0.99, phi_from_t0(0.62),
-                      spec) == pytest.approx(1.0, abs=1e-12)
+                      1.7852, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_config_band_before_convolution(self):
         p = REF
-        spec = AveragingSpec.from_params(p)
+        m = ModelCurves(p)
         delta = 2 * 9.0 / p.hbar_gamma
         zeta = 1 + 2 * p.lifetime / p.dephasing_time
-        val = avg_g2(0.0, np.asarray(delta), zeta, p.beta, phi_from_t0(p.t0), spec)
+        val = avg_g2(0.0, np.asarray(delta), zeta, p.beta, phi_from_t0(p.t0),
+                     m.sigma, m.t_resp)
         assert 1.9 <= val <= 2.5
 
     def test_finite_on_the_transmission_zero(self):
         # the unaveraged value diverges there; the averaged one must not
         phi = phi_from_t0(math.sqrt(0.5))
-        spec = AveragingSpec(sigma=1.0, t_resp=0.0)
         bare = g2_tau_general(0.0, -math.tan(phi), 1.0, 1.0, phi)
-        smeared = avg_g2(0.0, np.asarray(-math.tan(phi)), 1.0, 1.0, phi, spec)
+        smeared = avg_g2(0.0, np.asarray(-math.tan(phi)), 1.0, 1.0, phi, 1.0, 0.0)
         assert not np.isfinite(bare)
         assert np.isfinite(smeared)
 
@@ -150,15 +134,14 @@ class TestConvolution:
         # a decoupled emitter (beta = 0) stays exactly coherent after
         # detection; the wandering average sums in its own order
         tau = np.linspace(-3, 3, 301)
-        spec = AveragingSpec(sigma=0.0, t_resp=0.136)
-        assert np.array_equal(avg_g2(tau, 0.7, 1.2, 0.0, PHI15, spec), np.ones_like(tau))
-        spec = replace(spec, sigma=1.7852)
-        assert np.allclose(avg_g2(tau, 0.7, 1.2, 0.0, PHI15, spec), 1.0, rtol=0, atol=1e-15)
+        assert np.array_equal(avg_g2(tau, 0.7, 1.2, 0.0, PHI15, 0.0, 0.136),
+                              np.ones_like(tau))
+        assert np.allclose(avg_g2(tau, 0.7, 1.2, 0.0, PHI15, 1.7852, 0.136), 1.0,
+                           rtol=0, atol=1e-15)
 
     def test_commutes_with_reflection(self):
         tau = np.linspace(-4, 4, 401)
-        spec = AveragingSpec(sigma=1.2, t_resp=0.1)
-        out = avg_g2(tau, 1.3, 1.1, 0.9, PHI15, spec)
+        out = avg_g2(tau, 1.3, 1.1, 0.9, PHI15, 1.2, 0.1)
         assert np.allclose(out, out[::-1], rtol=0, atol=1e-12)
 
     def test_interior_matches_exact_convolution(self):
@@ -184,14 +167,12 @@ class TestConvolution:
     def test_detected_g2_is_the_convolved_curve(self):
         # avg_g2 with a detector equals the quad convolution of its t_resp = 0 curve
         s = 0.136
-        bare = AveragingSpec(sigma=1.7852, t_resp=0.0)
-        spec = replace(bare, t_resp=s)
         for t_chk in (0.0, 0.1, 0.7):
-            want = sum(quad(lambda x: avg_g2(t_chk - x, 2.0, 1.05, 0.95, PHI15, bare)
+            want = sum(quad(lambda x: avg_g2(t_chk - x, 2.0, 1.05, 0.95, PHI15, 1.7852, 0.0)
                             * math.exp(-0.5 * (x / s) ** 2) / (math.sqrt(2 * math.pi) * s),
                             lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
                        for lo, hi in ((-12 * s, t_chk), (t_chk, 12 * s)))
-            assert avg_g2(t_chk, 2.0, 1.05, 0.95, PHI15, spec) == pytest.approx(want, abs=1e-9)
+            assert avg_g2(t_chk, 2.0, 1.05, 0.95, PHI15, 1.7852, s) == pytest.approx(want, abs=1e-9)
 
 
     def test_partials_match_central_differences(self):
@@ -216,17 +197,15 @@ class TestConvolution:
         # the detector factor is computed once per distinct |tau| and
         # expanded; that must not change a single bit
         tau = np.arange(-600.0, 600.0 + 1e-9, 12.5) / 250.0
-        spec = AveragingSpec(sigma=1.7852, t_resp=t_resp)
-        x, _ = spec.offsets_weights()
+        x, _ = _wandering_nodes(1.7852)
         grid = g2_tau_parts(tau[:, None], 0.7 + x, 1.05, 0.9, PHI15, t_resp)[0]
         single = [g2_tau_parts(t, 0.7 + x, 1.05, 0.9, PHI15, t_resp)[0] for t in tau]
         assert np.array_equal(grid, single)
         # avg_g2 alike: exact with the one-node rule, and with the Hermite
         # rule up to the summation order of the matrix-vector product
         for sigma, rtol in ((0.0, 0.0), (1.7852, 1e-15)):
-            spec = replace(spec, sigma=sigma)
-            grid = avg_g2(tau, 0.7, 1.05, 0.9, PHI15, spec)
-            single = [avg_g2(t, 0.7, 1.05, 0.9, PHI15, spec) for t in tau]
+            grid = avg_g2(tau, 0.7, 1.05, 0.9, PHI15, sigma, t_resp)
+            single = [avg_g2(t, 0.7, 1.05, 0.9, PHI15, sigma, t_resp) for t in tau]
             assert np.allclose(grid, single, rtol=rtol, atol=0)
 
 
@@ -248,10 +227,10 @@ class TestPartials:
     @pytest.mark.parametrize("sigma", [0.0, 1.7852])
     def test_transmission(self, sigma):
         def g1(delta, zeta, beta, phi, alpha, sig):
-            return avg_g1(delta, zeta, beta, phi, AveragingSpec(sig, 0.0), alpha)
+            return avg_g1(delta, zeta, beta, phi, sig, alpha)
 
         args = [np.linspace(-6.0, 6.0, 13), 1.05, 0.9, PHI15, 0.3, sigma]
-        _, d = avg_g1(*args[:4], AveragingSpec(sigma, 0.0), args[4], jac=True)
+        _, d = avg_g1(*args[:4], sigma, args[4], jac=True)
         # at sigma = 0 the sigma partial is zero (the average is even in sigma)
         want = [self.central(g1, args, i) for i in range(6 if sigma else 5)]
         want += [] if sigma else [np.zeros(13)]
@@ -260,10 +239,10 @@ class TestPartials:
     @pytest.mark.parametrize("sigma", [0.0, 1.7852])
     def test_g2(self, sigma):
         def g2(delta, zeta, beta, phi, tau, t_resp, sig):
-            return avg_g2(tau, delta, zeta, beta, phi, AveragingSpec(sig, t_resp))
+            return avg_g2(tau, delta, zeta, beta, phi, sig, t_resp)
 
         args = [0.7, 1.05, 0.9, PHI15, np.linspace(-1.0, 1.0, 9), 0.136, sigma]
-        _, d = avg_g2(args[4], *args[:4], AveragingSpec(sigma, 0.136), jac=True)
+        _, d = avg_g2(args[4], *args[:4], sigma, 0.136, jac=True)
         want = [self.central(g2, args, i) for i in range(7 if sigma else 6)]
         want += [] if sigma else [np.zeros(9)]
         assert np.allclose(d, np.column_stack(want), rtol=0, atol=1e-8)
@@ -277,10 +256,6 @@ class TestPartials:
             assert np.shape(g) == np.shape(w)[1:]
             assert np.allclose(g, w[0], rtol=1e-13, atol=0)
 
-    def test_partials_need_the_widths_of_the_params(self):
-        with pytest.raises(ValueError, match="from_params"):
-            ModelCurves(REF, AveragingSpec(sigma=1.0, t_resp=0.1), jac=True)
-
     def test_curves_with_partials_keep_their_values(self):
         # the value column of a curve with partials is the value-only curve
         plain, with_jac = ModelCurves(REF), ModelCurves(REF, jac=True)
@@ -293,12 +268,17 @@ class TestPartials:
 
 
 class TestModelCurves:
+    def test_widths_come_from_the_params(self):
+        m = ModelCurves(REF)
+        assert m.sigma == pytest.approx(1.7851392513954498, rel=1e-12)
+        assert m.t_resp == pytest.approx(0.136, rel=1e-12)
+
     def test_reference_g2zero_values(self):
         m = ModelCurves(REF)
         assert m.g2zero(9.0) == pytest.approx(1.961, abs=0.01)
         assert m.g2zero(-9.0) == pytest.approx(0.950, abs=0.01)
         # convolution pulls the bunching peak down
-        m_raw = ModelCurves(REF, replace(AveragingSpec.from_params(REF), t_resp=0.0))
+        m_raw = ModelCurves(REF.replace(detector_resp=0.0))
         assert m.g2zero(9.0) < m_raw.g2zero(9.0)
 
     def test_trace_matches_zero_delay_point(self):

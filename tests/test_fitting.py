@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,11 +201,27 @@ class TestFitFullModel:
         assert res.n_excluded == 1
         with pytest.warns(RuntimeWarning, match="^1 residual"):
             model_objective(REF, data)
+        # the report summarizes the finite residuals and stays strict JSON
+        report = fit_report(res, data)
+        g2 = report["residual_summary"]["g2zero"]
+        assert g2["n"] == data.g2zero.shape[0] - 1
+        assert g2["rms"] == pytest.approx(np.sqrt(np.mean(res.residuals["g2zero"][1:] ** 2)))
+        json.dumps(report, allow_nan=False)
 
     def test_bounds_violation_rejected(self):
         data = synthetic_data(noise=0.0, histograms=False)
         with pytest.raises(ValueError, match="bounds"):
             fit_full_model(data, REF.replace(sigma_wander=0.01))
+
+    def test_bad_options_rejected(self):
+        # a misspelt bounds key or a weight that excludes every g2 residual
+        # must not be dropped silently
+        data = synthetic_data(noise=0.0, histograms=False)
+        with pytest.raises(ValueError, match=r"unknown bounds keys: \['sigma'\]"):
+            fit_full_model(data, REF, bounds={"sigma": (2.0, 3.5)})
+        for weight in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="g2_weight must be finite and non-negative"):
+                fit_full_model(data, REF, g2_weight=weight)
 
     def test_sequential_mode(self):
         data = synthetic_data(noise=0.02, seed=3, histograms=False)

@@ -226,6 +226,27 @@ class TestRunScan:
                                   d.phi)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("mode", ["transmission", "g2zero", "g2trace"])
+    def test_convolve_off_is_the_ideal_detector(self, mode):
+        # average=on, convolve=off keeps the wandering and drops the detector
+        p = PhysicalParams(omega0=1.5, t0=0.45, lifetime=150.0)
+        start, stop = (-600.0, 600.0) if mode == "g2trace" else (-40.0, 40.0)
+        vals = {}
+        for convolve in (True, False):
+            req = ScanRequest(mode=mode, params=p, grid_start=start, grid_stop=stop,
+                              grid_count=161, out_path="unused", convolve=convolve,
+                              detuning=9.0 if mode == "g2trace" else None)
+            vals[convolve] = np.array([r[1] for r in run_scan(req)[1]])
+        ideal = ModelCurves(p.replace(detector_resp=0.0))
+        want = {"transmission": lambda: ideal.transmission(req.grid()),
+                "g2zero": lambda: ideal.g2zero(req.grid()),
+                "g2trace": lambda: ideal.g2_trace(9.0, req.grid())}[mode]()
+        assert np.array_equal(vals[False], want)
+        if mode == "transmission":
+            assert np.array_equal(vals[True], vals[False])
+        else:
+            assert np.max(np.abs(vals[True] - vals[False])) > 1e-3
+
     def test_finite_drive_enters_transmission_at_zero_width(self):
         p = PhysicalParams(drive_amp=0.05, sigma_wander=0.0, detector_resp=0.0)
         vals = {}
@@ -379,6 +400,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"initial {field} = " in err and "outside the fit bounds" in err
         assert "Traceback" not in err
+
+    def test_fit_non_finite_g2_weight(self, tmp_path, capsys):
+        det = np.linspace(-40, 40, 9)
+        f_t = tmp_path / "trans.csv"
+        write_series(("detuning_uev", "transmission", "uncertainty"),
+                     list(zip(det, ModelCurves(PhysicalParams()).transmission(det),
+                              np.full_like(det, 0.02))), f_t)
+        code = main(["fit", "--transmission", str(f_t), "--g2-weight", "nan",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "g2_weight must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_rejected_histogram_row_reported(self, tmp_path, capsys):
         model = ModelCurves(PhysicalParams())
