@@ -254,9 +254,12 @@ class ModelCurves:
         return self._with_fields(out, delta, dd, dz, db, dp, ds, d_alpha=da)
 
     def g2_trace(self, detuning_uev, tau_ps):
-        """Weak-pump g2(tau) at one detuning, averaged and detected."""
-        return self._g2(tau_to_dimensionless(tau_ps, self.params.lifetime),
-                        float(self._delta(detuning_uev)))
+        """Weak-pump g2(tau) at one detuning, averaged and detected; evaluated
+        once per distinct |tau| (g2 and tau dg/dtau depend on |tau| only)."""
+        tau = np.abs(tau_to_dimensionless(tau_ps, self.params.lifetime))
+        distinct, inverse = np.unique(tau, return_inverse=True)
+        out = self._g2(distinct, float(self._delta(detuning_uev)))
+        return out[inverse.reshape(tau.shape)]
 
     def g2zero(self, detuning_uev):
         """Weak-pump zero-delay g2 per detuning, averaged and detected."""

@@ -309,28 +309,6 @@ def detected_decay(a, tau, t_resp, partials=False):
     return out, t_resp * k + t * (p_v - out), a * (p_v - out), a * k
 
 
-def _distinct_delays(tau, delta):
-    """|tau| reduced to its distinct values along its one long axis.
-
-    Returns the reduced delays and the inverse index and axis (counted from
-    the end) that expand a result on them back to the grid of ``tau``, or
-    ``None`` where nothing repeats or ``delta`` varies along that axis.
-    """
-    t = np.abs(tau)
-    long_axes = [i - t.ndim for i, n in enumerate(t.shape) if n > 1]
-    if len(long_axes) != 1:
-        return t, None
-    axis = long_axes[0]
-    if delta.ndim >= -axis and delta.shape[axis] > 1:
-        return t, None
-    distinct, inverse = np.unique(t, return_inverse=True)
-    if distinct.size == t.size:
-        return t, None
-    shape = list(t.shape)
-    shape[axis] = distinct.size
-    return distinct.reshape(shape), (inverse.ravel(), axis)
-
-
 def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     """Numerator and squared-transmission denominator of the weak-pump g2.
 
@@ -342,8 +320,7 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     tau)]`` with ``C = g2zero - g1^2 - A`` (see :class:`G2Coefficients`),
     where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by a detector of Gaussian
     response width ``t_resp`` (:func:`detected_decay`). ``t_resp = 0`` is
-    the bare correlator. ``D`` depends on |tau| only, so it is evaluated
-    once per distinct |tau| along the delay axis and then expanded.
+    the bare correlator.
 
     With ``jac``, also returns the partials of the numerator with respect to
     (delta, zeta, beta, phi, tau, t_resp) and of the denominator with
@@ -358,13 +335,11 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     delta = np.asarray(delta, dtype=float)
     c = g2_coefficients(delta, zeta, beta, phi)
     g1sq = c.g1 * c.g1
-    t, expand = _distinct_delays(tau, delta)
     K = c.g2zero - g1sq - c.A - 1j * c.B
-    decay = detected_decay(2.0, t, t_resp, jac)
-    osc = detected_decay(zeta - 1j * delta, t, t_resp, jac)
+    decay = detected_decay(2.0, tau, t_resp, jac)
+    osc = detected_decay(zeta - 1j * delta, tau, t_resp, jac)
     if not jac:
-        num = g1sq + c.A * decay + (K * osc).real
-        return (num if expand is None else np.take(num, *expand)), g1sq
+        return g1sq + c.A * decay + (K * osc).real, g1sq
     (decay, _, decay_t, decay_s), (osc, osc_a, osc_t, osc_s) = decay, osc
     num = g1sq + c.A * decay + (K * osc).real
     dA, dB, dg20, dg1 = _coefficient_partials(delta, zeta, beta, phi, c.g1)
@@ -378,9 +353,6 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     dnum = np.concatenate([dnum, np.stack([c.A * decay_t + (K * osc_t).real,
                                            c.A * decay_s + (K * osc_s).real],
                                           axis=-1)], axis=-1)
-    if expand is not None:
-        num = np.take(num, expand[0], axis=expand[1])
-        dnum = np.take(dnum, expand[0], axis=expand[1] - 1)
     dnum[..., 4] *= np.sign(tau)                     # d|tau|/dtau
     return num, g1sq, dnum, dg1sq
 

@@ -9,6 +9,7 @@ from scipy.special import roots_hermite
 from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2,
                       check_refinement, g1_general, g2_tau_general,
                       phi_from_t0)
+from fanostat import averaging
 from fanostat.averaging import _wandering_nodes
 from fanostat.correlators import detected_decay, g2_tau_parts
 
@@ -193,20 +194,28 @@ class TestConvolution:
         assert worst < 1e-8
 
     @pytest.mark.parametrize("t_resp", [0.136, 0.0])
-    def test_repeated_delays_evaluated_once(self, t_resp):
-        # the detector factor is computed once per distinct |tau| and
-        # expanded; that must not change a single bit
-        tau = np.arange(-600.0, 600.0 + 1e-9, 12.5) / 250.0
-        x, _ = _wandering_nodes(1.7852)
-        grid = g2_tau_parts(tau[:, None], 0.7 + x, 1.05, 0.9, PHI15, t_resp)[0]
-        single = [g2_tau_parts(t, 0.7 + x, 1.05, 0.9, PHI15, t_resp)[0] for t in tau]
-        assert np.array_equal(grid, single)
-        # avg_g2 alike: exact with the one-node rule, and with the Hermite
-        # rule up to the summation order of the matrix-vector product
-        for sigma, rtol in ((0.0, 0.0), (1.7852, 1e-15)):
-            grid = avg_g2(tau, 0.7, 1.05, 0.9, PHI15, sigma, t_resp)
-            single = [avg_g2(t, 0.7, 1.05, 0.9, PHI15, sigma, t_resp) for t in tau]
-            assert np.allclose(grid, single, rtol=rtol, atol=0)
+    def test_repeated_delays_evaluated_once(self, t_resp, monkeypatch):
+        # g2_trace evaluates a symmetric histogram once per distinct |tau|
+        # and expands; values and partials are those of each delay alone,
+        # up to the summation order of the node sum (a partial within 1e-14
+        # of its largest entry: some are sums that cancel)
+        p = REF.replace(detector_resp=t_resp * 2.0 * REF.lifetime)
+        tau = np.arange(-600.0, 600.0 + 1e-9, 12.5)
+        for jac in (False, True):
+            m = ModelCurves(p, jac=jac)
+            single = np.array([m.g2_trace(9.0, t) for t in tau])
+            rows = []
+            spy = lambda tau, *args: rows.append(np.size(tau)) or g2_tau_parts(tau, *args)
+            monkeypatch.setattr(averaging, "g2_tau_parts", spy)
+            grid = m.g2_trace(9.0, tau)
+            monkeypatch.undo()
+            assert rows == [(tau.size + 1) // 2]
+            assert grid.shape == single.shape == tau.shape + ((7,) if jac else ())
+            assert np.array_equal(grid, grid[::-1])
+            assert np.allclose(grid[..., 0] if jac else grid,
+                               single[..., 0] if jac else single, rtol=1e-15, atol=0)
+            scale = np.max(np.abs(single), axis=0)
+            assert np.all(np.abs(grid - single) <= 1e-14 * scale)
 
 
 class TestPartials:
