@@ -17,6 +17,16 @@ PHI15 = phi_from_t0(math.sqrt(0.15))
 REF = PhysicalParams()
 
 
+class TestSpecValidation:
+    def test_weights_sum_to_one(self):
+        # the wandering rule and the doubled rule of check_refinement
+        for n in (averaging.HERMITE_ORDER, 2 * averaging.HERMITE_ORDER + 1):
+            _, w = _wandering_nodes(2.3, n)
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        _, w = _wandering_nodes(0.0)
+        assert np.array_equal(w, np.ones(1))
+
+
 class TestAvgG1:
     def test_zero_width_identity(self):
         delta = np.linspace(-5, 5, 41)
@@ -74,10 +84,8 @@ class TestAvgG1:
                 check_refinement(np.array([0.0]), 1.0, 1.0, PHI15, sigma, t_resp)
 
     def test_linearity_of_the_weighting(self):
-        # the average is a fixed linear functional of the curve samples,
-        # with weights that sum to one
+        # the average is a fixed linear functional of the curve samples
         x, w = _wandering_nodes(1.2)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
         f = g1_general(0.7 + x, 1.0, 1.0, PHI15)
         g = g1_general(0.7 + x, 1.4, 0.8, PHI15)
         combo = 2.0 * f + 3.0 * g
