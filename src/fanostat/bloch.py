@@ -72,10 +72,6 @@ class BlochState:
     s_z: float
 
     @property
-    def s_plus(self):
-        return np.conj(self.s_minus)
-
-    @property
     def population(self):
         return (1.0 + self.s_z) / 2.0
 

@@ -15,8 +15,9 @@ a population-decay term ``exp(-2|tau|)``, and oscillating coherence terms
 amplitudes were rederived from the underlying equations of motion and match
 the numerical regression solver to machine precision for all zeta >= 1 (see
 tests). They are singular at the parameter point zeta = 2, delta = 0 where
-the population and coherence decay rates collide; evaluate nearby values
-with the regression solver instead if that corner is ever needed.
+the population and coherence decay rates collide, and lose digits near it.
+That point lies inside the fit bounds; its regular rewrite is ROADMAP item 1,
+and the strict xfail ``test_finite_at_the_rate_collision`` records it.
 
 Derivatives for the fit come with the values they differentiate:
 :func:`detected_decay` returns its partials from its own ``erfcx`` values
@@ -72,7 +73,7 @@ class CorrelatorDecomposition:
 
     ``total = product_term + bound_term + interference_term``. The product
     term is identically 1; the bound term is non-negative; the interference
-    term carries the sign of ``2*T0 - 1``.
+    term carries the sign of ``2*T0 - 1``, with T0 = cos(phi)^2.
     """
 
     product_term: float
@@ -80,27 +81,15 @@ class CorrelatorDecomposition:
     interference_term: float
     total: float
 
-    @property
-    def diverged(self):
-        """True where the evaluation sits on the transmission zero."""
-        return ~np.isfinite(np.asarray(self.total))
 
-
-def g2zero_ideal(delta, phi, T0=None) -> CorrelatorDecomposition:
+def g2zero_ideal(delta, phi) -> CorrelatorDecomposition:
     """Ideal-case g2(0) decomposition at reduced detuning ``delta``.
 
-    ``T0`` defaults to cos(phi)^2 and must be consistent with ``phi`` when
-    given. At the transmission zero ``delta = -tan(phi)`` the bound term
-    diverges; the result carries ``inf`` there (see ``diverged``).
+    The bare transmission is T0 = cos(phi)^2. At the transmission zero
+    ``delta = -tan(phi)`` the bound term diverges; ``total`` is ``inf`` there.
     """
     phi = _check_phi(phi)
-    c2 = np.cos(phi) ** 2
-    if T0 is None:
-        T0 = c2
-    elif abs(T0 - c2) > 1e-9:
-        raise ValueError(f"T0 = {T0} inconsistent with cos(phi)^2 = {c2}")
-    if T0 <= 0:
-        raise ValueError("T0 must be positive")
+    T0 = np.cos(phi) ** 2
     delta = np.asarray(delta, dtype=float)
     u = T0 * (delta + np.tan(phi)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -163,7 +152,7 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
 
 def _g1_formula(delta, zeta, beta, phi, alpha=0.0):
     # unvalidated core, analytic in every argument (complex step);
-    # g2_coefficients also evaluates it at doubled beta
+    # _coefficients also evaluates it at doubled beta
     D = zeta * alpha + zeta * zeta + delta * delta
     return (1.0 - 2.0 * beta * (zeta - delta * np.tan(phi)) / D
             + beta * beta * zeta / (np.cos(phi) ** 2 * D))
@@ -182,22 +171,20 @@ def complex_step(f, *args):
                for i, v in enumerate(args))).imag / 1e-20
 
 
-def _g2_decay_amplitude(delta, zeta, beta, phi):
-    """Amplitude of the exp(-2|tau|) component of the g2 numerator."""
-    P = delta * delta + (zeta - 2.0) ** 2
-    num = (beta**4 * zeta * (2.0 - zeta)
-           - 2.0 * beta**3 * delta * (zeta - 1.0) * np.sin(2.0 * phi))
-    return num / (np.cos(phi) ** 4 * (zeta * zeta + delta * delta) * P)
+def _coefficients(delta, zeta, beta, phi):
+    """A, B, g2zero and the unclamped g1 (see :class:`G2Coefficients`),
+    stacked along a new last axis.
 
-
-def _g2_sin_amplitude(delta, zeta, beta, phi):
-    """Amplitude of the exp(-zeta|tau|) sin(delta|tau|) component.
-
-    Regular at delta = 0 (the sin factor supplies the odd symmetry).
+    Unvalidated and analytic in every argument (complex step). ``A`` and
+    ``B`` share the rate-collision factor P = delta^2 + (zeta - 2)^2; ``B``
+    is regular at delta = 0, where the sin factor supplies the odd symmetry.
     """
-    d2 = delta * delta
-    z = zeta
+    d2, z = delta * delta, zeta
     P = d2 + (z - 2.0) ** 2
+    cos4 = np.cos(phi) ** 4
+    A = ((beta**4 * z * (2.0 - z)
+          - 2.0 * beta**3 * delta * (z - 1.0) * np.sin(2.0 * phi))
+         / (cos4 * (z * z + d2) * P))
     const = -delta * z * (4.0 * beta**2 * (z - 1.0) + (2.0 * beta - 1.0) * P)
     c2 = -2.0 * delta * z * (beta - 1.0) * P
     s2 = (2.0 * beta * (z * z * (z - 2.0) - d2 * (3.0 * z - 2.0))
@@ -206,7 +193,9 @@ def _g2_sin_amplitude(delta, zeta, beta, phi):
     s4 = (z * z - d2) * P / 2.0
     num = (const + c2 * np.cos(2.0 * phi) + s2 * np.sin(2.0 * phi)
            + c4 * np.cos(4.0 * phi) + s4 * np.sin(4.0 * phi))
-    return beta**2 * num / (np.cos(phi) ** 4 * (z * z + d2) ** 2 * P)
+    B = beta**2 * num / (cos4 * (z * z + d2) ** 2 * P)
+    return np.stack([A, B, _g1_formula(delta, zeta, 2.0 * beta, phi),
+                     _g1_formula(delta, zeta, beta, phi)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -234,10 +223,8 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     # propagate as inf rather than warn. It lies inside the fit bounds: see
     # ROADMAP item 1 and the strict xfail test_finite_at_the_rate_collision
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = _g2_decay_amplitude(delta, zeta, beta, phi)
-        B = _g2_sin_amplitude(delta, zeta, beta, phi)
-    g1 = np.maximum(_g1_formula(delta, zeta, beta, phi), 0.0)
-    g20 = _g1_formula(delta, zeta, 2.0 * beta, phi)
+        A, B, g20, g1 = np.moveaxis(_coefficients(delta, zeta, beta, phi), -1, 0)
+    g1 = np.maximum(g1, 0.0)
     if delta.ndim == 0:
         return G2Coefficients(float(A), float(B), float(g20), float(g1))
     return G2Coefficients(A, B, g20, g1)
@@ -245,15 +232,11 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
 
 def _coefficient_partials(delta, zeta, beta, phi, g1):
     """Partials of A, B, g2zero and g1 along a last axis (delta, zeta, beta, phi)."""
-    args = (delta, zeta, beta, phi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dA = complex_step(_g2_decay_amplitude, *args)
-        dB = complex_step(_g2_sin_amplitude, *args)
-    dg20 = complex_step(lambda d, z, b, p: _g1_formula(d, z, 2.0 * b, p), *args)
+        dA, dB, dg20, dg1 = np.moveaxis(
+            complex_step(_coefficients, delta, zeta, beta, phi), -1, 0)
     # the clamped g1 is flat where the clamp acts
-    dg1 = np.where(np.asarray(g1)[..., None] > 0.0,
-                   complex_step(_g1_formula, *args), 0.0)
-    return dA, dB, dg20, dg1
+    return dA, dB, dg20, np.where(np.asarray(g1)[..., None] > 0.0, dg1, 0.0)
 
 
 def detected_decay(a, tau, t_resp, partials=False):

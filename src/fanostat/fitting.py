@@ -69,12 +69,12 @@ class G2Histogram:
         object.__setattr__(self, "counts", cnt)
         object.__setattr__(self, "uncertainty", unc)
 
-    def tail_mask(self, tail_fraction=0.2):
-        """Bins counted as "long delay" for the normalization level."""
+    def tail_mask(self):
+        """Bins counted as "long delay": the top fifth of |tau|."""
         atau = np.abs(self.tau_ps)
-        return atau >= np.quantile(atau, 1.0 - tail_fraction)
+        return atau >= np.quantile(atau, 0.8)
 
-    def normalized(self, tail_fraction=0.2):
+    def normalized(self):
         """g2 values and sigmas, normalized to the long-delay level.
 
         Model curves compared against these values must be normalized by
@@ -82,7 +82,7 @@ class G2Histogram:
         the shared scale even when the grid does not quite reach the
         asymptote.
         """
-        norm = float(np.mean(self.counts[self.tail_mask(tail_fraction)]))
+        norm = float(np.mean(self.counts[self.tail_mask()]))
         if norm <= 0:
             raise ValueError("histogram tail level is zero; cannot normalize")
         unc = self.uncertainty
@@ -168,17 +168,10 @@ def _packing_slopes(p: PhysicalParams):
 
 
 def _transformed_bounds(bounds):
-    lo = pack_params(PhysicalParams(
-        omega0=bounds["omega0"][0], lifetime=bounds["lifetime"][1],
-        dephasing_time=bounds["dephasing_time"][1],
-        sigma_wander=bounds["sigma_wander"][0], t0=bounds["t0"][0],
-        beta=bounds["beta"][0]))
-    hi = pack_params(PhysicalParams(
-        omega0=bounds["omega0"][1], lifetime=bounds["lifetime"][0],
-        dephasing_time=bounds["dephasing_time"][0],
-        sigma_wander=bounds["sigma_wander"][1], t0=bounds["t0"][1],
-        beta=bounds["beta"][1]))
-    return lo, hi
+    # pack_params is decreasing in the lifetime and the dephasing time
+    ends = [pack_params(PhysicalParams(**{k: v[i] for k, v in bounds.items()}))
+            for i in (0, 1)]
+    return np.minimum(*ends), np.maximum(*ends)
 
 
 class _Objective:
@@ -403,7 +396,8 @@ def _stderr_proxy(sol, params, n_res):
 
     A diagnostic, not a posterior: inverse Gauss-Newton curvature of the
     exact Jacobian, scaled by the residual variance over the ``n_res``
-    finite residuals, pushed through the parameter transform.
+    finite residuals, pushed through the parameter transform. Where the
+    curvature is singular every field is ``None`` (strict JSON).
     """
     J = sol.jac
     n_par = J.shape[1]
@@ -412,7 +406,7 @@ def _stderr_proxy(sol, params, n_res):
     try:
         cov_t = np.linalg.inv(J.T @ J) * scale
     except np.linalg.LinAlgError:
-        return {k: math.inf for k in FIT_FIELDS}
+        return dict.fromkeys(FIT_FIELDS)
     err = (np.sqrt(np.maximum(np.diag(cov_t), 0.0))
            * np.abs(_packing_slopes(params)))
     return dict(zip(FIT_FIELDS, map(float, err)))
@@ -428,7 +422,7 @@ def fit_report(result: FitResult, data: MeasurementSet) -> dict:
         "parameters": p.to_mapping(),
         "parameter_stderr": result.stderr,
         "dimensionless": {
-            "zeta": d.zeta, "phi": d.phi, "T0": d.T0,
+            "zeta": d.zeta, "phi": d.phi, "T0": p.t0**2,
             "sigma": d.sigma, "t_resp": d.t_resp, "alpha": d.alpha,
         },
         "objective": result.objective,

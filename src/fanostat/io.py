@@ -78,9 +78,7 @@ class LoadReport:
     """Loader outcome: parsed data plus per-row diagnostics."""
 
     data: MeasurementSet
-    n_rows: int
     rejected: tuple      # (line_number, reason) pairs
-    metadata: dict
 
 
 _KIND_COLUMNS = {
@@ -168,8 +166,7 @@ def load_measurements(path, kind) -> LoadReport:
         hist = G2Histogram(detuning=float(metadata["detuning_uev"]),
                            tau_ps=arr[:, 0], counts=arr[:, 1], uncertainty=unc)
         data = MeasurementSet(g2_histograms=(hist,))
-    return LoadReport(data=data, n_rows=len(parsed), rejected=tuple(rejected),
-                      metadata=metadata)
+    return LoadReport(data=data, rejected=tuple(rejected))
 
 
 def merge_measurements(*sets: MeasurementSet) -> MeasurementSet:

@@ -18,18 +18,6 @@ import numpy as np
 
 HBAR_UEV_PS = 658.2119569
 
-# documented units for every PhysicalParams field (also used in run metadata)
-PARAM_UNITS = {
-    "omega0": "ueV",
-    "lifetime": "ps",
-    "dephasing_time": "ps",
-    "beta": "1",
-    "t0": "1",
-    "sigma_wander": "ueV",
-    "drive_amp": "ps^-1/2",
-    "detector_resp": "ps",
-}
-
 
 def hbar_gamma(lifetime_ps):
     """Energy unit hbar*gamma in ueV for a given radiative lifetime 1/gamma."""
@@ -119,16 +107,6 @@ class PhysicalParams:
         if self.detector_resp < 0:
             raise ValueError("detector_resp must be non-negative")
 
-    @property
-    def gamma(self):
-        """Radiative decay rate in 1/ps."""
-        return 1.0 / self.lifetime
-
-    @property
-    def hbar_gamma(self):
-        """Linewidth energy unit hbar*gamma in ueV."""
-        return hbar_gamma(self.lifetime)
-
     def replace(self, **changes) -> "PhysicalParams":
         vals = {f.name: getattr(self, f.name) for f in fields(self)}
         vals.update(changes)
@@ -153,16 +131,16 @@ class DimensionlessParams:
 
     ``delta`` is the detuning in units of hbar*gamma/2, ``zeta`` the
     dephasing measure ``1 + 2*gamma_de/gamma``, ``alpha`` the reduced drive
-    intensity ``4*beta*|drive|^2/gamma``, ``phi`` the background phase,
-    ``T0 = t0^2`` the bare intensity transmission, ``sigma`` the wandering
-    width and ``t_resp`` the detector width, both in delta / tau_t units.
+    intensity ``4*beta*|drive|^2/gamma``, ``phi`` the background phase, with
+    cos(phi) = t0 (the bare intensity transmission is cos(phi)^2), ``sigma``
+    the wandering width and ``t_resp`` the detector width, both in delta /
+    tau_t units.
     """
 
     delta: float
     zeta: float
     alpha: float
     phi: float
-    T0: float
     sigma: float
     t_resp: float
 
@@ -189,7 +167,6 @@ def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams
         zeta=1.0 + 2.0 * p.lifetime / p.dephasing_time,
         alpha=4.0 * p.beta * p.drive_amp**2 * p.lifetime,
         phi=phi_from_t0(p.t0),
-        T0=p.t0**2,
         sigma=float(detuning_to_delta(p.sigma_wander, p.lifetime)),
         t_resp=float(tau_to_dimensionless(p.detector_resp, p.lifetime)),
     )

@@ -134,8 +134,7 @@ def oracle_grid():
                     err_g1 = 0.0
                     for alpha in (1e-3, 0.5):
                         p = DimensionlessParams(delta=d, zeta=zeta, alpha=alpha,
-                                                phi=phi, T0=T0, sigma=0.0,
-                                                t_resp=0.0)
+                                                phi=phi, sigma=0.0, t_resp=0.0)
                         err_g1 = max(err_g1,
                                      abs(output_correlator_g1(p, beta)
                                          - g1_general(d, zeta, beta, phi, alpha)))
@@ -146,7 +145,7 @@ def oracle_grid():
                     got = zero_drive_limit([
                         output_correlator_g2(
                             tau, DimensionlessParams(delta=d, zeta=zeta, alpha=a,
-                                                     phi=phi, T0=T0, sigma=0.0,
+                                                     phi=phi, sigma=0.0,
                                                      t_resp=0.0), beta)
                         for a in G2_DRIVES])
                     scaled = np.abs(got - closed) / np.maximum(1.0, np.abs(closed))
@@ -321,7 +320,7 @@ def test_criterion_8_identity_suite():
     if np.max(np.abs(g2_tau_general(tau, 0.7, 1.2, 0.0, phi) - 1.0)) > 1e-15:
         problems.append("beta=0 closed-form g2")
     p = DimensionlessParams(delta=0.7, zeta=1.2, alpha=1e-3, phi=phi,
-                            T0=0.62**2, sigma=0.0, t_resp=0.0)
+                            sigma=0.0, t_resp=0.0)
     if abs(output_correlator_g1(p, 0.0) - 1.0) > 1e-15:
         problems.append("beta=0 solver transmission")
     if np.max(np.abs(output_correlator_g2(tau, p, 0.0) - 1.0)) > 1e-15:

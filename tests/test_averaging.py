@@ -8,7 +8,7 @@ from scipy.special import roots_hermite
 
 from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2,
                       check_refinement, g1_general, g2_tau_general,
-                      phi_from_t0)
+                      hbar_gamma, phi_from_t0)
 from fanostat import averaging
 from fanostat.averaging import _wandering_nodes
 from fanostat.correlators import detected_decay, g2_tau_parts
@@ -105,7 +105,7 @@ class TestAvgG2:
     def test_reference_config_band_before_convolution(self):
         p = REF
         m = ModelCurves(p)
-        delta = 2 * 9.0 / p.hbar_gamma
+        delta = 2 * 9.0 / hbar_gamma(p.lifetime)
         zeta = 1 + 2 * p.lifetime / p.dephasing_time
         val = avg_g2(0.0, np.asarray(delta), zeta, p.beta, phi_from_t0(p.t0),
                      m.sigma, m.t_resp)

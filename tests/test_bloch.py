@@ -15,7 +15,7 @@ PHI15 = phi_from_t0(math.sqrt(0.15))
 
 def dp(delta=0.0, zeta=1.0, alpha=1e-3, phi=PHI15, sigma=0.0, t_resp=0.0):
     return DimensionlessParams(delta=delta, zeta=zeta, alpha=alpha, phi=phi,
-                               T0=math.cos(phi) ** 2, sigma=sigma, t_resp=t_resp)
+                               sigma=sigma, t_resp=t_resp)
 
 
 # matrix representations used as the independent oracle for the algebra table

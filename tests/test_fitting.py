@@ -240,6 +240,16 @@ class TestFitFullModel:
         assert rep["data_summary"]["transmission_points"] == 25
 
 
+    def test_singular_curvature_gives_no_stderr(self):
+        # 4 transmission points cannot fix 6 parameters: J.T @ J is singular
+        det = np.linspace(-40, 40, 4)
+        data = MeasurementSet(transmission=np.column_stack(
+            [det, ModelCurves(REF).transmission(det), np.full(4, 0.01)]))
+        res = fit_full_model(data, REF)
+        assert res.stderr == dict.fromkeys(FIT_FIELDS)
+        rep = json.loads(json.dumps(fit_report(res, data), allow_nan=False))
+        assert rep["parameter_stderr"] == dict.fromkeys(FIT_FIELDS)
+
     def test_stderr_counts_only_finite_residuals(self, monkeypatch):
         # one excluded residual leaves n - 1 - 6 degrees of freedom
         data = synthetic_data(noise=0.02, seed=5, histograms=False)

@@ -8,7 +8,7 @@ from fanostat import (DataFormatError, FPBackground, MeasurementSet,
                       ModelCurves, PhysicalParams, ScanRequest,
                       detuning_to_delta, fp_background, g1_general,
                       g2_tau_general, load_measurements, merge_measurements,
-                      params_from_config, read_config, run_scan,
+                      oracle_check, params_from_config, read_config, run_scan,
                       tau_to_dimensionless, to_dimensionless, write_series)
 from fanostat.cli import main
 
@@ -60,7 +60,6 @@ class TestLoadMeasurements:
         f.write_text("detuning_uev,transmission,uncertainty\n"
                      "-9.0,1.2,0.03\n0.0,0.8,0.03\n9.0,0.45,0.03\n")
         rep = load_measurements(f, "transmission")
-        assert rep.n_rows == 3
         assert rep.rejected == ()
         assert rep.data.transmission.shape == (3, 3)
 
@@ -69,7 +68,7 @@ class TestLoadMeasurements:
         f.write_text("detuning_uev,transmission,uncertainty\n"
                      "-9.0,1.2,0.03\n0.0,nan,0.03\n9.0,0.45,0.03\n")
         rep = load_measurements(f, "transmission")
-        assert rep.n_rows == 2
+        assert rep.data.transmission.shape == (2, 3)
         assert len(rep.rejected) == 1
         assert rep.rejected[0][0] == 3    # 1-based line number
         assert "non-finite" in rep.rejected[0][1]
@@ -401,6 +400,22 @@ class TestCLI:
         assert f"initial {field} = " in err and "outside the fit bounds" in err
         assert "Traceback" not in err
 
+    def test_fit_report_is_strict_json(self, tmp_path):
+        # a singular curvature gives no stderr figure; null, not Infinity
+        det = np.linspace(-40, 40, 4)
+        f_t = tmp_path / "trans.csv"
+        write_series(("detuning_uev", "transmission", "uncertainty"),
+                     list(zip(det, ModelCurves(PhysicalParams()).transmission(det),
+                              np.full_like(det, 0.01))), f_t)
+        out = tmp_path / "r.json"
+        assert main(["fit", "--transmission", str(f_t), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite constant {name} in the report")
+
+        rep = json.loads(out.read_text(), parse_constant=reject)
+        assert set(rep["parameter_stderr"].values()) == {None}
+
     def test_fit_non_finite_g2_weight(self, tmp_path, capsys):
         det = np.linspace(-40, 40, 9)
         f_t = tmp_path / "trans.csv"
@@ -444,6 +459,27 @@ class TestCLI:
                      "--out", str(out), "--tol-g2", "2e-3"])
         assert code == 0
         assert out.exists()
+
+    def test_oracle_check_defaults(self):
+        # 13 deltas x 3 t0 x 2 zeta x 2 beta; the closed form diverges on the
+        # ideal Fano zero delta = -tan(phi) at zeta = beta = 1: delta = 1 for
+        # t0^2 = 0.5 and delta = 0 for t0 = 1
+        rows, summary = oracle_check(tau_points=2)
+        assert summary["n_points"] == len(rows) == 156
+        flagged = [r for r in rows if r[6] == "divergent"]
+        assert summary["n_divergent"] == len(flagged) == 2
+        assert summary["max_g1_error"] == max(r[4] for r in rows) < 1e-6
+        assert summary["max_g2_error"] == max(r[5] for r in rows if not r[6])
+
+    def test_oracle_check_default_grid(self, tmp_path):
+        # the grid flags not given keep their defaults: 3 t0 x 2 zeta x 2 beta.
+        # Near the zero at t0 = 1 the O(alpha) g2 term exceeds the default
+        # tolerance (exit 4), and the table is written all the same
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle-check", "--deltas=0", "--out", str(out)]) == 4
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0].startswith("T0,zeta,beta,delta")
+        assert len(lines) == 1 + 12
 
     def test_oracle_check_tolerance_exit_code(self):
         code = main(["oracle-check", "--alpha", "1e-4",

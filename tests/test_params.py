@@ -57,12 +57,12 @@ def test_detuning_and_tau_conversions_roundtrip():
     lasers = rng.uniform(-50, 50, 20)
     delta = detuning_to_delta(lasers - p.omega0, p.lifetime)
     assert delta.tolist() == [to_dimensionless(p, x).delta for x in lasers]
-    assert delta[0] == 2.0 * (lasers[0] - p.omega0) / p.hbar_gamma
+    assert delta[0] == 2.0 * (lasers[0] - p.omega0) / hbar_gamma(p.lifetime)
     d = to_dimensionless(p, p.omega0)
     assert detuning_to_delta(p.sigma_wander, p.lifetime) == d.sigma
     assert tau_to_dimensionless(p.detector_resp, p.lifetime) == d.t_resp
     assert tau_to_dimensionless(p.detector_resp, p.lifetime) == \
-        pytest.approx(p.detector_resp * p.gamma / 2.0, rel=1e-15)
+        pytest.approx(p.detector_resp / p.lifetime / 2.0, rel=1e-15)
 
 
 class TestPhysicalParamsValidation:
