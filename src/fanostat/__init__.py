@@ -21,6 +21,5 @@ from .fitting import (FitResult, G2Histogram, MeasurementSet, fit_full_model,
 from .io import (DataFormatError, LoadReport, load_measurements,
                  merge_measurements, params_from_config, read_config,
                  write_series)
-from .cli import ScanRequest, oracle_check, run_scan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

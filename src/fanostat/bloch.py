@@ -1,10 +1,13 @@
 """Numerical ground truth: driven two-level dynamics and output correlators.
 
 This module never touches the closed-form correlators. It propagates the
-linear rotating-frame equations of motion for the emitter averages exactly,
-through the matrix exponential; applies the regression rule (two-time
-correlators obey the same linear system, with the inhomogeneous term scaled
-by the equal-time expectation of the sandwich operators); and assembles the
+linear rotating-frame equations of motion for the emitter averages exactly:
+the Bloch matrix is brought to complex Schur form once, and the exponential
+of its 3x3 triangular factor is closed form, with divided differences of
+exp(lambda*tau) off the diagonal (a short series where all three eigenvalues
+meet). It then applies the regression rule (two-time correlators obey the
+same linear system, with the inhomogeneous term scaled by the equal-time
+expectation of the sandwich operators) and assembles the
 transmitted-field correlators from the input-output relation
 ``c_out = t0*c_in + d*sigma_minus``.
 
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import schur
 
 from .params import DimensionlessParams
 
@@ -39,6 +42,14 @@ PRODUCT_TABLE = {
     ("z", "+"): {"+": 1.0},
     ("z", "z"): {"1": 1.0},
 }
+
+# Delays at which all three eigenvalues lie within SERIES_SPREAD / tau take
+# the series for the second divided difference, summed to h_(SERIES_TERMS-1):
+# it is then truncated below 1e-20 relative, and the divided-difference
+# quotient elsewhere loses at most about 4*eps/SERIES_SPREAD (1e-14 relative
+# against a 50-digit reference) to cancellation.
+SERIES_SPREAD = 0.2
+SERIES_TERMS = 13
 
 
 def reduce_product(ops):
@@ -148,26 +159,100 @@ def _as_vector(initial):
     raise TypeError("initial must be a BlochState or RegressionVector")
 
 
+def _divided_difference(la, lb, tau):
+    """f[la, lb] of exp(lambda*tau) at every tau, exact where la meets lb.
+
+    The factor taken out is the exponential with the larger real part, so
+    exp(z) stays bounded by one.
+    """
+    if la.real > lb.real:
+        la, lb = lb, la
+    z = (la - lb) * tau
+    ratio = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+    return np.exp(lb * tau) * tau * ratio
+
+
+def _second_divided_difference(lam, tau, dd):
+    """f[lam0, lam1, lam2] of exp(lambda*tau) at every tau, from the first
+    divided differences ``dd[i, j]`` (i < j).
+
+    The difference is symmetric in its points, so it divides by the pair
+    with the largest separation and stays stable where two of them meet.
+    Where all three lie within ``SERIES_SPREAD / tau`` it is the series about
+    their mean mu, exp(mu*tau) * sum_k h_k(lam - mu) * tau**(k+2) / (k+2)!,
+    with h_k the complete homogeneous sums (from e1 = 0,
+    h_k = e3*h_(k-3) - e2*h_(k-2)).
+    """
+    # f[a, b, c] = (f[a, b] - f[b, c]) / (lam_a - lam_c) in any order of the
+    # points: (divisor pair (a, c), (a, b), (b, c)) for b = 1, 2, 0
+    (i, j), p, q = max((((0, 2), (0, 1), (1, 2)), ((0, 1), (0, 2), (1, 2)),
+                        ((1, 2), (0, 1), (0, 2))),
+                       key=lambda r: abs(lam[r[0][0]] - lam[r[0][1]]))
+    near = abs(lam[i] - lam[j]) * tau <= SERIES_SPREAD
+    f = np.empty(tau.shape, dtype=complex)
+    f[~near] = (dd[p][~near] - dd[q][~near]) / (lam[i] - lam[j])
+    if not near.any():
+        return f
+    mu = lam.mean()
+    x = lam - mu
+    e2 = x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
+    e3 = x[0] * x[1] * x[2]
+    h = [1.0, 0.0, -e2]
+    for k in range(3, SERIES_TERMS):
+        h.append(e3 * h[k - 3] - e2 * h[k - 2])
+    t = tau[near]
+    f[near] = np.exp(mu * t) * sum(hk * t ** (k + 2) / math.factorial(k + 2)
+                                   for k, hk in enumerate(h))
+    return f
+
+
+def _exp_triangular(T, tau):
+    """exp(T*tau) of an upper-triangular 3x3 T, shape (len(tau), 3, 3)."""
+    lam = np.diag(T)
+    dd = {(i, j): _divided_difference(lam[i], lam[j], tau)
+          for i, j in ((0, 1), (1, 2), (0, 2))}
+    F = np.zeros((tau.size, 3, 3), dtype=complex)
+    for i in range(3):
+        F[:, i, i] = np.exp(lam[i] * tau)
+    F[:, 0, 1] = T[0, 1] * dd[0, 1]
+    F[:, 1, 2] = T[1, 2] * dd[1, 2]
+    F[:, 0, 2] = (T[0, 2] * dd[0, 2]
+                  + T[0, 1] * T[1, 2] * _second_divided_difference(lam, tau, dd))
+    return F
+
+
+def _matvec(A, x):
+    """A @ x over the last axes as elementwise products summed in a fixed
+    order, so each vector of a batch is computed as it would be alone."""
+    return A[..., 0] * x[..., :1] + A[..., 1] * x[..., 1:2] + A[..., 2] * x[..., 2:]
+
+
 def propagate_exact(initials, tau, params: DimensionlessParams):
     """Exact propagation of states or regression vectors to every delay.
 
     ``initials`` is a sequence of :class:`BlochState` or
-    :class:`RegressionVector`; ``tau`` a 1-d array of non-negative reduced
-    delays. The system is linear, so v(tau) = v_inf + exp(M tau)(v0 - v_inf),
-    with all exponentials from one batched ``expm``. Returns an array of
-    shape (len(initials), 3, len(tau)): the components (-, +, z) of each
-    initial vector along the delays.
+    :class:`RegressionVector`; ``tau`` a 1-d array of finite, non-negative
+    reduced delays. The system is linear, so
+    v(tau) = v_inf + Q exp(T tau) Q^H (v0 - v_inf), with M = Q T Q^H the
+    complex Schur form of the Bloch matrix. exp(T tau) has exp(lambda_i tau)
+    on its diagonal and divided differences of exp(lambda tau) above it,
+    with a series for the second one where all three eigenvalues meet; the
+    unitary Q keeps this exact at exceptional points, where M has no
+    eigenbasis. Returns an array of shape (len(initials), 3, len(tau)): the
+    components (-, +, z) of each initial vector along the delays.
     """
     tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or np.any(tau < 0):
-        raise ValueError("tau must be a 1-d array of non-negative delays")
+    if tau.ndim != 1 or not np.all(np.isfinite(tau)) or np.any(tau < 0):
+        raise ValueError("tau must be a 1-d array of finite non-negative delays")
     pairs = [_as_vector(x) for x in initials]
     v0 = np.array([v for v, _ in pairs])
     ident = np.array([i for _, i in pairs])
     M, b = bloch_matrix(params)
     vinf = np.linalg.solve(M, -np.outer(b, ident)).T
-    E = expm(tau[:, None, None] * M)
-    return vinf[:, :, None] + np.einsum("tij,kj->kit", E, v0 - vinf)
+    T, Q = schur(M, output="complex")
+    w = _matvec(Q.conj().T, v0 - vinf)[:, None, :]     # Q^H (v0 - v_inf)
+    v = _matvec(Q, _matvec(_exp_triangular(T, tau), w))
+    return vinf[:, :, None] + v.transpose(0, 2, 1)
 
 
 def _kappa(params: DimensionlessParams, beta):
@@ -217,8 +302,8 @@ def output_correlator_g2(tau_grid, params: DimensionlessParams, beta):
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-d array")
-    if np.any(tau_grid < 0):
-        raise ValueError("tau_grid must be non-negative")
+    if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
+        raise ValueError("tau_grid must be finite and non-negative")
     if beta == 0.0:
         return np.ones_like(tau_grid)
 

@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fanostat import (BlochState, DimensionlessParams, bloch_matrix,
                       g1_general, g1_ideal, g2_tau_general,
                       output_correlator_g1, output_correlator_g2, phi_from_t0,
                       propagate_exact, reduce_product, regression_initials,
                       steady_state)
+from fanostat.bloch import _exp_triangular
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 
@@ -117,6 +120,19 @@ def mp_output_g2(tau, params, beta):
     return np.array(out)
 
 
+def mp_propagate(state, tau, params):
+    """40-digit reference for ``propagate_exact`` of one Bloch state: the
+    stationary vector by LU, each delay through ``mpmath.expm``."""
+    with mpmath.workdps(40):
+        M, b = bloch_matrix(params)
+        M = mpmath.matrix(M.tolist())
+        v_inf = mpmath.lu_solve(M, -mpmath.matrix(b.tolist()))
+        v0 = mpmath.matrix([state.s_minus, np.conj(state.s_minus), state.s_z])
+        out = [[complex(x) for x in v_inf + mpmath.expm(M * mpmath.mpf(t)) * (v0 - v_inf)]
+               for t in tau]
+    return np.array(out).T
+
+
 def scaled_error(got, want):
     return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
@@ -135,6 +151,16 @@ class TestPropagateExact:
         [traj] = propagate_exact([BlochState(s_minus=0.0, s_z=1.0)], tau, params)
         expected = -1.0 + 2.0 * np.exp(-2.0 * tau)   # rate gamma in lab time
         assert np.allclose(traj[2].real, expected, rtol=0, atol=1e-14)
+
+    def test_long_delay_reaches_steady_state(self):
+        # eigenvalues near -2 and -10: a quotient of their exponentials
+        # at tau = 1000 would overflow
+        params = dp(delta=0.3, zeta=10.0, alpha=0.2)
+        [traj] = propagate_exact([BlochState(s_minus=0.1, s_z=0.5)],
+                                 np.array([0.0, 500.0, 1000.0]), params)
+        ss = steady_state(params)
+        assert np.max(np.abs(traj[0, 1:] - ss.s_minus)) < 1e-14
+        assert np.max(np.abs(traj[2, 1:] - ss.s_z)) < 1e-14
 
     def test_coherence_decays_faster_with_dephasing(self):
         params = dp(alpha=0.0, zeta=4.0)
@@ -165,6 +191,54 @@ class TestPropagateExact:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             propagate_exact([BlochState(0.0, -1.0)], np.array([0.0, -1.0]), dp())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delay_rejected(self, bad):
+        with pytest.raises(ValueError):
+            propagate_exact([BlochState(0.0, -1.0)], np.array([0.0, bad]), dp())
+
+    @pytest.mark.parametrize("params", [
+        dp(delta=0.0, zeta=2.0, alpha=1e-10),            # all three near -2
+        dp(delta=0.0, zeta=1.0, alpha=0.125, phi=0.0),   # two eigenvalues -1.5
+        dp(delta=0.5, zeta=1.2, alpha=50.0),
+    ], ids=["series", "exceptional-point", "strong-drive"])
+    def test_propagator_matches_mpmath_reference(self, params):
+        init = BlochState(0.2 - 0.1j, -0.3)
+        tau = np.linspace(0, 8, 17)
+        [got] = propagate_exact([init], tau, params)
+        assert np.max(np.abs(got - mp_propagate(init, tau, params))) < 1e-14
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-7, 1.3e-4, 1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("middle", [0, 1, 2])
+    def test_triangular_exponential_matches_mpmath(self, spread, middle):
+        # O(1) couplings above the diagonal, so the second divided
+        # difference carries F13 at every eigenvalue spread; the eigenvalue
+        # at index ``middle`` lies between the other two
+        lam = -2.0 + spread * np.roll([0.0, 0.5 + 0.3j, 1.3], middle - 1)
+        T = np.diag(lam) + np.array([[0, 0.7 - 0.2j, 0.4 + 0.1j],
+                                     [0, 0, -0.6 + 0.5j], [0, 0, 0]])
+        tau = np.concatenate([[0.0, 1e-3, 0.05], np.linspace(0.1, 8, 9)])
+        with mpmath.workdps(40):
+            want = [mpmath.expm(mpmath.matrix(T.tolist()) * mpmath.mpf(t)).tolist()
+                    for t in tau]
+        want = np.array(want, dtype=complex)
+        assert np.max(np.abs(_exp_triangular(T, tau) - want)) < 1e-15
+
+    def test_matches_scipy_expm_over_grid(self):
+        tau = np.linspace(0, 8, 41)
+        worst = 0.0
+        for alpha, zeta, delta, phi in itertools.product(
+                (1e-3, 0.125, 0.5, 2.0, 50.0), (1.0, 1.2, 2.0),
+                np.linspace(-6, 6, 13), (PHI15, 0.0, -0.5)):
+            params = dp(delta=float(delta), zeta=zeta, alpha=alpha, phi=phi)
+            initials = regression_initials(steady_state(params))
+            M, b = bloch_matrix(params)
+            E = expm(tau[:, None, None] * M)
+            for init, got in zip(initials, propagate_exact(initials, tau, params)):
+                v_inf = np.linalg.solve(M, -b * init.identity)
+                want = v_inf[:, None] + np.einsum("tij,j->it", E, init.components - v_inf)
+                worst = max(worst, np.max(np.abs(got - want)))
+        assert worst < 1e-14
 
     def test_g2_matches_mpmath_reference(self):
         # the finite-drive amplitude kappa ~ alpha**-1/2 scales absolute
@@ -227,6 +301,12 @@ class TestOutputG1:
 
 
 class TestOutputG2:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_delay_rejected(self, bad):
+        params = dp(delta=0.5, zeta=1.2, alpha=1e-3, phi=-0.5)
+        with pytest.raises(ValueError):
+            output_correlator_g2(np.array([bad]), params, 0.9)
+
     def test_decoupled_is_coherent(self):
         tau = np.linspace(0, 5, 11)
         assert np.array_equal(output_correlator_g2(tau, dp(delta=1.0), 0.0),

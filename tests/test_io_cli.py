@@ -1,16 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fanostat import (DataFormatError, FPBackground, MeasurementSet,
-                      ModelCurves, PhysicalParams, ScanRequest,
-                      detuning_to_delta, fp_background, g1_general,
-                      g2_tau_general, load_measurements, merge_measurements,
-                      oracle_check, params_from_config, read_config, run_scan,
-                      tau_to_dimensionless, to_dimensionless, write_series)
-from fanostat.cli import main
+                      ModelCurves, PhysicalParams, detuning_to_delta,
+                      fp_background, g1_general, g2_tau_general,
+                      load_measurements, merge_measurements, params_from_config,
+                      read_config, tau_to_dimensionless, to_dimensionless,
+                      write_series)
+from fanostat.cli import ScanRequest, main, oracle_check, run_scan
 
 
 class TestConfig:
@@ -329,6 +333,17 @@ class TestFPBackground:
 
 
 class TestCLI:
+    def test_module_run_is_silent(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fanostat.cli",
+                               "--version"], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0.1.0"
+        assert proc.stderr == ""
+
     def test_scan_end_to_end_and_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "scan1.csv"
         out2 = tmp_path / "scan2.csv"
