@@ -12,10 +12,8 @@ from .correlators import (CorrelatorDecomposition, G2Coefficients, g1_general,
                           g1_ideal, g2_coefficients, g2_tau_general,
                           g2_tau_parts, g2zero_ideal, ideal_min_g2zero)
 from .averaging import ModelCurves, avg_g1, avg_g2, check_refinement
-from .bloch import (BlochState, RegressionVector, bloch_matrix,
-                    output_correlator_g1, output_correlator_g2,
-                    propagate_exact, reduce_product, regression_initials,
-                    steady_state)
+from .bloch import (bloch_matrix, output_correlator_g1, output_correlator_g2,
+                    propagate_exact, steady_state)
 from .fitting import (FitResult, G2Histogram, MeasurementSet, fit_full_model,
                       fit_report, model_objective)
 from .io import (DataFormatError, LoadReport, load_measurements,

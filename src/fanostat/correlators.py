@@ -16,8 +16,8 @@ amplitudes were rederived from the underlying equations of motion and match
 the numerical regression solver to machine precision for all zeta >= 1 (see
 tests). They are singular at the parameter point zeta = 2, delta = 0 where
 the population and coherence decay rates collide, and lose digits near it.
-That point lies inside the fit bounds; its regular rewrite is ROADMAP item 1,
-and the strict xfail ``test_finite_at_the_rate_collision`` records it.
+That point lies inside the fit bounds; it has no regular rewrite yet, and
+the strict xfail ``test_finite_at_the_rate_collision`` records it.
 
 Derivatives for the fit come with the values they differentiate:
 :func:`detected_decay` returns its partials from its own ``erfcx`` values
@@ -221,7 +221,7 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     delta = np.asarray(delta, dtype=float)
     # the zeta = 2, delta = 0 decay-rate collision divides by zero; let it
     # propagate as inf rather than warn. It lies inside the fit bounds: see
-    # ROADMAP item 1 and the strict xfail test_finite_at_the_rate_collision
+    # the strict xfail test_finite_at_the_rate_collision
     with np.errstate(divide="ignore", invalid="ignore"):
         A, B, g20, g1 = np.moveaxis(_coefficients(delta, zeta, beta, phi), -1, 0)
     g1 = np.maximum(g1, 0.0)

@@ -145,6 +145,10 @@ class DimensionlessParams:
     t_resp: float
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.zeta < 1.0:
             raise ValueError("zeta must be >= 1")
         if self.alpha < 0.0:

@@ -1,17 +1,21 @@
+import contextlib
+import io
 import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fanostat import (BlochState, DimensionlessParams, bloch_matrix,
-                      g1_general, g1_ideal, g2_tau_general,
-                      output_correlator_g1, output_correlator_g2, phi_from_t0,
-                      propagate_exact, reduce_product, regression_initials,
+from fanostat import (DimensionlessParams, bloch_matrix, g1_general, g1_ideal,
+                      g2_tau_general, output_correlator_g1,
+                      output_correlator_g2, phi_from_t0, propagate_exact,
                       steady_state)
 from fanostat.bloch import _exp_triangular
+from fanostat.cli import main
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 
@@ -21,80 +25,45 @@ def dp(delta=0.0, zeta=1.0, alpha=1e-3, phi=PHI15, sigma=0.0, t_resp=0.0):
                                sigma=sigma, t_resp=t_resp)
 
 
-# matrix representations used as the independent oracle for the algebra table
-SIGMA = {
-    "1": np.eye(2, dtype=complex),
-    "-": np.array([[0, 0], [1, 0]], dtype=complex),   # |g><e|
-    "+": np.array([[0, 1], [0, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+def drive(params):
+    """Reduced drive g = i*exp(i*phi/2)*sqrt(alpha/2)."""
+    return 1j * np.exp(1j * params.phi / 2.0) * math.sqrt(params.alpha / 2.0)
 
 
-class TestProductTable:
-    @pytest.mark.parametrize("a", ["-", "+", "z"])
-    @pytest.mark.parametrize("b", ["-", "+", "z"])
-    def test_pairs_match_matrix_products(self, a, b):
-        got = reduce_product((a, b))
-        lhs = SIGMA[a] @ SIGMA[b]
-        rhs = sum(c * SIGMA[k] for k, c in got.items()) if got else np.zeros((2, 2))
-        assert np.allclose(lhs, rhs, atol=1e-15)
-
-    @pytest.mark.parametrize("ops", [("+", "-", "-"), ("+", "+", "-"),
-                                     ("+", "z", "-"), ("-", "+", "-"),
-                                     ("z", "z", "z"), ("+", "-", "+", "-")])
-    def test_longer_strings(self, ops):
-        got = reduce_product(ops)
-        lhs = np.eye(2, dtype=complex)
-        for op in ops:
-            lhs = lhs @ SIGMA[op]
-        rhs = sum(c * SIGMA[k] for k, c in got.items()) if got else np.zeros((2, 2))
-        assert np.allclose(lhs, rhs, atol=1e-15)
-
-    def test_identity_passthrough(self):
-        assert reduce_product(("1", "-", "1")) == {"-": 1.0 + 0j}
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            reduce_product(("x",))
+def mp_drive(params):
+    """``drive`` in mpmath at the working precision."""
+    phi, alpha = mpmath.mpf(params.phi), mpmath.mpf(params.alpha)
+    return 1j * mpmath.exp(1j * phi / 2) * mpmath.sqrt(alpha / 2)
 
 
-class TestSteadyState:
-    def test_undriven_ground_state(self):
-        ss = steady_state(dp(alpha=0.0))
-        assert ss.s_minus == 0
-        assert ss.s_z == pytest.approx(-1.0, abs=1e-14)
+def unscaled_system(params, g):
+    """The physical Bloch system d/dtau (s-, s+, s_z) = M v + b, built from
+    the equations of motion and not from ``bloch_matrix``; nested lists."""
+    d, z = params.delta, params.zeta
+    M = [[1j * d - z, 0, -g],
+         [0, -1j * d - z, -g.conjugate()],
+         [2 * g.conjugate(), 2 * g, -2]]
+    return M, [0, 0, -2]
 
-    def test_strong_drive_saturation(self):
-        ss = steady_state(dp(alpha=1e6))
-        assert abs(ss.s_z) < 1e-4
-        assert ss.population == pytest.approx(0.5, abs=1e-4)
 
-    def test_residual_small_and_physical(self):
-        for delta in (-3.0, 0.0, 2.5):
-            for alpha in (1e-6, 0.3, 5.0):
-                ss = steady_state(dp(delta=delta, zeta=1.3, alpha=alpha))
-                assert ss.physicality_defect() < 1e-12
-                assert -1 <= ss.s_z <= 1
-
-    def test_linear_response_matches_ideal_transmission(self):
-        # the weak-drive limit; the residual pump correction scales linearly
-        # with alpha (slope up to ~5 here), so probe well below the tolerance
-        for delta in np.linspace(-5, 5, 11):
-            got = output_correlator_g1(dp(delta=delta, alpha=1e-8), beta=1.0)
-            assert got == pytest.approx(g1_ideal(delta, PHI15), abs=1e-6)
+def to_scaled(v, g):
+    """Physical averages (s-, s+, s_z) as the scaled (x, y, m)."""
+    return [v[0] / g, v[1] / g.conjugate(), (1 + v[2]) / 2 / abs(g) ** 2]
 
 
 def mp_output_g2(tau, params, beta):
     """40-digit reference for ``output_correlator_g2``.
 
-    The same regression system, solved in mpmath: the stationary state by LU,
-    each delay through ``mpmath.expm``, the initial vectors from their
-    product-table values (pinned in ``TestRegressionInitials``).
+    The unscaled regression system, solved in mpmath: the stationary state
+    by LU, each delay through ``mpmath.expm``, and the field amplitude
+    kappa = d/(t0*alpha_in) in place of its scaled form. The initial vectors
+    are the sandwiched operators (sigma_-, sigma_+, sigma_z) * sigma_- and
+    sigma_+ * (sigma_-, sigma_+, sigma_z) * sigma_-.
     """
     with mpmath.workdps(40):
-        M, b = bloch_matrix(params)
-        M = mpmath.matrix(M.tolist())
-        b = mpmath.matrix(b.tolist())
+        g = mp_drive(params)
+        M, b = unscaled_system(params, g)
+        M, b = mpmath.matrix(M), mpmath.matrix(b)
         s_minus, _, s_z = mpmath.lu_solve(M, -b)
         n = (1 + s_z.real) / 2
         # (components, identity) of u = (1, sigma_-) and v = (sigma_+, sigma_-)
@@ -120,82 +89,136 @@ def mp_output_g2(tau, params, beta):
     return np.array(out)
 
 
-def mp_propagate(state, tau, params):
-    """40-digit reference for ``propagate_exact`` of one Bloch state: the
-    stationary vector by LU, each delay through ``mpmath.expm``."""
+def mp_propagate(v0, tau, params):
+    """40-digit reference for ``propagate_exact`` of one scaled state
+    (identity 1): taken to the physical averages, propagated through the
+    unscaled system by ``mpmath.expm`` and scaled back."""
     with mpmath.workdps(40):
-        M, b = bloch_matrix(params)
-        M = mpmath.matrix(M.tolist())
-        v_inf = mpmath.lu_solve(M, -mpmath.matrix(b.tolist()))
-        v0 = mpmath.matrix([state.s_minus, np.conj(state.s_minus), state.s_z])
-        out = [[complex(x) for x in v_inf + mpmath.expm(M * mpmath.mpf(t)) * (v0 - v_inf)]
+        g = mp_drive(params)
+        M, b = unscaled_system(params, g)
+        M, b = mpmath.matrix(M), mpmath.matrix(b)
+        x, y, m = (mpmath.mpc(complex(c)) for c in v0)
+        phys = mpmath.matrix([g * x, g.conjugate() * y, 2 * abs(g) ** 2 * m - 1])
+        v_inf = mpmath.lu_solve(M, -b)
+        out = [[complex(c) for c in to_scaled(
+                    v_inf + mpmath.expm(M * mpmath.mpf(t)) * (phys - v_inf), g)]
                for t in tau]
     return np.array(out).T
+
+
+def regression_vectors(params):
+    """Scaled regression initials as ``propagate_exact`` takes them: u starts
+    at (0, m, 0) with identity x, v at 0 with identity m."""
+    x, _, m = steady_state(params)
+    return np.array([[0.0, m, 0.0], [0.0, 0.0, 0.0]]), np.array([x, m])
 
 
 def scaled_error(got, want):
     return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
 
+class TestSteadyState:
+    def test_undriven_ground_state(self):
+        # the physical averages g*x and |g|^2*m vanish; the scaled state is
+        # the linear response
+        x, y, m = steady_state(dp(delta=0.7, zeta=1.3, alpha=0.0))
+        assert x == pytest.approx(1.0 / (1.3 - 0.7j), rel=1e-15)
+        assert y == np.conj(x)
+        assert m == pytest.approx(1.3 / (1.3**2 + 0.7**2), rel=1e-15)
+
+    def test_strong_drive_saturation(self):
+        alpha = 1e6
+        x, _, m = steady_state(dp(alpha=alpha))
+        population = alpha * m.real / 2.0            # n = |g|^2 m
+        assert population == pytest.approx(0.5, abs=1e-4)
+        assert abs(x) ** 2 * alpha / 2.0 < 1e-4      # |<sigma_->|^2
+
+    def test_residual_small_and_physical(self):
+        # |<sigma_->|^2 <= n (1 - n), scaled by |g|^2 = alpha/2
+        for delta in (-3.0, 0.0, 2.5):
+            for alpha in (0.0, 1e-6, 0.3, 5.0):
+                x, _, m = steady_state(dp(delta=delta, zeta=1.3, alpha=alpha))
+                assert abs(x) ** 2 <= m.real * (1 - alpha * m.real / 2) + 1e-12
+                assert 0 <= alpha * m.real / 2 <= 1
+
+    def test_linear_response_matches_ideal_transmission(self):
+        # alpha = 0 is the weak-drive limit itself, not an approach to it
+        for delta in np.linspace(-5, 5, 11):
+            got = output_correlator_g1(dp(delta=delta, alpha=0.0), beta=1.0)
+            assert got == pytest.approx(g1_ideal(delta, PHI15), abs=1e-14)
+
+
 class TestPropagateExact:
     def test_steady_state_is_fixed_point(self):
         params = dp(delta=1.2, zeta=1.2, alpha=0.4)
         ss = steady_state(params)
-        [traj] = propagate_exact([ss], np.linspace(0, 5, 21), params)
-        assert np.max(np.abs(traj[0] - ss.s_minus)) < 1e-12
-        assert np.max(np.abs(traj[2] - ss.s_z)) < 1e-12
+        [traj] = propagate_exact([ss], [1.0], np.linspace(0, 5, 21), params)
+        assert np.max(np.abs(traj - ss[:, None])) < 1e-14
 
     def test_undriven_decay_from_excited_state(self):
+        # identity 0: the homogeneous part, here the population alone
         params = dp(alpha=0.0)
         tau = np.linspace(0, 4, 41)
-        [traj] = propagate_exact([BlochState(s_minus=0.0, s_z=1.0)], tau, params)
-        expected = -1.0 + 2.0 * np.exp(-2.0 * tau)   # rate gamma in lab time
-        assert np.allclose(traj[2].real, expected, rtol=0, atol=1e-14)
+        [traj] = propagate_exact([[0.0, 0.0, 1.0]], [0.0], tau, params)
+        expected = np.exp(-2.0 * tau)   # rate gamma in lab time
+        assert np.allclose(traj[2].real, expected, rtol=0, atol=1e-15)
+        assert np.max(np.abs(traj[:2])) == 0.0
 
     def test_long_delay_reaches_steady_state(self):
         # eigenvalues near -2 and -10: a quotient of their exponentials
         # at tau = 1000 would overflow
         params = dp(delta=0.3, zeta=10.0, alpha=0.2)
-        [traj] = propagate_exact([BlochState(s_minus=0.1, s_z=0.5)],
+        [traj] = propagate_exact([[0.1, 0.1, 0.5]], [1.0],
                                  np.array([0.0, 500.0, 1000.0]), params)
         ss = steady_state(params)
-        assert np.max(np.abs(traj[0, 1:] - ss.s_minus)) < 1e-14
-        assert np.max(np.abs(traj[2, 1:] - ss.s_z)) < 1e-14
+        assert np.max(np.abs(traj[:, 1:] - ss[:, None])) < 1e-14
 
     def test_coherence_decays_faster_with_dephasing(self):
         params = dp(alpha=0.0, zeta=4.0)
-        init = BlochState(s_minus=0.3, s_z=-0.5)
-        [traj] = propagate_exact([init], np.array([0.0, 1.0]), params)
-        coh_factor = abs(traj[0, -1]) / abs(traj[0, 0])
-        pop_factor = (1 + traj[2, -1].real) / (1 + traj[2, 0].real)
-        assert coh_factor == pytest.approx(math.exp(-4.0), rel=1e-12)
-        assert pop_factor == pytest.approx(math.exp(-2.0), rel=1e-12)
+        coherence, population = propagate_exact(
+            [[0.3, 0.3, 0.0], [0.0, 0.0, 0.5]], [0.0, 0.0],
+            np.array([0.0, 1.0]), params)
+        coh_factor = abs(coherence[0, -1]) / abs(coherence[0, 0])
+        pop_factor = population[2, -1].real / population[2, 0].real
+        assert coh_factor == pytest.approx(math.exp(-4.0), rel=1e-14)
+        assert pop_factor == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert coh_factor < pop_factor
 
     def test_conjugation_and_physicality_along_trajectory(self):
-        params = dp(delta=0.8, zeta=1.1, alpha=2.0)
-        [traj] = propagate_exact([BlochState(s_minus=0.0, s_z=-1.0)],
-                                 np.linspace(0, 6, 61), params)
-        assert np.max(np.abs(traj[1] - np.conj(traj[0]))) < 1e-14
-        assert np.all(traj[2].real >= -1 - 1e-12)
-        assert np.all(traj[2].real <= 1 + 1e-12)
+        # from the ground state x = m = 0; |<sigma_->|^2 <= n (1 - n) holds
+        # along the trajectory as |x|^2 <= m (1 - alpha m / 2)
+        alpha = 2.0
+        params = dp(delta=0.8, zeta=1.1, alpha=alpha)
+        [(x, y, m)] = propagate_exact([[0.0, 0.0, 0.0]], [1.0],
+                                      np.linspace(0, 6, 61), params)
+        assert np.max(np.abs(y - np.conj(x))) < 1e-15
+        assert np.max(np.abs(m.imag)) < 1e-15
+        assert np.all(np.abs(x) ** 2 <= m.real * (1 - alpha * m.real / 2) + 1e-14)
+        assert np.all(alpha * m.real / 2 <= 1 + 1e-14)
 
     def test_each_initial_vector_propagated_alone(self):
         params = dp(delta=-0.7, zeta=1.3, alpha=0.6)
-        u0, v0 = regression_initials(steady_state(params))
+        v0, ident = regression_vectors(params)
         tau = np.linspace(0, 3, 7)
-        both = propagate_exact([u0, v0], tau, params)
-        assert np.array_equal(both[0], propagate_exact([u0], tau, params)[0])
-        assert np.array_equal(both[1], propagate_exact([v0], tau, params)[0])
+        both = propagate_exact(v0, ident, tau, params)
+        for k in range(2):
+            [alone] = propagate_exact(v0[k:k + 1], ident[k:k + 1], tau, params)
+            assert np.array_equal(both[k], alone)
+
+    def test_initial_shapes_checked(self):
+        with pytest.raises(ValueError):
+            propagate_exact([0.0, 0.0, 0.0], [1.0], np.array([0.0]), dp())
+        with pytest.raises(ValueError):
+            propagate_exact([[0.0, 0.0, 0.0]], [1.0, 1.0], np.array([0.0]), dp())
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            propagate_exact([BlochState(0.0, -1.0)], np.array([0.0, -1.0]), dp())
+            propagate_exact([[0.0, 0.0, 0.0]], [1.0], np.array([0.0, -1.0]), dp())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_delay_rejected(self, bad):
         with pytest.raises(ValueError):
-            propagate_exact([BlochState(0.0, -1.0)], np.array([0.0, bad]), dp())
+            propagate_exact([[0.0, 0.0, 0.0]], [1.0], np.array([0.0, bad]), dp())
 
     @pytest.mark.parametrize("params", [
         dp(delta=0.0, zeta=2.0, alpha=1e-10),            # all three near -2
@@ -203,9 +226,9 @@ class TestPropagateExact:
         dp(delta=0.5, zeta=1.2, alpha=50.0),
     ], ids=["series", "exceptional-point", "strong-drive"])
     def test_propagator_matches_mpmath_reference(self, params):
-        init = BlochState(0.2 - 0.1j, -0.3)
+        init = [0.2 - 0.1j, 0.2 + 0.1j, 0.3]
         tau = np.linspace(0, 8, 17)
-        [got] = propagate_exact([init], tau, params)
+        [got] = propagate_exact([init], [1.0], tau, params)
         assert np.max(np.abs(got - mp_propagate(init, tau, params))) < 1e-14
 
     @pytest.mark.parametrize("spread", [0.0, 1e-7, 1.3e-4, 1e-3, 0.05, 1.0])
@@ -228,21 +251,22 @@ class TestPropagateExact:
         tau = np.linspace(0, 8, 41)
         worst = 0.0
         for alpha, zeta, delta, phi in itertools.product(
-                (1e-3, 0.125, 0.5, 2.0, 50.0), (1.0, 1.2, 2.0),
+                (0.0, 0.125, 0.5, 2.0, 50.0), (1.0, 1.2, 2.0),
                 np.linspace(-6, 6, 13), (PHI15, 0.0, -0.5)):
             params = dp(delta=float(delta), zeta=zeta, alpha=alpha, phi=phi)
-            initials = regression_initials(steady_state(params))
+            v0, ident = regression_vectors(params)
             M, b = bloch_matrix(params)
             E = expm(tau[:, None, None] * M)
-            for init, got in zip(initials, propagate_exact(initials, tau, params)):
-                v_inf = np.linalg.solve(M, -b * init.identity)
-                want = v_inf[:, None] + np.einsum("tij,j->it", E, init.components - v_inf)
-                worst = max(worst, np.max(np.abs(got - want)))
+            got = propagate_exact(v0, ident, tau, params)
+            for k in range(2):
+                v_inf = np.linalg.solve(M, -b * ident[k])
+                want = v_inf[:, None] + np.einsum("tij,j->it", E, v0[k] - v_inf)
+                worst = max(worst, np.max(np.abs(got[k] - want)))
         assert worst < 1e-14
 
     def test_g2_matches_mpmath_reference(self):
-        # the finite-drive amplitude kappa ~ alpha**-1/2 scales absolute
-        # propagation errors by |kappa|**4 ~ 1e8 in g2
+        # the reference runs the unscaled system, so this also checks the
+        # scaling of the basis and of the field amplitude
         tau = np.linspace(0, 8, 17)
         worst = 0.0
         for T0 in (0.15, 1.0):
@@ -252,7 +276,7 @@ class TestPropagateExact:
                     params = dp(delta=delta, zeta=zeta, phi=phi, alpha=1e-3)
                     got = output_correlator_g2(tau, params, 0.9)
                     worst = max(worst, scaled_error(got, mp_output_g2(tau, params, 0.9)))
-        assert worst < 1e-6
+        assert worst < 1e-9
 
     @pytest.mark.parametrize("params", [
         dp(delta=0.0, zeta=1.0, alpha=0.125, phi=0.0),   # two eigenvalues -1.5
@@ -264,20 +288,27 @@ class TestPropagateExact:
         assert scaled_error(got, mp_output_g2(tau, params, 0.9)) < 1e-10
 
 
+SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |g><e|, basis (e, g)
+
+
 class TestRegressionInitials:
-    def test_values_from_table(self):
+    def test_equal_time_moments_from_density_matrix(self):
+        # at tau = 0 the regression vectors are their initial values, so
+        # g1 and g2(0) are the stationary moments of the output field
+        # a = 1 + kappa*sigma_-, here taken by 2x2 matrix products
         params = dp(delta=0.5, zeta=1.2, alpha=0.8)
-        ss = steady_state(params)
-        u0, v0 = regression_initials(ss)
-        n = ss.population
-        assert u0.components[0] == pytest.approx(0.0)
-        assert u0.components[1] == pytest.approx(n)
-        assert u0.components[2] == pytest.approx(-ss.s_minus)
-        assert u0.identity == pytest.approx(ss.s_minus)
-        assert v0.components[0] == pytest.approx(0.0)
-        assert v0.components[1] == pytest.approx(0.0)
-        assert v0.components[2] == pytest.approx(-n)
-        assert v0.identity == pytest.approx(n)
+        beta = 0.9
+        g = drive(params)
+        x, _, m = steady_state(params)
+        rho = np.array([[abs(g) ** 2 * m, g * x], [np.conj(g * x), 1 - abs(g) ** 2 * m]])
+        kap = (1j * np.exp(1j * params.phi / 2) * beta
+               * math.sqrt(2 / params.alpha) / math.cos(params.phi))
+        a = np.eye(2) + kap * SIGMA_MINUS
+        ad = a.conj().T
+        g1 = np.trace(ad @ a @ rho).real
+        g20 = np.trace(ad @ ad @ a @ a @ rho).real / g1**2
+        assert output_correlator_g1(params, beta) == pytest.approx(g1, rel=1e-13)
+        assert output_correlator_g2([0.0], params, beta)[0] == pytest.approx(g20, rel=1e-13)
 
 
 class TestOutputG1:
@@ -288,16 +319,28 @@ class TestOutputG1:
     def test_weak_drive_grid_matches_closed_form(self, T0):
         phi = phi_from_t0(math.sqrt(T0))
         for delta in np.linspace(-5, 5, 11):
-            params = dp(delta=delta, phi=phi, alpha=1e-6)
+            params = dp(delta=delta, phi=phi, alpha=0.0)
             assert output_correlator_g1(params, 1.0) == pytest.approx(
-                g1_general(delta, 1.0, 1.0, phi, 1e-6), abs=1e-6)
+                g1_general(delta, 1.0, 1.0, phi), abs=1e-14)
 
     def test_finite_pump_matches_closed_form(self):
         for delta in (-2.0, 0.0, 3.0):
             for zeta in (1.0, 1.2):
                 params = dp(delta=delta, zeta=zeta, alpha=0.5)
                 assert output_correlator_g1(params, 0.9) == pytest.approx(
-                    g1_general(delta, zeta, 0.9, PHI15, 0.5), abs=1e-6)
+                    g1_general(delta, zeta, 0.9, PHI15, 0.5), abs=1e-14)
+
+
+def criterion_4_points():
+    """Criterion 4's grid (T0, zeta, beta, delta) with the weak-drive closed
+    form, less the two points on the ideal Fano zero where it is infinite."""
+    tau = np.linspace(0.0, 8.0, 161)
+    for T0, zeta, beta, delta in itertools.product(
+            (0.15, 0.5, 1.0), (1.0, 1.2), (0.9, 1.0), np.linspace(-6.0, 6.0, 13)):
+        phi = phi_from_t0(math.sqrt(T0))
+        closed = g2_tau_general(tau, float(delta), zeta, beta, phi)
+        if np.all(np.isfinite(closed)):
+            yield tau, dp(delta=float(delta), zeta=zeta, alpha=0.0, phi=phi), beta, closed
 
 
 class TestOutputG2:
@@ -341,22 +384,77 @@ class TestOutputG2:
         with pytest.raises(ValueError):
             output_correlator_g2(np.array([[0.0, 1.0]]), dp(), 1.0)
 
-    def test_needs_finite_drive(self):
-        with pytest.raises(ValueError):
-            output_correlator_g2(np.array([0.0]), dp(alpha=0.0), 1.0)
+    def test_zero_drive_matches_closed_form(self):
+        worst, count = 0.0, 0
+        for tau, params, beta, closed in criterion_4_points():
+            got = output_correlator_g2(tau, params, beta)
+            worst, count = max(worst, scaled_error(got, closed)), count + 1
+        assert count == 154
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("zeta", [2 - 1e-2, 2 - 1e-4, 2 + 1e-4, 2 + 1e-2])
+    def test_zero_drive_through_the_rate_collision(self, zeta):
+        tau = np.linspace(0, 8, 81)
+        params = dp(delta=0.0, zeta=zeta, alpha=0.0, phi=-0.5)
+        got = output_correlator_g2(tau, params, 0.9)
+        assert scaled_error(got, g2_tau_general(tau, 0.0, zeta, 0.9, -0.5)) < 1e-9
+
+    def test_zero_drive_at_the_rate_collision(self):
+        # the closed form is singular at zeta = 2, delta = 0; the oracle is
+        # regular there, so it equals the mean of its neighbours to O(1e-12)
+        tau = np.linspace(0, 8, 81)
+        at, below, above = (output_correlator_g2(tau, dp(delta=0.0, zeta=z, alpha=0.0,
+                                                         phi=-0.5), 0.9)
+                            for z in (2.0, 2 - 1e-6, 2 + 1e-6))
+        assert np.all(np.isfinite(at))
+        assert scaled_error(at, (below + above) / 2) < 1e-9
 
 
 def test_bloch_matrix_structure():
-    params = dp(delta=2.0, zeta=1.5, alpha=0.5)
+    alpha = 0.5
+    params = dp(delta=2.0, zeta=1.5, alpha=alpha)
     M, b = bloch_matrix(params)
-    assert M[0, 0] == pytest.approx(2.0 * 1j - 1.5)
-    assert M[1, 1] == pytest.approx(-2.0 * 1j - 1.5)
+    assert M[0, 0] == 2.0 * 1j - 1.5
+    assert M[1, 1] == -2.0 * 1j - 1.5
     assert M[2, 2] == -2.0
     assert M[0, 1] == 0 and M[1, 0] == 0
-    assert b[2] == -2.0
-    # drive couplings: (-g, -g*) in the coherence rows, (2g*, 2g) below
-    assert M[1, 2] == pytest.approx(np.conj(M[0, 2]))
-    assert M[2, 0] == pytest.approx(-2.0 * np.conj(M[0, 2]))
-    assert M[2, 1] == pytest.approx(-2.0 * M[0, 2])
-    g = M[0, 2] * -1
-    assert abs(g) == pytest.approx(math.sqrt(0.5 / 2))
+    assert M[0, 2] == M[1, 2] == -alpha
+    assert M[2, 0] == M[2, 1] == 1.0
+    assert np.array_equal(b, [1.0, 1.0, 0.0])
+    # the scaled vector field is the physical one, in scaled units
+    g = drive(params)
+    v = np.array([0.3 - 0.2j, 0.3 + 0.2j, 0.4])
+    Mp, bp = unscaled_system(params, g)
+    phys = np.array([g * v[0], np.conj(g) * v[1], 2 * abs(g) ** 2 * v[2] - 1])
+    rate = np.array(Mp) @ phys + bp
+    want = [rate[0] / g, rate[1] / np.conj(g), rate[2] / (2 * abs(g) ** 2)]
+    assert np.allclose(M @ v + b, want, rtol=0, atol=1e-15)
+
+
+# the sweep domain: every valid point gives finite correlators, and the CLI
+# check gives an exit code, never a traceback
+@settings(derandomize=True, database=None, deadline=None)
+@given(delta=st.floats(-50.0, 50.0),
+       zeta=st.floats(1.0, 33.0),
+       alpha=st.just(0.0) | st.floats(-12.0, 3.0).map(lambda e: 10.0**e),
+       phi=st.floats(-math.pi / 2 + 1e-3, 0.0),
+       beta=st.floats(0.0, 1.0))
+@example(delta=0.0, zeta=2.0, alpha=0.0, phi=-0.5, beta=0.9)        # rate collision
+@example(delta=0.0, zeta=1.0, alpha=0.125, phi=0.0, beta=0.9)       # exceptional point
+@example(delta=15.2, zeta=1.0, alpha=2.5e-10, phi=-1.516, beta=0.8)  # weak-drive cancellation
+@example(delta=5e-324, zeta=1.0, alpha=0.0, phi=0.0, beta=1.0)     # subnormal eigenvalue split
+@example(delta=0.0, zeta=1.0, alpha=0.0, phi=0.0, beta=1.0)        # ideal Fano zero
+def test_oracle_finite_over_the_parameter_domain(delta, zeta, alpha, phi, beta):
+    # g2 is inf only where the transmission vanishes: on the ideal Fano zero
+    # (zeta = beta = 1, delta = -tan(phi)) at alpha = 0
+    params = dp(delta=delta, zeta=zeta, alpha=alpha, phi=phi)
+    g1 = output_correlator_g1(params, beta)
+    g2 = output_correlator_g2(np.linspace(0, 8, 17), params, beta)
+    assert math.isfinite(g1) and g1 >= 0
+    assert np.all(np.isfinite(g2)) or (g1 == 0 and np.all(g2 == np.inf))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["oracle-check", f"--alpha={alpha!r}", f"--deltas={delta!r}",
+                     f"--t0s={math.cos(phi)!r}", f"--zetas={zeta!r}",
+                     f"--betas={beta!r}"])
+    assert code in (0, 4)

@@ -488,10 +488,11 @@ class TestCLI:
 
     def test_oracle_check_default_grid(self, tmp_path):
         # the grid flags not given keep their defaults: 3 t0 x 2 zeta x 2 beta.
-        # Near the zero at t0 = 1 the O(alpha) g2 term exceeds the default
-        # tolerance (exit 4), and the table is written all the same
+        # The default drive is alpha = 0, where the solver is the weak-drive
+        # limit itself, so even near the zero at t0 = 1 it meets the default
+        # tolerance
         out = tmp_path / "oracle.csv"
-        assert main(["oracle-check", "--deltas=0", "--out", str(out)]) == 4
+        assert main(["oracle-check", "--deltas=0", "--out", str(out)]) == 0
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0].startswith("T0,zeta,beta,delta")
         assert len(lines) == 1 + 12

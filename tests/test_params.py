@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fanostat import (HBAR_UEV_PS, PhysicalParams, detuning_to_delta,
-                      hbar_gamma, phi_from_t0, scattering_matrix,
-                      tau_to_dimensionless, to_dimensionless)
+from fanostat import (HBAR_UEV_PS, DimensionlessParams, PhysicalParams,
+                      detuning_to_delta, hbar_gamma, phi_from_t0,
+                      scattering_matrix, tau_to_dimensionless,
+                      to_dimensionless)
 
 REF = PhysicalParams()   # defaults are the documented reference configuration
 
@@ -89,6 +90,18 @@ class TestPhysicalParamsValidation:
     def test_mapping_roundtrip(self):
         p = PhysicalParams(beta=0.5)
         assert PhysicalParams.from_mapping(p.to_mapping()) == p
+
+
+class TestDimensionlessParamsValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["delta", "zeta", "alpha", "phi", "sigma",
+                                       "t_resp"])
+    def test_rejects_non_finite(self, field, bad):
+        valid = dict(delta=0.5, zeta=1.2, alpha=1e-3, phi=-0.5, sigma=0.0,
+                     t_resp=0.0)
+        DimensionlessParams(**valid)
+        with pytest.raises(ValueError, match=field):
+            DimensionlessParams(**{**valid, field: bad})
 
 
 class TestCouplingVector:
