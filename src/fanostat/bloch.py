@@ -197,8 +197,6 @@ def _stationary(params: DimensionlessParams, beta):
 
 def output_correlator_g1(params: DimensionlessParams, beta):
     """Stationary normalized transmission assembled from steady-state moments."""
-    if beta == 0.0:
-        return 1.0
     return _stationary(params, beta)[3]
 
 
@@ -217,8 +215,6 @@ def output_correlator_g2(tau_grid, params: DimensionlessParams, beta):
         raise ValueError("tau_grid must be a non-empty 1-d array")
     if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
         raise ValueError("tau_grid must be finite and non-negative")
-    if beta == 0.0:
-        return np.ones_like(tau_grid)
 
     x, m, c, g1 = _stationary(params, beta)
     # u = <sigma_l(t+tau) sigma_-(t)> / (g D_l) starts at (0, m, 0) with

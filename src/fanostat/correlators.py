@@ -55,18 +55,6 @@ def check_params(zeta, beta, phi, alpha=0.0):
     return phi
 
 
-def g1_ideal(delta, phi):
-    """Normalized transmission (delta + tan phi)^2 / (1 + delta^2).
-
-    This is the lossless, dephasing-free, weak-drive limit; absolute
-    transmission is T0 times this value.
-    """
-    phi = _check_phi(phi)
-    delta = np.asarray(delta, dtype=float)
-    out = (delta + np.tan(phi)) ** 2 / (1.0 + delta * delta)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class CorrelatorDecomposition:
     """Two-photon correlation at zero delay split into its three parts.
@@ -102,19 +90,6 @@ def g2zero_ideal(delta, phi) -> CorrelatorDecomposition:
     return CorrelatorDecomposition(np.ones_like(total), bound, interference, total)
 
 
-def ideal_min_g2zero(T0):
-    """Global minimum of the ideal g2(0) over detuning.
-
-    Equals ``4*T0*(1 - T0)`` for T0 < 1/2 (antibunching reachable) and 1
-    otherwise (interference term non-negative, only bunching).
-    """
-    if not 0.0 <= T0 <= 1.0:
-        raise ValueError("T0 must lie in [0, 1]")
-    if T0 >= 0.5:
-        return 1.0
-    return 4.0 * T0 * (1.0 - T0)
-
-
 def g1_general(delta, zeta, beta, phi, alpha=0.0):
     """Normalized transmission with dephasing, finite beta, and finite drive.
 
@@ -138,7 +113,8 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
     delta^2``. That factor is required for consistency with the equations of
     motion: the steady emitter population is ``zeta*alpha/2/D``, and the
     total transmitted intensity includes the incoherently scattered light.
-    The reduction at zeta = 1, alpha = 0 is :func:`g1_ideal`.
+    At zeta = beta = 1, alpha = 0 it reduces to the ideal lineshape
+    (delta + tan(phi))^2 / (1 + delta^2).
 
     The result is an intensity ratio and is clamped at zero: on the ideal
     Fano zero (zeta = beta = 1, delta = -tan(phi)) rounding can leave the

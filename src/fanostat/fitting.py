@@ -22,7 +22,6 @@ residuals are zeroed like the residuals.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +174,7 @@ def _transformed_bounds(bounds):
 
 
 class _Objective:
-    """Weighted residual vector shared by the objective and the fitter.
+    """Weighted residuals of the model against a measurement set.
 
     Each dataset compares one model curve with measured values, scaled by
     ``weight / sigma``. The measured side, including each histogram's tail
@@ -228,22 +227,11 @@ class _Objective:
             raise ValueError("measurement set is empty")
         return out
 
-    def flat(self, params: PhysicalParams):
-        """All residuals at ``params``, concatenated in key order."""
-        res = self.residuals(params)
-        return np.concatenate([res[key] for key in sorted(res)])
-
-    def vector(self, x):
-        # non-finite residuals are zeroed for the solver and counted once,
-        # at the solution, by the caller
-        vec = self.flat(unpack_params(x, self.template))
-        return np.where(np.isfinite(vec), vec, 0.0)
-
     def vector_and_jacobian(self, x):
-        """:meth:`vector` and its exact Jacobian with respect to ``x``.
+        """Residuals at ``x`` in key order and their exact Jacobian in ``x``.
 
-        Rows of non-finite residuals are zero, as the residuals are, and so
-        is any non-finite entry.
+        Non-finite residuals, their rows and any non-finite entry are zeroed
+        for the solver; the caller counts them once, at the solution.
         """
         params = unpack_params(x, self.template)
         res = self.residuals(params, jac=True)
@@ -254,21 +242,6 @@ class _Objective:
         J[bad] = 0.0
         J[~np.isfinite(J)] = 0.0
         return np.where(bad, 0.0, vec), J
-
-
-def model_objective(params: PhysicalParams, data: MeasurementSet, g2_weight=1.0):
-    """Weighted sum of squared residuals of the averaged model against data.
-
-    Points where the model evaluation is not finite are excluded with a
-    warning rather than poisoning the objective.
-    """
-    vec = _Objective(data, params, g2_weight).flat(params)
-    bad = ~np.isfinite(vec)
-    if np.any(bad):
-        warnings.warn(f"{int(np.sum(bad))} residual(s) non-finite and excluded",
-                      RuntimeWarning, stacklevel=2)
-        vec = vec[~bad]
-    return float(np.dot(vec, vec))
 
 
 @dataclass(frozen=True)

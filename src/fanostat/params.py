@@ -177,33 +177,6 @@ def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams
 
 
 @dataclass(frozen=True)
-class ScatteringMatrix:
-    """2x2 unitary scattering matrix of the bare waveguide background."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("scattering matrix must be 2x2")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def unitarity_defect(self):
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-
-
-def scattering_matrix(t0) -> ScatteringMatrix:
-    """Background scattering matrix ((t0, i*r0), (i*r0, t0)), r0 = -sqrt(1-t0^2)."""
-    if not 0.0 <= t0 <= 1.0:
-        raise ValueError("t0 must lie in [0, 1]")
-    r0 = -math.sqrt(1.0 - t0 * t0)
-    return ScatteringMatrix(np.array([[t0, 1j * r0], [1j * r0, t0]], dtype=complex))
-
-
-@dataclass(frozen=True)
 class FPBackground:
     """Lossless symmetric two-mirror background specification.
 

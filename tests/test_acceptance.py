@@ -2,8 +2,9 @@
 PASS/FAIL line (run with ``pytest -s`` to see them as they execute).
 
 Criterion 4 compares the weak-pump closed forms with the independent
-regression solver; since the g2 closed form is the alpha -> 0 limit, it is
-compared with the solver extrapolated to zero drive. Criterion 6 pins the
+regression solver through ``oracle_check``; since the g2 closed form is the
+alpha -> 0 limit, it is compared with the solver at alpha = 0, which the
+solver reaches exactly. Criterion 6 pins the
 wandering-averaged dip floor to the exact Gaussian-kernel value, the kernel
 the ``averaging`` module documents.
 """
@@ -17,12 +18,13 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import erfcx
 
+from analytic import ideal_min_g2zero, scattering_matrix
 from fanostat import (DimensionlessParams, G2Histogram, MeasurementSet,
                       ModelCurves, PhysicalParams, avg_g1,
                       avg_g2, fit_full_model, g1_general, g2_coefficients,
                       g2_tau_general, g2_tau_parts, g2zero_ideal,
-                      ideal_min_g2zero, output_correlator_g1,
-                      output_correlator_g2, phi_from_t0, scattering_matrix)
+                      output_correlator_g1, output_correlator_g2, phi_from_t0)
+from fanostat.cli import G1_DRIVE, oracle_check
 
 REF = PhysicalParams()          # the documented reference configuration
 
@@ -93,64 +95,23 @@ def test_criterion_3_vanishing_floor():
     assert report(3, ok, f"largest deviation from the analytic floor: {worst:.2e}")
 
 
-G2_DRIVES = (1e-3, 5e-4, 2.5e-4)   # Richardson ladder, ratio 2
-
-
 def on_ideal_fano_zero(T0, zeta, beta, delta):
     """True where the weak-pump transmission vanishes exactly (g2 = inf)."""
     phi = phi_from_t0(math.sqrt(T0))
     return zeta == 1.0 and beta == 1.0 and abs(delta + math.tan(phi)) < 1e-9
 
 
-def zero_drive_limit(values):
-    """Richardson extrapolation to alpha -> 0 over ``G2_DRIVES``.
-
-    The solver's g2 at finite drive is the weak-pump value plus O(alpha)
-    corrections; two halvings remove the first two orders.
-    """
-    t0, t1, t2 = values
-    r0, r1 = 2.0 * t1 - t0, 2.0 * t2 - t1
-    return (4.0 * r1 - r0) / 3.0
-
-
 @pytest.fixture(scope="module")
 def oracle_grid():
-    """Shared sweep for criterion 4: closed forms vs regression solver.
+    """Shared sweep for criterion 4: ``oracle_check`` at its default grid.
 
-    Each row is (T0, zeta, beta, delta, g1 error, scaled g2 error, max g2).
-    The g2 error is None on the ideal Fano zero, where the closed form is
-    infinite; elsewhere it is max over tau of |extrapolated - closed| /
-    max(1, |closed|).
+    Each row is (T0, zeta, beta, delta, g1 error, g2 error, flag). The g1
+    error is the absolute one at alpha = 0 and at ``G1_DRIVE``; the g2
+    error is max over tau of |solver - closed| / max(1, |closed|) with the
+    solver at alpha = 0, and NaN on rows flagged ``"divergent"``.
     """
     start = time.time()
-    tau = np.linspace(0.0, 8.0, 161)
-    rows = []
-    for T0 in (0.15, 0.5, 1.0):
-        phi = phi_from_t0(math.sqrt(T0))
-        for zeta in (1.0, 1.2):
-            for beta in (0.9, 1.0):
-                for d in np.linspace(-6.0, 6.0, 13):
-                    d = float(d)
-                    err_g1 = 0.0
-                    for alpha in (1e-3, 0.5):
-                        p = DimensionlessParams(delta=d, zeta=zeta, alpha=alpha,
-                                                phi=phi, sigma=0.0, t_resp=0.0)
-                        err_g1 = max(err_g1,
-                                     abs(output_correlator_g1(p, beta)
-                                         - g1_general(d, zeta, beta, phi, alpha)))
-                    if on_ideal_fano_zero(T0, zeta, beta, d):
-                        rows.append((T0, zeta, beta, d, err_g1, None, np.inf))
-                        continue
-                    closed = g2_tau_general(tau, d, zeta, beta, phi)
-                    got = zero_drive_limit([
-                        output_correlator_g2(
-                            tau, DimensionlessParams(delta=d, zeta=zeta, alpha=a,
-                                                     phi=phi, sigma=0.0,
-                                                     t_resp=0.0), beta)
-                        for a in G2_DRIVES])
-                    scaled = np.abs(got - closed) / np.maximum(1.0, np.abs(closed))
-                    rows.append((T0, zeta, beta, d, err_g1, float(np.max(scaled)),
-                                 float(np.max(closed))))
+    rows, _ = oracle_check()
     return rows, time.time() - start
 
 
@@ -160,31 +121,35 @@ def test_criterion_4_g1_equivalence_and_runtime(oracle_grid):
     ok = worst < 1e-6 and elapsed < 60.0
     assert report("4 (g1 + runtime)", ok,
                   f"max |solver - closed form| = {worst:.2e} over "
-                  f"{len(rows)} points incl. drive 0.5 (tol 1e-6); "
+                  f"{len(rows)} points incl. drive {G1_DRIVE} (tol 1e-6); "
                   f"sweep took {elapsed:.1f} s (limit 60 s)")
 
 
 def test_criterion_4_g2_equivalence(oracle_grid):
     rows, _ = oracle_grid
-    compared = [r for r in rows if r[5] is not None]
-    divergent = [r for r in rows if r[5] is None]
+    compared = [r for r in rows if not r[6]]
+    divergent = [r for r in rows if r[6]]
     failing = [r for r in compared if not r[5] <= 5e-3]
     worst = max(r[5] for r in compared)
-    ok = not failing and len(compared) >= 154
+    # the exclusion is analytic: exactly the points on the ideal Fano zero
+    on_zero = [r[:4] for r in rows if on_ideal_fano_zero(*r[:4])]
+    ok = not failing and len(compared) >= 154 and [r[:4] for r in divergent] == on_zero
     detail = (f"{len(compared) - len(failing)}/{len(compared)} compared points "
-              f"within 5e-3 * max(1, g2) of the zero-drive limit; "
+              f"within 5e-3 * max(1, g2) of the zero-drive solver; "
               f"{len(divergent)} point(s) on the ideal Fano zero out of domain; "
               f"worst scaled error {worst:.2e}")
     report("4 (g2)", ok, detail)
     if not ok:
         lines = [f"  T0={r[0]:.2f} zeta={r[1]} beta={r[2]} delta={r[3]:+.0f}: "
-                 f"scaled |err|={r[5]:.3g} with max g2 = {r[6]:.3g}" for r in failing]
+                 f"scaled |err|={r[5]:.3g}" for r in failing]
         pytest.fail(
             "criterion 4 (g2) regressed: the weak-pump closed form "
-            "g2_tau_general no longer matches the regression solver's "
-            f"alpha -> 0 limit (drives {G2_DRIVES}) within 5e-3 * max(1, |g2|) "
-            f"on {len(compared)} compared points (at least 154 expected). "
-            "Offending points:\n" + "\n".join(lines))
+            "g2_tau_general no longer matches the regression solver at "
+            f"alpha = 0 within 5e-3 * max(1, |g2|) on {len(compared)} "
+            "compared points (at least 154 expected), or the points left "
+            "out are not exactly those on the ideal Fano zero "
+            f"({[r[:4] for r in divergent]}). Offending points:\n"
+            + "\n".join(lines))
 
 
 def test_criterion_5_reference_configuration_bands():
@@ -326,11 +291,19 @@ def test_criterion_8_identity_suite():
     if np.max(np.abs(output_correlator_g2(tau, p, 0.0) - 1.0)) > 1e-15:
         problems.append("beta=0 solver g2")
 
-    # background matrix unitary across the full range
-    worst_defect = max(scattering_matrix(t0).unitarity_defect
-                       for t0 in np.linspace(0.0, 1.0, 101))
+    # background matrix unitary across the full range, and the phase the
+    # program derives from t0 is its own: cos(phi) = t0, sin(phi) = r0
+    worst_defect = worst_phase = 0.0
+    for t0 in np.linspace(0.0, 1.0, 101):
+        S = scattering_matrix(t0)
+        phi = phi_from_t0(t0)
+        worst_defect = max(worst_defect, np.max(np.abs(S.conj().T @ S - np.eye(2))))
+        worst_phase = max(worst_phase, abs(math.cos(phi) - S[0, 0]),
+                          abs(1j * math.sin(phi) - S[0, 1]))
     if worst_defect > 1e-12:
         problems.append(f"unitarity defect {worst_defect:.1e}")
+    if worst_phase > 1e-15:
+        problems.append(f"phi_from_t0 off the background by {worst_phase:.1e}")
 
     ok = not problems
     assert report(8, ok, "all identities hold" if ok else

@@ -10,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fanostat import (DimensionlessParams, bloch_matrix, g1_general, g1_ideal,
+from analytic import g1_ideal
+from fanostat import (DimensionlessParams, bloch_matrix, g1_general,
                       g2_tau_general, output_correlator_g1,
                       output_correlator_g2, phi_from_t0, propagate_exact,
                       steady_state)
 from fanostat.bloch import _exp_triangular
-from fanostat.cli import main
+from fanostat.cli import main, oracle_check
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 
@@ -331,18 +332,6 @@ class TestOutputG1:
                     g1_general(delta, zeta, 0.9, PHI15, 0.5), abs=1e-14)
 
 
-def criterion_4_points():
-    """Criterion 4's grid (T0, zeta, beta, delta) with the weak-drive closed
-    form, less the two points on the ideal Fano zero where it is infinite."""
-    tau = np.linspace(0.0, 8.0, 161)
-    for T0, zeta, beta, delta in itertools.product(
-            (0.15, 0.5, 1.0), (1.0, 1.2), (0.9, 1.0), np.linspace(-6.0, 6.0, 13)):
-        phi = phi_from_t0(math.sqrt(T0))
-        closed = g2_tau_general(tau, float(delta), zeta, beta, phi)
-        if np.all(np.isfinite(closed)):
-            yield tau, dp(delta=float(delta), zeta=zeta, alpha=0.0, phi=phi), beta, closed
-
-
 class TestOutputG2:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_delay_rejected(self, bad):
@@ -385,12 +374,10 @@ class TestOutputG2:
             output_correlator_g2(np.array([[0.0, 1.0]]), dp(), 1.0)
 
     def test_zero_drive_matches_closed_form(self):
-        worst, count = 0.0, 0
-        for tau, params, beta, closed in criterion_4_points():
-            got = output_correlator_g2(tau, params, beta)
-            worst, count = max(worst, scaled_error(got, closed)), count + 1
-        assert count == 154
-        assert worst < 1e-9
+        # criterion 4's sweep: alpha = 0, compared wherever g2 is finite
+        rows, summary = oracle_check()
+        assert len([r for r in rows if not r[6]]) == 154
+        assert summary["max_g2_error"] < 1e-9
 
     @pytest.mark.parametrize("zeta", [2 - 1e-2, 2 - 1e-4, 2 + 1e-4, 2 + 1e-2])
     def test_zero_drive_through_the_rate_collision(self, zeta):

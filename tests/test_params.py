@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from analytic import scattering_matrix
 from fanostat import (HBAR_UEV_PS, DimensionlessParams, PhysicalParams,
                       detuning_to_delta, hbar_gamma, phi_from_t0,
-                      scattering_matrix, tau_to_dimensionless,
-                      to_dimensionless)
+                      tau_to_dimensionless, to_dimensionless)
 
 REF = PhysicalParams()   # defaults are the documented reference configuration
 
@@ -115,29 +115,41 @@ class TestCouplingVector:
         d = np.full(2, 1j * np.exp(1j * phi / 2.0) * math.sqrt(beta * gamma / 2.0))
         assert np.sum(np.abs(d) ** 2) == pytest.approx(beta * gamma, rel=1e-12)
         # the background matrix maps the coupling onto its negated conjugate
-        C = scattering_matrix(t0).matrix
+        C = scattering_matrix(t0)
         assert np.allclose(C.conj().T @ d, -d.conj(), atol=1e-12)
 
 
+def unitarity_defect(S):
+    return float(np.max(np.abs(S.conj().T @ S - np.eye(2))))
+
+
 class TestScatteringMatrix:
+    """The background ((cos phi, i sin phi), (i sin phi, cos phi)) in the
+    phase ``phi_from_t0`` gives: cos(phi) = t0, sin(phi) = -sqrt(1 - t0^2)."""
+
     def test_transparent(self):
-        assert np.allclose(scattering_matrix(1.0).matrix, np.eye(2), atol=1e-15)
+        assert phi_from_t0(1.0) == 0.0
+        assert np.allclose(scattering_matrix(1.0), np.eye(2), atol=1e-15)
 
     def test_full_reflector(self):
-        m = scattering_matrix(0.0).matrix
+        assert phi_from_t0(0.0) == -math.pi / 2
+        m = scattering_matrix(0.0)
         assert m[0, 0] == 0 and m[1, 1] == 0
         assert abs(m[0, 1]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("t0", np.linspace(0.0, 1.0, 41))
     def test_unitarity(self, t0):
-        assert scattering_matrix(t0).unitarity_defect < 1e-12
+        phi = phi_from_t0(t0)
+        assert math.cos(phi) == pytest.approx(t0, abs=1e-15)
+        assert math.sin(phi) == pytest.approx(-math.sqrt(1.0 - t0 * t0), abs=1e-15)
+        assert unitarity_defect(scattering_matrix(t0)) < 1e-12
 
     def test_reference_unitarity_tight(self):
-        assert scattering_matrix(0.62).unitarity_defect < 1e-14
+        assert unitarity_defect(scattering_matrix(0.62)) < 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            scattering_matrix(1.01)
+            phi_from_t0(1.01)
 
 
 def test_to_dimensionless_rejects_nonfinite_laser():
