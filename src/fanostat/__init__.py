@@ -12,7 +12,7 @@ from .correlators import (CorrelatorDecomposition, G2Coefficients, g1_general,
                           g2_coefficients, g2_tau_general, g2_tau_parts,
                           g2zero_ideal)
 from .averaging import ModelCurves, avg_g1, avg_g2, check_refinement
-from .bloch import (bloch_matrix, output_correlator_g1, output_correlator_g2,
+from .bloch import (bloch_matrix, output_correlators, output_g1,
                     propagate_exact, steady_state)
 from .fitting import (FitResult, G2Histogram, MeasurementSet, fit_full_model,
                       fit_report)

@@ -11,6 +11,16 @@ expectation of the sandwich operators) and assembles the
 transmitted-field correlators from the input-output relation
 ``c_out = t0*c_in + d*sigma_minus``.
 
+Every function works on a detuning sweep: a 1-d array of n detunings at
+one (zeta, alpha, phi, beta). The n Bloch matrices are stacked into an
+(n, 3, 3) array, their stationary states come from one batched solve, and
+the propagation runs over a leading point axis; only the Schur form is
+taken one matrix at a time. Each point is computed with the same
+elementwise operations as it would be alone, so a sweep equals its points
+solved one by one, bit for bit. :func:`output_correlators` returns g1 and
+g2 of a sweep from one stationary solve per point; :func:`output_g1` is the
+stationary part alone.
+
 Reduced units as elsewhere: time in 2/gamma, so the population decays at
 rate 2 and the coherence at rate zeta; the drive amplitude is
 ``g = i*exp(i*phi/2)*sqrt(alpha/2)``.
@@ -49,99 +59,110 @@ SERIES_SPREAD = 0.2
 SERIES_TERMS = 13
 
 
-def bloch_matrix(params: DimensionlessParams):
-    """Scaled linear system (M, b) with d/dtau (x, y, m) = M v + b."""
-    dlt, z, a = params.delta, params.zeta, params.alpha
-    M = np.array([
-        [1j * dlt - z, 0.0, -a],
-        [0.0, -1j * dlt - z, -a],
-        [1.0, 1.0, -2.0],
-    ], dtype=complex)
-    b = np.array([1.0, 1.0, 0.0], dtype=complex)
-    return M, b
+def bloch_matrix(deltas, zeta, alpha):
+    """Scaled linear systems (M, b), d/dtau (x, y, m) = M v + b, one per
+    detuning: M has shape (n, 3, 3) and b, shared, shape (3,)."""
+    deltas = np.asarray(deltas, dtype=float)
+    M = np.zeros((deltas.size, 3, 3), dtype=complex)
+    M[:, 0, 0] = 1j * deltas - zeta
+    M[:, 1, 1] = -1j * deltas - zeta
+    M[:, :2, 2] = -alpha
+    M[:, 2] = (1.0, 1.0, -2.0)
+    return M, np.array([1.0, 1.0, 0.0], dtype=complex)
 
 
-def steady_state(params: DimensionlessParams):
-    """Stationary scaled averages (x, y, m) as a complex array.
+def steady_state(M, b):
+    """Stationary scaled averages (x, y, m) of each system, shape (n, 3).
 
-    x = <sigma_->/g and m = n/|g|^2; at alpha = 0 they are the linear
-    response x = 1/(zeta - i*delta), m = Re(x).
+    One batched solve of M v = -b. x = <sigma_->/g and m = n/|g|^2; at
+    alpha = 0 they are the linear response x = 1/(zeta - i*delta), m = Re(x).
+    Every point is checked for its residual and its conjugation symmetry.
     """
-    M, b = bloch_matrix(params)
     try:
-        v = np.linalg.solve(M, -b)
+        v = np.linalg.solve(M, -b[:, None])[..., 0]
     except np.linalg.LinAlgError as err:
         raise ValueError("stationary system is singular") from err
-    residual = float(np.max(np.abs(M @ v + b)))
+    residual = float(np.max(np.abs(_matvec(M, v) + b)))
     if residual > 1e-12:
         raise ValueError(f"stationary residual too large: {residual:.2e}")
-    if abs(np.imag(v[2])) > 1e-12 or abs(np.conj(v[0]) - v[1]) > 1e-10:
+    if (np.max(np.abs(v[:, 2].imag)) > 1e-12
+            or np.max(np.abs(np.conj(v[:, 0]) - v[:, 1])) > 1e-10):
         raise ValueError("stationary solution violates conjugation symmetry")
     return v
 
 
 def _divided_difference(la, lb, tau):
-    """f[la, lb] of exp(lambda*tau) at every tau, exact where la meets lb.
+    """f[la, lb] of exp(lambda*tau) for each point and delay, shape
+    (n, len(tau)), exact where la meets lb.
 
     The factor taken out is the exponential with the larger real part, so
     exp(z) stays bounded by one. expm1(z)/z = 1 + z/2 + ... rounds to 1 for
     |z| below eps, where a complex division of subnormal numbers can
     overflow.
     """
-    if la.real > lb.real:
-        la, lb = lb, la
-    z = (la - lb) * tau
+    swap = la.real > lb.real
+    la, lb = np.where(swap, lb, la), np.where(swap, la, lb)
+    z = (la - lb)[:, None] * tau
     ratio = np.divide(np.expm1(z), z, out=np.ones_like(z),
                       where=np.abs(z) > np.finfo(float).eps)
-    return np.exp(lb * tau) * tau * ratio
+    return np.exp(lb[:, None] * tau) * tau * ratio
 
 
 def _second_divided_difference(lam, tau, dd):
-    """f[lam0, lam1, lam2] of exp(lambda*tau) at every tau, from the first
-    divided differences ``dd[i, j]`` (i < j).
+    """f[lam0, lam1, lam2] of exp(lambda*tau) for each point (a row of
+    ``lam``, shape (n, 3)) and delay, from the first divided differences
+    ``dd[i, j]`` (i < j).
 
-    The difference is symmetric in its points, so it divides by the pair
-    with the largest separation and stays stable where two of them meet.
-    Where all three lie within ``SERIES_SPREAD / tau`` it is the series about
-    their mean mu, exp(mu*tau) * sum_k h_k(lam - mu) * tau**(k+2) / (k+2)!,
-    with h_k the complete homogeneous sums (from e1 = 0,
-    h_k = e3*h_(k-3) - e2*h_(k-2)).
+    The difference is symmetric in its points, so each point divides by its
+    pair with the largest separation and stays stable where two of them
+    meet. Where all three lie within ``SERIES_SPREAD / tau`` it is the series
+    about their mean mu, exp(mu*tau) * tau**2 * sum_k h_k(y) / (k+2)!, with
+    y = (lam - mu)*tau and h_k the complete homogeneous sums (from e1 = 0,
+    h_k = e3*h_(k-3) - e2*h_(k-2)); |y| <= SERIES_SPREAD there, so no term
+    overflows however far apart the eigenvalues are.
     """
     # f[a, b, c] = (f[a, b] - f[b, c]) / (lam_a - lam_c) in any order of the
     # points: (divisor pair (a, c), (a, b), (b, c)) for b = 1, 2, 0
-    (i, j), p, q = max((((0, 2), (0, 1), (1, 2)), ((0, 1), (0, 2), (1, 2)),
-                        ((1, 2), (0, 1), (0, 2))),
-                       key=lambda r: abs(lam[r[0][0]] - lam[r[0][1]]))
-    near = abs(lam[i] - lam[j]) * tau <= SERIES_SPREAD
-    f = np.empty(tau.shape, dtype=complex)
-    f[~near] = (dd[p][~near] - dd[q][~near]) / (lam[i] - lam[j])
+    orders = (((0, 2), (0, 1), (1, 2)), ((0, 1), (0, 2), (1, 2)),
+              ((1, 2), (0, 1), (0, 2)))
+    gaps = np.stack([lam[:, i] - lam[:, j] for (i, j), _, _ in orders], axis=1)
+    pick = np.argmax(np.abs(gaps), axis=1)
+    rows = np.arange(len(lam))
+    gap = gaps[rows, pick][:, None]
+    diffs = np.stack([dd[p] - dd[q] for _, p, q in orders])[pick, rows]
+    near = np.abs(gap) * tau <= SERIES_SPREAD
+    # the divisor is zero where all three eigenvalues coincide; near holds
+    # every delay of such a point, so it is never divided by
+    f = np.divide(diffs, gap, out=np.empty_like(diffs), where=~near)
     if not near.any():
         return f
-    mu = lam.mean()
-    x = lam - mu
-    e2 = x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
-    e3 = x[0] * x[1] * x[2]
+    mu = lam.mean(axis=1)
+    point = np.nonzero(near)[0]
+    t = np.broadcast_to(tau, near.shape)[near]
+    y = (lam - mu[:, None])[point] * t[:, None]
+    e2 = y[:, 0] * y[:, 1] + y[:, 0] * y[:, 2] + y[:, 1] * y[:, 2]
+    e3 = y[:, 0] * y[:, 1] * y[:, 2]
     h = [1.0, 0.0, -e2]
     for k in range(3, SERIES_TERMS):
         h.append(e3 * h[k - 3] - e2 * h[k - 2])
-    t = tau[near]
-    f[near] = np.exp(mu * t) * sum(hk * t ** (k + 2) / math.factorial(k + 2)
-                                   for k, hk in enumerate(h))
+    f[near] = (np.exp(mu[point] * t) * t * t
+               * sum(hk / math.factorial(k + 2) for k, hk in enumerate(h)))
     return f
 
 
 def _exp_triangular(T, tau):
-    """exp(T*tau) of an upper-triangular 3x3 T, shape (len(tau), 3, 3)."""
-    lam = np.diag(T)
-    dd = {(i, j): _divided_difference(lam[i], lam[j], tau)
+    """exp(T*tau) of each upper-triangular 3x3 T[p], shape (n, len(tau), 3, 3)."""
+    lam = np.diagonal(T, axis1=1, axis2=2)
+    dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], tau)
           for i, j in ((0, 1), (1, 2), (0, 2))}
-    F = np.zeros((tau.size, 3, 3), dtype=complex)
+    F = np.zeros((len(T), tau.size, 3, 3), dtype=complex)
     for i in range(3):
-        F[:, i, i] = np.exp(lam[i] * tau)
-    F[:, 0, 1] = T[0, 1] * dd[0, 1]
-    F[:, 1, 2] = T[1, 2] * dd[1, 2]
-    F[:, 0, 2] = (T[0, 2] * dd[0, 2]
-                  + T[0, 1] * T[1, 2] * _second_divided_difference(lam, tau, dd))
+        F[:, :, i, i] = np.exp(lam[:, i, None] * tau)
+    F[:, :, 0, 1] = T[:, 0, 1, None] * dd[0, 1]
+    F[:, :, 1, 2] = T[:, 1, 2, None] * dd[1, 2]
+    F[:, :, 0, 2] = (T[:, 0, 2, None] * dd[0, 2]
+                     + (T[:, 0, 1] * T[:, 1, 2])[:, None]
+                     * _second_divided_difference(lam, tau, dd))
     return F
 
 
@@ -151,79 +172,104 @@ def _matvec(A, x):
     return A[..., 0] * x[..., :1] + A[..., 1] * x[..., 1:2] + A[..., 2] * x[..., 2:]
 
 
-def propagate_exact(initials, identities, tau, params: DimensionlessParams):
+def propagate_exact(initials, identities, tau, M, b):
     """Exact propagation of scaled regression vectors to every delay.
 
-    ``initials`` has shape (k, 3): the scaled components (x, y, m) of each
-    vector at tau = 0. ``identities`` has shape (k,): each vector's scaled
-    <L R>, which multiplies the inhomogeneous term b (the regression rule;
-    1 for a one-time state). ``tau`` is a 1-d array of finite, non-negative
-    reduced delays. The system is linear, so
+    ``M``, shape (n, 3, 3), and ``b`` are the n systems of
+    :func:`bloch_matrix`. ``initials`` has shape (n, k, 3): the scaled
+    components (x, y, m) of each point's k vectors at tau = 0.
+    ``identities`` has shape (n, k): each vector's scaled <L R>, which
+    multiplies the inhomogeneous term b (the regression rule; 1 for a
+    one-time state). ``tau`` is a non-empty 1-d array of finite,
+    non-negative reduced delays. The system is linear, so
     v(tau) = v_inf + Q exp(T tau) Q^H (v0 - v_inf), with M = Q T Q^H the
-    complex Schur form of the Bloch matrix. exp(T tau) has exp(lambda_i tau)
+    complex Schur form of each Bloch matrix. exp(T tau) has exp(lambda_i tau)
     on its diagonal and divided differences of exp(lambda tau) above it,
     with a series for the second one where all three eigenvalues meet; the
     unitary Q keeps this exact at exceptional points, where M has no
-    eigenbasis. Returns an array of shape (k, 3, len(tau)): the components
-    of each vector along the delays.
+    eigenbasis. Returns an array of shape (n, k, 3, len(tau)).
+
+    Where the drive is so strong that the propagation overflows, it raises
+    ``ValueError``.
     """
     tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or not np.all(np.isfinite(tau)) or np.any(tau < 0):
-        raise ValueError("tau must be a 1-d array of finite non-negative delays")
+    if (tau.ndim != 1 or tau.size == 0 or not np.all(np.isfinite(tau))
+            or np.any(tau < 0)):
+        raise ValueError("tau must be a non-empty 1-d array of finite "
+                         "non-negative delays")
     v0 = np.asarray(initials, dtype=complex)
     ident = np.asarray(identities, dtype=complex)
-    if v0.ndim != 2 or v0.shape[1] != 3 or ident.shape != v0.shape[:1]:
-        raise ValueError("initials must have shape (k, 3) and identities (k,)")
-    M, b = bloch_matrix(params)
-    vinf = np.linalg.solve(M, -np.outer(b, ident)).T
-    T, Q = schur(M, output="complex")
-    w = _matvec(Q.conj().T, v0 - vinf)[:, None, :]     # Q^H (v0 - v_inf)
-    v = _matvec(Q, _matvec(_exp_triangular(T, tau), w))
-    return vinf[:, :, None] + v.transpose(0, 2, 1)
+    if (v0.ndim != 3 or v0.shape[2] != 3 or ident.shape != v0.shape[:2]
+            or M.shape != (len(v0), 3, 3)):
+        raise ValueError("initials must have shape (n, k, 3), identities "
+                         "(n, k) and M (n, 3, 3)")
+    vinf = np.linalg.solve(M, -b[:, None] * ident[:, None, :]).transpose(0, 2, 1)
+    T, Q = map(np.array, zip(*[schur(m, output="complex") for m in M]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)  # Q^H (v0 - v_inf)
+        v = _matvec(Q[:, None, None],
+                    _matvec(_exp_triangular(T, tau)[:, None], w[:, :, None]))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("regression propagation overflowed: the drive is "
+                         "too strong for double precision")
+    return vinf[..., None] + v.transpose(0, 1, 3, 2)
 
 
-def _stationary(params: DimensionlessParams, beta):
-    """Scaled steady state x and m, the field ratio c = kappa*g, and g1.
+def _stationary(deltas, zeta, alpha, phi, beta):
+    """Bloch systems (M, b), scaled steady states v = (x, y, m), the field
+    ratio c = kappa*g and g1 of each detuning.
 
     g1 = 1 + 2*Re(c*x) + |c|^2*m is an intensity ratio, clamped at zero like
     the closed form: on the ideal Fano zero at alpha = 0 rounding can leave
     it a few ulp below.
     """
-    x, _, m = steady_state(params)
-    c = -np.exp(1j * params.phi) * beta / math.cos(params.phi)
-    g1 = max(float(1.0 + 2.0 * np.real(c * x) + abs(c) ** 2 * np.real(m)), 0.0)
-    return x, m, c, g1
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0 or not np.all(np.isfinite(deltas)):
+        raise ValueError("deltas must be a non-empty 1-d array of finite detunings")
+    # zeta, alpha and phi are checked as every reduced parameter set is
+    DimensionlessParams(delta=0.0, zeta=zeta, alpha=alpha, phi=phi,
+                        sigma=0.0, t_resp=0.0)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    M, b = bloch_matrix(deltas, zeta, alpha)
+    v = steady_state(M, b)
+    c = -np.exp(1j * phi) * beta / math.cos(phi)
+    g1 = np.maximum(1.0 + 2.0 * np.real(c * v[:, 0]) + abs(c) ** 2 * np.real(v[:, 2]),
+                    0.0)
+    return M, b, v, c, g1
 
 
-def output_correlator_g1(params: DimensionlessParams, beta):
-    """Stationary normalized transmission assembled from steady-state moments."""
-    return _stationary(params, beta)[3]
+def output_g1(deltas, zeta, alpha, phi, beta):
+    """Stationary normalized transmission of each detuning, shape (n,),
+    assembled from the steady-state moments."""
+    return _stationary(deltas, zeta, alpha, phi, beta)[4]
 
 
-def output_correlator_g2(tau_grid, params: DimensionlessParams, beta):
-    """Normalized two-time intensity correlator of the transmitted field.
+def output_correlators(tau, deltas, zeta, alpha, phi, beta):
+    """Normalized transmission and two-time intensity correlator of the
+    transmitted field over a detuning sweep: (g1, g2), shapes (n,) and
+    (n, len(tau)).
 
-    Propagates the two regression vectors exactly over ``tau_grid`` (reduced
-    units, non-negative) and assembles the normally ordered four-point
-    correlator; the result is normalized by the squared stationary intensity
-    so it approaches 1 at long delay. The propagation adds only rounding, so
-    at alpha = 0 this is the weak-drive limit itself, and at finite alpha the
-    difference from the closed form is the physical finite-drive term.
+    Solves each stationary state once, propagates the two regression vectors
+    of every point exactly over ``tau`` (reduced units, non-negative) and
+    assembles the normally ordered four-point correlator; g2 is normalized
+    by the squared stationary intensity so it approaches 1 at long delay.
+    The propagation adds only rounding, so at alpha = 0 this is the
+    weak-drive limit itself, and at finite alpha the difference from the
+    closed form is the physical finite-drive term. Where the transmission
+    vanishes g2 is inf, as in the closed form.
     """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.ndim != 1 or tau_grid.size == 0:
-        raise ValueError("tau_grid must be a non-empty 1-d array")
-    if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
-        raise ValueError("tau_grid must be finite and non-negative")
-
-    x, m, c, g1 = _stationary(params, beta)
+    M, b, v, c, g1 = _stationary(deltas, zeta, alpha, phi, beta)
+    x, m = v[:, 0], v[:, 2]
     # u = <sigma_l(t+tau) sigma_-(t)> / (g D_l) starts at (0, m, 0) with
     # identity <sigma_->/g = x; v = <sigma_+ sigma_l(t+tau) sigma_-> /
     # (|g|^2 D_l) starts at 0 with identity n/|g|^2 = m
+    initials = np.zeros((len(v), 2, 3), dtype=complex)
+    initials[:, 0, 1] = m
     (um, up, un), (vm, _vp, vn) = propagate_exact(
-        [[0.0, m, 0.0], [0.0, 0.0, 0.0]], [x, m], tau_grid, params)
+        initials, np.stack([x, m], axis=-1), tau, M, b).transpose(1, 2, 0, 3)
 
-    m = np.real(m)
+    x, m = x[:, None], np.real(m)[:, None]
     c2 = abs(c) ** 2
     G = (1.0
          + 4.0 * np.real(c * x)
@@ -237,9 +283,8 @@ def output_correlator_g2(tau_grid, params: DimensionlessParams, beta):
     if imag_defect > 1e-8:
         raise RuntimeError(f"sandwich correlator not real: {imag_defect:.2e}")
 
-    # where the transmission vanishes g2 is inf, as in the closed form
     with np.errstate(divide="ignore"):
-        g2 = G / g1**2
+        g2 = G / g1[:, None] ** 2
     if np.any(g2 < -1e-8):
         raise RuntimeError("negative correlator beyond tolerance: propagation fault")
-    return g2
+    return g1, g2

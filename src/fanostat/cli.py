@@ -18,19 +18,19 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .averaging import ModelCurves
-from .bloch import output_correlator_g2, output_correlator_g1
+from .bloch import output_correlators, output_g1
 from .correlators import g1_general, g2_tau_general, g2zero_ideal
 from .fitting import fit_full_model, fit_report
 from .io import (DataFormatError, load_measurements, merge_measurements,
                  params_from_config, write_series)
-from .params import (DimensionlessParams, FPBackground, PhysicalParams,
-                     detuning_to_delta, fp_background, phi_from_t0)
+from .params import (FPBackground, PhysicalParams, detuning_to_delta,
+                     fp_background, phi_from_t0)
 
 SCAN_MODES = ("transmission", "g2zero", "g2trace", "decompose")
 
@@ -138,8 +138,11 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
     """Compare the regression solver with the closed forms over a grid.
 
     Returns (rows, summary), one row (T0, zeta, beta, delta, g1 error, g2
-    error, flag) per point. The g1 error is the absolute difference from
-    ``g1_general``, the larger of those at ``alpha`` and at ``G1_DRIVE``.
+    error, flag) per point, in the order of ``itertools.product(t0s, zetas,
+    betas, deltas)``. Each (T0, zeta, beta) block is one detuning sweep of
+    the solver: g1 and g2 from one stationary solve per detuning at
+    ``alpha``, and g1 alone at ``G1_DRIVE``. The g1 error is the absolute
+    difference from ``g1_general``, the larger of those at the two drives.
     The g2 error is max over tau of |solver - closed| / max(1, |closed|)
     against the weak-drive closed form; it is NaN, flagged ``"divergent"``,
     where that form is infinite (the ideal Fano zero). At the default
@@ -147,22 +150,23 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
     physical O(alpha) term.
     """
     tau = np.linspace(0.0, tau_max, tau_points)
+    deltas = np.array(deltas, dtype=float)
     rows = []
-    for t0, zeta, beta, dlt in itertools.product(t0s, zetas, betas, deltas):
-        phi, dl = phi_from_t0(t0), float(dlt)
-        dp = DimensionlessParams(delta=dl, zeta=zeta, alpha=alpha, phi=phi,
-                                 sigma=0.0, t_resp=0.0)
-        e1 = max(abs(output_correlator_g1(dp, beta)
-                     - g1_general(dl, zeta, beta, phi, alpha)),
-                 abs(output_correlator_g1(replace(dp, alpha=G1_DRIVE), beta)
-                     - g1_general(dl, zeta, beta, phi, G1_DRIVE)))
-        g2_closed = g2_tau_general(tau, dl, zeta, beta, phi)
-        if np.all(np.isfinite(g2_closed)):
-            e2 = float(np.max(np.abs(output_correlator_g2(tau, dp, beta) - g2_closed)
-                              / np.maximum(1.0, np.abs(g2_closed))))
-            rows.append((t0 * t0, zeta, beta, dl, e1, e2, ""))
-        else:
-            rows.append((t0 * t0, zeta, beta, dl, e1, math.nan, "divergent"))
+    for t0, zeta, beta in itertools.product(t0s, zetas, betas):
+        phi = phi_from_t0(t0)
+        closed = g2_tau_general(tau, deltas[:, None], zeta, beta, phi)
+        g1, g2 = output_correlators(tau, deltas, zeta, alpha, phi, beta)
+        e1 = np.maximum(
+            np.abs(g1 - g1_general(deltas, zeta, beta, phi, alpha)),
+            np.abs(output_g1(deltas, zeta, G1_DRIVE, phi, beta)
+                   - g1_general(deltas, zeta, beta, phi, G1_DRIVE)))
+        finite = np.all(np.isfinite(closed), axis=1)
+        e2 = np.full(deltas.shape, math.nan)
+        e2[finite] = np.max(np.abs(g2[finite] - closed[finite])
+                            / np.maximum(1.0, np.abs(closed[finite])), axis=1)
+        rows += [(t0 * t0, zeta, beta, dl, err1, err2, "" if ok else "divergent")
+                 for dl, err1, err2, ok in zip(deltas.tolist(), e1.tolist(),
+                                               e2.tolist(), finite.tolist())]
     compared = [r for r in rows if not r[6]]
     summary = {"max_g1_error": max((r[4] for r in rows), default=0.0),
                "max_g2_error": max((r[5] for r in compared), default=0.0),
@@ -201,6 +205,13 @@ def _onoff(text):
     if text not in ("on", "off"):
         raise argparse.ArgumentTypeError("expected on or off")
     return text == "on"
+
+
+def _positive(text):
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive tolerance, got {text}")
+    return value
 
 
 def build_parser():
@@ -244,9 +255,9 @@ def build_parser():
     oc.add_argument("--t0s", help="comma-separated t0 values")
     oc.add_argument("--zetas", help="comma-separated zeta values")
     oc.add_argument("--betas", help="comma-separated beta values")
-    oc.add_argument("--tol-g1", type=float, default=1e-6,
+    oc.add_argument("--tol-g1", type=_positive, default=1e-6,
                     help="bound on the absolute g1 error")
-    oc.add_argument("--tol-g2", type=float, default=5e-3, help="bound on the "
+    oc.add_argument("--tol-g2", type=_positive, default=5e-3, help="bound on the "
                     "scaled g2 error |solver - closed| / max(1, |closed|)")
     oc.add_argument("--out", help="optional per-point error table")
     oc.add_argument("--format", choices=("csv", "json"), default="csv")

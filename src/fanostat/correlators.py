@@ -35,6 +35,10 @@ from scipy.special import erfcx
 
 _HALF_PI = np.pi / 2.0
 
+# the g2 coefficients carry zeta**6 (B's denominator), which overflows
+# double precision above zeta = 1.5e51
+ZETA_MAX = 1e50
+
 
 def _check_phi(phi):
     phi = float(phi)
@@ -48,6 +52,9 @@ def check_params(zeta, beta, phi, alpha=0.0):
     phi = _check_phi(phi)
     if zeta < 1.0:
         raise ValueError("zeta must be >= 1")
+    if not zeta <= ZETA_MAX:
+        raise ValueError(f"zeta must not exceed {ZETA_MAX:g}, where the closed "
+                         f"forms overflow; got {zeta!r}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if alpha < 0.0:

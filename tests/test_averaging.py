@@ -311,6 +311,16 @@ class TestModelCurves:
         assert vals.shape == det.shape
         assert np.all((vals > 0) & (vals < 2.5))
 
+    # dephasing_time = 1e-300 ps is zeta = 2.5e302, where the closed forms
+    # overflow; a valid PhysicalParams, so a typed error and no traceback
+    def test_overflowing_dephasing_transmission_is_a_typed_error(self):
+        with pytest.raises(ValueError, match="zeta"):
+            ModelCurves(PhysicalParams(dephasing_time=1e-300)).transmission([0.0])
+
+    def test_overflowing_dephasing_g2zero_is_a_typed_error(self):
+        with pytest.raises(ValueError, match="zeta"):
+            ModelCurves(PhysicalParams(dephasing_time=1e-300)).g2zero([0.0])
+
     @pytest.mark.xfail(strict=True, reason=(
         "open fault, ROADMAP item 1: at zeta = 2 the rate collision divides "
         "by |2 - a|^2 = 0 on the delta = 0 node and gives NaN"))

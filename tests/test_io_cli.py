@@ -515,6 +515,21 @@ class TestCLI:
                      "--betas", "1.0", "--tol-g2", "1e-12"])
         assert code == 4
 
+    @pytest.mark.parametrize("flag", ["--zetas=1e160", "--alpha=1e200"],
+                             ids=["closed-form-overflow", "propagation-overflow"])
+    def test_oracle_check_overflow_exit_code(self, flag, capsys):
+        # a typed error (exit 2), not a traceback or a NaN that reads as
+        # "tolerance exceeded"
+        assert main(["oracle-check", "--deltas=0", flag]) == 2
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-3"])
+    @pytest.mark.parametrize("flag", ["--tol-g1", "--tol-g2"])
+    def test_oracle_check_rejects_a_tolerance_that_cannot_pass(self, flag, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--deltas=0", f"{flag}={tol}"])
+        assert exc.value.code == 2
+
     def test_fp_background_cli(self, tmp_path):
         out = tmp_path / "fp.csv"
         code = main(["fp-background", "--reflectivity", "0.4",
