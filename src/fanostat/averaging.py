@@ -8,9 +8,25 @@ averaged separately and then divided, so the averaged g2 still approaches 1
 at long delay and stays finite on top of the (unaveraged) divergences.
 
 The averaged transmission is a Voigt profile in closed form (Faddeeva
-function). The g2 average uses the Gauss-Hermite rule of order
-:data:`HERMITE_ORDER` over the detuning offsets; the detector's Gaussian
-response of width ``t_resp`` is applied in closed form to every decay component before averaging (see
+function). The g2 average is the trapezoid rule on one lattice per call,
+x_k = (k + 1/2) h with h = min(zeta, sigma)/4, shared by all its
+detunings; each weights the nodes within :data:`TAIL` widths of it by the
+Gaussian, so detunings farther apart than 2 TAIL sigma get separate
+windows. Numerator and denominator are analytic in |Im delta| < zeta (the
+detector factor is entire), so the error falls like exp(-2 pi zeta/h)
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 56, 2014); :func:`check_refinement` measures it by halving h.
+h is continuous in (zeta, sigma), so only the window truncation jumps, by
+the weight of a dropped node (< 2.6e-18). The half-step anchor keeps every
+node off delta = 0, where the bare closed form is singular at zeta = 2.
+Where the rounding of the nodes, eps |x|, exceeds :data:`RESOLUTION` sigma,
+the lattice cannot resolve the Gaussian and each detuning is its own node
+(the one-node rule, as at sigma = 0; its error is O(sigma^2 g2'')). Calls
+needing more than :data:`MAX_EVALUATIONS` node evaluations are split into
+blocks of neighbouring detunings and of delays, which bounds the memory; only
+a single detuning's window too wide for it raises ``ValueError``. The
+detector's Gaussian response of width ``t_resp`` is applied in closed form to
+every decay component before averaging (see
 :func:`fanostat.correlators.g2_tau_parts`).
 
 The drive enters the averaged transmission through the reduced intensity
@@ -18,53 +34,110 @@ The drive enters the averaged transmission through the reduced intensity
 curves of :class:`ModelCurves` refuse a finite drive with ``ValueError``.
 
 Each average can also return its exact partials in the reduced quantities:
-the Voigt profile through w'(z) = -2z w(z) + 2i/sqrt(pi), the g2 average
-by averaging the partials of its numerator and denominator on the same
-nodes and applying the quotient rule. :class:`ModelCurves` chains them to
-the physical fields of :data:`FIT_FIELDS`.
+the Voigt profile through w'(z) = -2z w(z) + 2i/sqrt(pi); the g2 average
+through the quotient rule from the partials of its numerator and
+denominator. Those in (zeta, beta, phi, tau, t_resp) are the node partials
+summed with the weights W; those in the detuning and in sigma are the node
+terms summed with the weights' derivatives W y/sigma and W (y^2 - 1)/sigma,
+y = (x_k - delta)/sigma, exact for the discrete sum at fixed nodes (moving
+the nodes with h changes the sum by no more than its error).
+:class:`ModelCurves` chains them to the physical fields of
+:data:`FIT_FIELDS`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.special import roots_hermite, wofz
+from scipy.special import wofz
 
-from .correlators import (_g1_formula, check_params, complex_step, g1_general,
-                          g2_tau_parts)
+from .correlators import (_g1_formula, _g2_sums, check_params, complex_step,
+                          g1_general)
 from .params import (HBAR_UEV_PS, PhysicalParams, detuning_to_delta,
                      tau_to_dimensionless, to_dimensionless)
 
 # the physical fields the model curves are differentiated in, in this order
 FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "beta")
 
-
-# doubling it moves the zero-delay g2 by 2.4e-7 at sigma = 1.79 (the reference
-# configuration) and by 3.3e-2 at sigma = 6 (see check_refinement)
-HERMITE_ORDER = 301
-
-
-@lru_cache(maxsize=2)
-def _hermite_rule(n):
-    # weights below 1e-18 of the largest change no sum beyond rounding (301 -> 99)
-    nodes, weights = roots_hermite(n)
-    keep = weights >= 1e-18 * weights.max()
-    nodes, weights = nodes[keep], weights[keep]
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+# the Gaussian is cut this many widths from each detuning (weights < 2.6e-18)
+TAIL = 9.0
+# the largest node rounding, eps |x|, relative to sigma that the lattice takes
+RESOLUTION = 1e-9
+# at most this many node evaluations, nodes x (delays + detunings), per
+# product with the weights; larger calls are split into blocks of detunings
+# and of delays. One block peaks near 70 MB with partials
+MAX_EVALUATIONS = 2**19
 
 
-def _wandering_nodes(sigma, n=HERMITE_ORDER):
-    """Detuning offsets and unit-sum weights of the Gaussian of width sigma;
-    ``sigma = 0`` is the one-node rule."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0.0:
-        return np.zeros(1), np.ones(1)
-    y, w = _hermite_rule(n)
-    return np.sqrt(2.0) * sigma * y, w / np.sqrt(np.pi)
+def _one_node(delta, sigma):
+    """Where a lattice cannot resolve sigma about each detuning: all of
+    them at sigma = 0, else those whose nodes round by over RESOLUTION sigma."""
+    return ~(RESOLUTION * sigma > np.finfo(float).eps * (np.abs(delta) + TAIL * sigma))
+
+
+def _step(zeta, sigma, refine):
+    """The lattice step h = min(zeta, sigma)/4, divided by ``refine``."""
+    return min(zeta, sigma) / (4.0 * refine)
+
+
+def _windows(delta, zeta, sigma, refine):
+    """For each detuning, its first and last node k of the nodes
+    (k + 1/2) step within TAIL sigma of it."""
+    step, reach = _step(zeta, sigma, refine), TAIL * sigma
+    return np.ceil((delta - reach) / step - 0.5), np.floor((delta + reach) / step - 0.5)
+
+
+def _wandering_nodes(delta, zeta, sigma, jac=False, refine=1):
+    """The lattice of the g2 average for the 1-d detunings ``delta``.
+
+    Returns the nodes (N,) and the (n, N) weights, stacked with their delta
+    and sigma derivatives to (3, n, N) with ``jac``; or None for the
+    one-node rule. ``refine`` divides the step.
+    """
+    if delta.size == 0 or _one_node(delta, sigma).any():
+        return None
+    # each detuning's window, merged where they overlap
+    lo, hi = _windows(np.sort(delta), zeta, sigma, refine)
+    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
+    starts, ends = lo[first], hi[np.r_[first[1:] - 1, -1]]
+    k = np.concatenate([np.arange(a, b + 1.0) for a, b in zip(starts, ends)]) + 0.5
+    step = _step(zeta, sigma, refine)
+    y = (k - delta[:, None] / step) * (step / sigma)      # (x_k - delta)/sigma
+    w = np.where(np.abs(y) <= TAIL,
+                 step / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-0.5 * y * y), 0.0)
+    if jac:
+        w = np.stack([w, w * y / sigma, w * (y * y - 1.0) / sigma])
+    return k * step, w
+
+
+def _blocks(delta, zeta, sigma, n_tau, refine=1):
+    """The 1-d detunings in blocks of neighbours, as indices, each with the
+    number of delays per product so that it stays within
+    :data:`MAX_EVALUATIONS`. The detunings of a block take at most half of
+    it. Raises ``ValueError`` only where one detuning's window alone exceeds
+    it with one delay."""
+    most = 2.0 * TAIL * sigma / _step(zeta, sigma, refine) + 1.0    # nodes per window
+    if 2.0 * most > MAX_EVALUATIONS:
+        raise ValueError(
+            f"the wandering average needs {int(most)} nodes per detuning, over the "
+            f"budget of {MAX_EVALUATIONS} node evaluations (sigma = {sigma:.4g}, "
+            f"zeta = {zeta:.4g})")
+    if delta.size * most * (n_tau + delta.size) <= MAX_EVALUATIONS:
+        return [(slice(None), max(n_tau, 1))]
+    order = np.argsort(delta)
+    lo, hi = _windows(delta[order], zeta, sigma, refine)
+    size = hi - lo + 1.0
+    # the windows of sorted detunings j..i span size[j] nodes and the new
+    # ones of each later detuning, whose last node never comes earlier
+    total = np.cumsum(np.r_[size[0], np.minimum(size[1:], hi[1:] - hi[:-1])])
+    blocks, j = [], 0
+    while j < delta.size:
+        nodes = total[j:] - total[j] + size[j]
+        n = np.searchsorted(nodes * np.arange(1, nodes.size + 1),
+                            MAX_EVALUATIONS // 2, side="right")
+        chunk = max(1, int(MAX_EVALUATIONS // nodes[n - 1]) - n)
+        blocks.append((order[j:j + n], min(chunk, max(n_tau, 1))))
+        j += n
+    return blocks
 
 
 def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
@@ -124,52 +197,86 @@ def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
 
 
 def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
-    """Wandering-averaged, detected weak-pump g2 at reduced delay and detuning.
+    """Wandering-averaged, detected weak-pump g2 at reduced delays and detunings.
 
-    ``tau`` and ``delta`` broadcast against each other. Numerator and
-    denominator of the normalized correlator are averaged over the same
-    Gaussian before dividing; the numerator carries the detector response
-    of width ``t_resp``. ``sigma = 0`` is the one-node rule.
+    Returns shape ``delta.shape + tau.shape``: one row of delays per
+    detuning. Numerator and denominator of the normalized correlator are
+    averaged over the same Gaussian before dividing, on the lattice of the
+    module docstring shared by all the detunings; the numerator carries the
+    detector response of width ``t_resp``. ``sigma = 0`` is the one-node
+    rule.
 
     With ``jac``, also returns the partials with respect to (delta, zeta,
-    beta, phi, tau, t_resp, sigma) along a new last axis: the averaged
-    partials of :func:`fanostat.correlators.g2_tau_parts` through the
-    quotient rule. The nodes are delta + sqrt(2) sigma y_k, so the sigma
-    partial is the delta partial weighted by sqrt(2) y_k.
+    beta, phi, tau, t_resp, sigma) along a new last axis, from the averaged
+    partials of numerator and denominator (see
+    :func:`fanostat.correlators.g2_tau_parts`) by the quotient rule.
     """
+    return _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac)
+
+
+def _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False, refine=1):
+    check_params(zeta, beta, phi)
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     tau = np.asarray(tau, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    x, w = _wandering_nodes(sigma)
-    parts = g2_tau_parts(tau[..., None], delta[..., None] + x, zeta, beta,
-                         phi, t_resp, jac)
-    num, den = parts[0] @ w, parts[1] @ w
+    shape = delta.shape + tau.shape
+    coarse = _one_node(delta, sigma)
+    if coarse.all():        # one node per detuning
+        num, den, *partials = _g2_sums(tau, delta.reshape(delta.shape + (1,) * tau.ndim),
+                                       zeta, beta, phi, t_resp, jac)
+        if jac:             # no sigma partials: the average is even in sigma
+            partials = [np.insert(partials[0], 6, 0.0, axis=-1),
+                        np.insert(partials[1], 4, 0.0, axis=-1)]
+        out, d = _quotient(num, den, *partials)
+    elif coarse.any():      # each detuning on its own rule
+        parts = [_average_g2(tau, delta[sel], zeta, beta, phi, sigma, t_resp, jac, refine)
+                 for sel in (coarse, ~coarse)]
+        joined = []
+        for a, b in zip(*(part if jac else (part,) for part in parts)):
+            both = np.empty(shape + a.shape[1 + tau.ndim:])
+            both[coarse], both[~coarse] = a, b
+            joined.append(both)
+        return tuple(joined) if jac else joined[0]
+    else:                   # the lattice, block by block
+        flat, taus = delta.ravel(), tau.ravel()
+        out = np.empty((flat.size, taus.size))
+        d = np.empty(out.shape + (7,)) if jac else None
+        for rows, chunk in _blocks(flat, zeta, sigma, taus.size, refine):
+            x, w = _wandering_nodes(flat[rows], zeta, sigma, jac, refine)
+            for start in range(0, taus.size, chunk):
+                cols = slice(start, start + chunk)
+                value, partial = _quotient(*_g2_sums(taus[cols], x[:, None], zeta, beta,
+                                                     phi, t_resp, jac, w))
+                out[rows, cols] = value
+                if jac:
+                    d[rows, cols] = partial
+    if not jac:
+        out = out.reshape(shape)
+        return float(out) if out.ndim == 0 else out
+    return out.reshape(shape), d.reshape(shape + (7,))
+
+
+def _quotient(num, den, dnum=None, dden=None):
+    """g2 = num/den and, given those of both, its partials by the quotient
+    rule; ``dden`` has no tau or t_resp partials, on which den does not depend."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
-    if not jac:
-        return float(out) if out.ndim == 0 else out
-    dx = x / sigma if sigma > 0.0 else x  # d(node)/d(sigma)
-    dnum, dden = parts[2], parts[3]
-    sig_num, sig_den = (dnum[..., 0] * dx) @ w, (dden[..., 0] * dx) @ w
-    dnum = np.concatenate([w @ dnum, sig_num[..., None]], axis=-1)
-    dden = w @ dden
-    dden = np.concatenate([dden, np.zeros(dden.shape[:-1] + (2,)),
-                           sig_den[..., None]], axis=-1)
+    if dnum is None:
+        return out, None
+    dden = np.insert(dden, [4, 4], 0.0, axis=-1)
     return out, (dnum - out[..., None] * dden) / den[..., None]
 
 
 def check_refinement(delta, zeta, beta, phi, sigma, t_resp, rtol=1e-6):
-    """Relative change of the zero-delay avg_g2 when its order is doubled.
+    """Relative change of the zero-delay avg_g2 when its lattice step is halved.
 
-    The g2 average is the one quadrature of the model; the refined rule has
-    ``2 HERMITE_ORDER + 1`` nodes. Raises ``RuntimeError`` when the
-    refinement moves the result by more than ``rtol`` (non-convergent
-    quadrature for these parameters).
+    The g2 average is the one quadrature of the model. Raises
+    ``RuntimeError`` when halving the step moves the result by more than
+    ``rtol`` (non-convergent quadrature for these parameters).
     """
     a = avg_g2(0.0, delta, zeta, beta, phi, sigma, t_resp)
-    x, w = _wandering_nodes(sigma, 2 * HERMITE_ORDER + 1)
-    num, den = g2_tau_parts(0.0, np.asarray(delta, dtype=float)[..., None] + x,
-                            zeta, beta, phi, t_resp)
-    b = (num @ w) / (den @ w)
+    b = _average_g2(0.0, delta, zeta, beta, phi, sigma, t_resp, refine=2)
     change = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
     if change > rtol:
         raise RuntimeError(
@@ -254,15 +361,19 @@ class ModelCurves:
         return self._with_fields(out, delta, dd, dz, db, dp, ds, d_alpha=da)
 
     def g2_trace(self, detuning_uev, tau_ps):
-        """Weak-pump g2(tau) at one detuning, averaged and detected; evaluated
-        once per distinct |tau| (g2 and tau dg/dtau depend on |tau| only)."""
+        """Weak-pump g2(tau), averaged and detected, at one detuning or at
+        several that share the delays: shape ``detuning.shape + tau.shape``.
+        All detunings share one lattice, and each distinct |tau| is
+        evaluated once (g2 and tau dg/dtau depend on |tau| only)."""
         tau = np.abs(tau_to_dimensionless(tau_ps, self.params.lifetime))
         distinct, inverse = np.unique(tau, return_inverse=True)
-        out = self._g2(distinct, float(self._delta(detuning_uev)))
-        return out[inverse.reshape(tau.shape)]
+        delta = self._delta(detuning_uev)
+        out = self._g2(distinct, delta)
+        return np.take(out, inverse.reshape(tau.shape), axis=delta.ndim)
 
     def g2zero(self, detuning_uev):
-        """Weak-pump zero-delay g2 per detuning, averaged and detected."""
+        """Weak-pump zero-delay g2 per detuning, averaged on one shared
+        lattice and detected."""
         return self._g2(0.0, self._delta(detuning_uev))
 
     def _g2(self, tau, delta):
@@ -273,5 +384,6 @@ class ModelCurves:
             return out
         out, d = out
         dd, dz, db, dp, dt, dr, ds = np.moveaxis(d, -1, 0)
+        delta = delta.reshape(delta.shape + (1,) * np.ndim(tau))
         return self._with_fields(out, delta, dd, dz, db, dp, ds, tau=tau,
                                  d_tau=dt, d_tresp=dr)

@@ -15,9 +15,11 @@ a population-decay term ``exp(-2|tau|)``, and oscillating coherence terms
 amplitudes were rederived from the underlying equations of motion and match
 the numerical regression solver to machine precision for all zeta >= 1 (see
 tests). They are singular at the parameter point zeta = 2, delta = 0 where
-the population and coherence decay rates collide, and lose digits near it.
-That point lies inside the fit bounds; it has no regular rewrite yet, and
-the strict xfail ``test_finite_at_the_rate_collision`` records it.
+the population and coherence decay rates collide, and lose digits near it;
+there is no regular rewrite yet, and the strict xfail
+``test_bare_closed_form_at_the_rate_collision`` records it. The averaged
+curves never evaluate that point: the wandering lattice of
+:mod:`fanostat.averaging` has its nodes at half steps, off delta = 0.
 
 Derivatives for the fit come with the values they differentiate:
 :func:`detected_decay` returns its partials from its own ``erfcx`` values
@@ -35,9 +37,9 @@ from scipy.special import erfcx
 
 _HALF_PI = np.pi / 2.0
 
-# the g2 coefficients carry zeta**6 (B's denominator), which overflows
-# double precision above zeta = 1.5e51
-ZETA_MAX = 1e50
+# the g2 coefficients carry zeta**6 and delta**6 (B's denominator), which
+# overflow double precision above 1.5e51: zeta and |delta| are capped here
+REDUCED_MAX = 1e50
 
 
 def _check_phi(phi):
@@ -47,18 +49,23 @@ def _check_phi(phi):
     return phi
 
 
-def check_params(zeta, beta, phi, alpha=0.0):
-    """Validate the model parameters shared by the closed forms; returns phi."""
+def check_params(zeta, beta, phi, alpha=0.0, delta=None):
+    """Validate the model parameters shared by the closed forms, and the
+    reduced detunings ``delta`` if given; returns phi."""
     phi = _check_phi(phi)
     if zeta < 1.0:
         raise ValueError("zeta must be >= 1")
-    if not zeta <= ZETA_MAX:
-        raise ValueError(f"zeta must not exceed {ZETA_MAX:g}, where the closed "
+    if not zeta <= REDUCED_MAX:
+        raise ValueError(f"zeta must not exceed {REDUCED_MAX:g}, where the closed "
                          f"forms overflow; got {zeta!r}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
+    if delta is not None and not np.all(np.abs(delta) <= REDUCED_MAX):
+        raise ValueError(f"reduced detunings must be finite and at most {REDUCED_MAX:g} "
+                         f"in size, where the closed forms overflow; got up to "
+                         f"{float(np.max(np.abs(delta)))!r}")
     return phi
 
 
@@ -127,8 +134,8 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
     Fano zero (zeta = beta = 1, delta = -tan(phi)) rounding can leave the
     formula a few ulp below it.
     """
-    phi = check_params(zeta, beta, phi, alpha)
     delta = np.asarray(delta, dtype=float)
+    phi = check_params(zeta, beta, phi, alpha, delta)
     out = np.maximum(_g1_formula(delta, zeta, beta, phi, alpha), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -200,11 +207,11 @@ class G2Coefficients:
 
 def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     """Evaluate the weak-pump g2 coefficients; see :class:`G2Coefficients`."""
-    phi = check_params(zeta, beta, phi)
     delta = np.asarray(delta, dtype=float)
+    phi = check_params(zeta, beta, phi, delta=delta)
     # the zeta = 2, delta = 0 decay-rate collision divides by zero; let it
-    # propagate as inf rather than warn. It lies inside the fit bounds: see
-    # the strict xfail test_finite_at_the_rate_collision
+    # propagate as inf rather than warn (see the strict xfail
+    # test_bare_closed_form_at_the_rate_collision)
     with np.errstate(divide="ignore", invalid="ignore"):
         A, B, g20, g1 = np.moveaxis(_coefficients(delta, zeta, beta, phi), -1, 0)
     g1 = np.maximum(g1, 0.0)
@@ -282,11 +289,11 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     averaging can weight them independently before dividing; the
     denominator does not depend on ``tau`` and keeps the shape of ``delta``.
 
-    The numerator is ``g1^2 + A D(2, tau) + Re[(C - iB) D(zeta - i delta,
-    tau)]`` with ``C = g2zero - g1^2 - A`` (see :class:`G2Coefficients`),
-    where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by a detector of Gaussian
-    response width ``t_resp`` (:func:`detected_decay`). ``t_resp = 0`` is
-    the bare correlator.
+    The numerator is ``g1^2 + A D(2, tau) + Re[K D(zeta - i delta, tau)]``
+    with ``K = C - iB`` and ``C = g2zero - g1^2 - A`` (see
+    :class:`G2Coefficients`), where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by
+    a detector of Gaussian response width ``t_resp`` (:func:`detected_decay`).
+    ``t_resp = 0`` is the bare correlator.
 
     With ``jac``, also returns the partials of the numerator with respect to
     (delta, zeta, beta, phi, tau, t_resp) and of the denominator with
@@ -295,32 +302,69 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     differentiated by the complex step (:func:`complex_step`), ``D`` in
     closed form; ``a = zeta - i delta`` gives dD/ddelta = -i dD/da.
     """
+    return _g2_sums(tau, delta, zeta, beta, phi, t_resp, jac)
+
+
+def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
+    """:func:`g2_tau_parts` at detunings ``x``, or its sums over nodes.
+
+    With ``weights`` (n, N), ``x`` is a column of N nodes and ``tau`` 1-d;
+    each row sums the node terms into one detuning's average, of shape
+    (n, len(tau)) and (n, 1) for the denominator. ``g1^2`` and ``A`` are
+    summed per node and ``D(2, tau)`` depends on the delay alone, so only
+    ``Re[K D(zeta - i x, tau)]`` and its partials are evaluated per delay and
+    node, each reduced by one product with the weights. With ``jac`` the
+    weights are stacked with their detuning and width derivatives to
+    (3, n, N), whose sums of the node terms give the delta and sigma
+    partials: the numerator's are along (delta, zeta, beta, phi, tau,
+    t_resp, sigma) and the denominator's along (delta, zeta, beta, phi,
+    sigma).
+    """
     if t_resp < 0:
         raise ValueError("t_resp must be non-negative")
     tau = np.asarray(tau, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    c = g2_coefficients(delta, zeta, beta, phi)
+    x = np.asarray(x, dtype=float)
+    c = g2_coefficients(x, zeta, beta, phi)
     g1sq = c.g1 * c.g1
     K = c.g2zero - g1sq - c.A - 1j * c.B
     decay = detected_decay(2.0, tau, t_resp, jac)
-    osc = detected_decay(zeta - 1j * delta, tau, t_resp, jac)
+    osc = detected_decay(zeta - 1j * x, tau, t_resp, jac)
+    if jac:
+        (decay, _, decay_t, decay_s), (osc, osc_a, osc_t, osc_s) = decay, osc
+
+    def total(v):   # with jac and weights, also the delta and sigma partials
+        return v if weights is None else weights @ v
+
+    den = total(g1sq)
+    num = den + total(c.A) * decay + total((K * osc).real)
     if not jac:
-        return g1sq + c.A * decay + (K * osc).real, g1sq
-    (decay, _, decay_t, decay_s), (osc, osc_a, osc_t, osc_s) = decay, osc
-    num = g1sq + c.A * decay + (K * osc).real
-    dA, dB, dg20, dg1 = _coefficient_partials(delta, zeta, beta, phi, c.g1)
+        return num, den
+
+    dA, dB, dg20, dg1 = _coefficient_partials(x, zeta, beta, phi, c.g1)
     dg1sq = 2.0 * np.asarray(c.g1)[..., None] * dg1
     dK = dg20 - dg1sq - dA - 1j * dB
-    dnum = (dg1sq + dA * decay[..., None]
-            + (dK * osc[..., None]).real)           # (delta, zeta, beta, phi)
     K_osc_a = K * osc_a
-    dnum[..., 0] += K_osc_a.imag
-    dnum[..., 1] += K_osc_a.real
-    dnum = np.concatenate([dnum, np.stack([c.A * decay_t + (K * osc_t).real,
-                                           c.A * decay_s + (K * osc_s).real],
-                                          axis=-1)], axis=-1)
-    dnum[..., 4] *= np.sign(tau)                     # d|tau|/dtau
-    return num, g1sq, dnum, dg1sq
+
+    def node_sum(v):
+        return v if weights is None else weights[0] @ v
+
+    def along(i, extra=0.0):   # numerator partial in coefficient argument i
+        return (node_sum(dg1sq[..., i]) + node_sum(dA[..., i]) * decay
+                + node_sum((dK[..., i] * osc).real + extra))
+
+    A = node_sum(c.A)
+    dnum = [along(1, K_osc_a.real), along(2), along(3),
+            (A * decay_t + node_sum((K * osc_t).real)) * np.sign(tau),  # d|tau|/dtau
+            A * decay_s + node_sum((K * osc_s).real)]
+    dden = [node_sum(dg1sq[..., i]) for i in (1, 2, 3)]
+    if weights is None:
+        dnum.insert(0, along(0, K_osc_a.imag))
+        dden.insert(0, dg1sq[..., 0])
+    else:
+        (num, dnum_delta, dnum_sigma), (den, dden_delta, dden_sigma) = num, den
+        dnum = [dnum_delta, *dnum, dnum_sigma]
+        dden = [dden_delta, *dden, dden_sigma]
+    return num, den, np.stack(dnum, axis=-1), np.stack(dden, axis=-1)
 
 
 def g2_tau_general(tau, delta, zeta, beta, phi):

@@ -186,22 +186,29 @@ class _Objective:
         if not (math.isfinite(g2_weight) and g2_weight >= 0.0):
             raise ValueError(f"g2_weight must be finite and non-negative, got {g2_weight!r}")
         self.template = template
-        # (key, ModelCurves method, its arguments, measured, sigma, weight, tail bins)
+        # (keys, ModelCurves method, its arguments, measured, sigma, weight,
+        # tail bins), one key per row of the curve; histograms on one delay
+        # grid share a term, so their detunings share one model call
         self.terms = []
         if "transmission" in datasets and data.transmission.shape[0]:
             det, val, unc = data.transmission.T
-            self.terms.append(("transmission", "transmission", (det,),
+            self.terms.append((("transmission",), "transmission", (det,),
                                val, unc, 1.0, None))
         if "g2" in datasets:
             if data.g2zero.shape[0]:
                 det, val, unc = data.g2zero.T
-                self.terms.append(("g2zero", "g2zero", (det,),
+                self.terms.append((("g2zero",), "g2zero", (det,),
                                    val, unc, g2_weight, None))
+            grids = {}
             for i, hist in enumerate(data.g2_histograms):
-                meas, sig = hist.normalized()
-                self.terms.append((f"g2_histogram_{i}", "g2_trace",
-                                   (hist.detuning, hist.tau_ps), meas, sig,
-                                   g2_weight, hist.tail_mask()))
+                grids.setdefault(hist.tau_ps.tobytes(), []).append(i)
+            for rows in grids.values():
+                hists = [data.g2_histograms[i] for i in rows]
+                meas, sig = zip(*(h.normalized() for h in hists))
+                self.terms.append((tuple(f"g2_histogram_{i}" for i in rows), "g2_trace",
+                                   (np.array([h.detuning for h in hists]), hists[0].tau_ps),
+                                   np.array(meas), np.array(sig), g2_weight,
+                                   hists[0].tail_mask()))
 
     def residuals(self, params: PhysicalParams, jac=False) -> dict:
         """Residuals by dataset; with ``jac``, pairs of (residuals, partials
@@ -212,17 +219,21 @@ class _Objective:
         """
         mdl = ModelCurves(params, jac=jac)
         out = {}
-        for key, method, args, val, sig, weight, tail in self.terms:
+        for keys, method, args, val, sig, weight, tail in self.terms:
             model = getattr(mdl, method)(*args)
             if jac:
                 model, d = model[..., 0], model[..., 1:]
             if tail is not None:
-                level = np.mean(model[tail])
+                level = np.mean(model[..., tail], axis=-1, keepdims=True)
                 model = model / level
                 if jac:
-                    d = (d - model[:, None] * np.mean(d[tail], axis=0)) / level
-            r = weight * (model - val) / sig
-            out[key] = (r, weight * d / sig[:, None]) if jac else r
+                    d = (d - model[..., None] * np.mean(d[..., tail, :], axis=-2,
+                                                        keepdims=True)) / level[..., None]
+            r = (weight * (model - val) / sig).reshape(len(keys), -1)
+            if jac:
+                d = (weight * d / sig[..., None]).reshape(len(keys), -1, len(FIT_FIELDS))
+                r = zip(r, d)
+            out.update(zip(keys, r))
         if not out:
             raise ValueError("measurement set is empty")
         return out

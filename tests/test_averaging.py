@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from scipy.special import roots_hermite
@@ -11,7 +14,9 @@ from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2,
                       hbar_gamma, phi_from_t0)
 from fanostat import averaging
 from fanostat.averaging import _wandering_nodes
+from fanostat.cli import ScanRequest, run_scan
 from fanostat.correlators import detected_decay, g2_tau_parts
+from fanostat.fitting import DEFAULT_BOUNDS, G2Histogram, MeasurementSet, _Objective
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 REF = PhysicalParams()
@@ -19,12 +24,180 @@ REF = PhysicalParams()
 
 class TestSpecValidation:
     def test_weights_sum_to_one(self):
-        # the wandering rule and the doubled rule of check_refinement
-        for n in (averaging.HERMITE_ORDER, 2 * averaging.HERMITE_ORDER + 1):
-            _, w = _wandering_nodes(2.3, n)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        _, w = _wandering_nodes(0.0)
-        assert np.array_equal(w, np.ones(1))
+        # each detuning's weights, on the lattice and on the halved step of
+        # check_refinement; their delta and sigma derivatives sum to zero
+        delta = np.array([-30.0, -0.4, 0.0, 2.1, 2.2, 40.0])
+        for refine in (1, 2):
+            x, w = _wandering_nodes(delta, 1.1, 2.3, jac=True, refine=refine)
+            assert np.allclose(w[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.allclose(w[1:].sum(axis=2), 0.0, rtol=0, atol=1e-12)
+            assert np.allclose(x / (1.1 / (4 * refine)) % 1.0, 0.5, rtol=0, atol=1e-9)
+        assert _wandering_nodes(delta, 1.1, 0.0) is None
+
+
+class TestLattice:
+    def test_weight_derivatives_are_exact(self):
+        # against central differences of the weights at fixed nodes
+        delta, sigma, h = np.array([0.3, 5.0]), 1.7, 1e-6
+        x, w = _wandering_nodes(delta, 1.0, sigma, jac=True)
+
+        def weights(d, s):
+            y = (x - d[:, None]) / s
+            return (x[1] - x[0]) / (math.sqrt(2 * math.pi) * s) * np.exp(-0.5 * y * y)
+        fd_delta = (weights(delta + h, sigma) - weights(delta - h, sigma)) / (2 * h)
+        fd_sigma = (weights(delta, sigma + h) - weights(delta, sigma - h)) / (2 * h)
+        assert np.allclose(w[1], fd_delta, rtol=0, atol=1e-9)
+        assert np.allclose(w[2], fd_sigma, rtol=0, atol=1e-9)
+
+    def test_no_node_on_zero_detuning(self):
+        # the half-step anchor: zeta = 2 has its rate collision at delta = 0
+        x, _ = _wandering_nodes(np.array([0.0, 1e-3]), 2.0, 1.7852)
+        assert np.min(np.abs(x)) == pytest.approx(1.7852 / 8.0)
+
+    def test_unresolvable_width_is_the_one_node_rule(self):
+        # node rounding eps |x| beyond RESOLUTION sigma: the lattice is not used
+        eps = np.finfo(float).eps
+        delta = np.array([-9.0, 3.4])
+        tiny = 0.5 * eps * 9.0 / averaging.RESOLUTION
+        assert _wandering_nodes(delta, 1.0, tiny) is None
+        assert _wandering_nodes(delta, 1.0, 4.0 * tiny) is not None
+
+    def test_far_detuning_leaves_the_others_on_the_lattice(self):
+        # 3e7 ueV is beyond the lattice's resolution at the reference width:
+        # that detuning alone takes the one-node rule
+        for jac in (False, True):
+            m, bare = ModelCurves(REF, jac=jac), ModelCurves(REF.replace(sigma_wander=0.0))
+            both = m.g2zero([0.0, 3e7])
+            assert np.array_equal(both[0], m.g2zero([0.0])[0])
+            assert (both[1, 0] if jac else both[1]) == bare.g2zero([3e7])[0]
+            trace = m.g2_trace([3e7, 0.0], [0.0, 50.0])
+            assert np.array_equal(trace[1], m.g2_trace(0.0, [0.0, 50.0]))
+        assert not np.allclose(m.g2zero([0.0])[0, 0], bare.g2zero([0.0]), rtol=0.1)
+
+    def test_over_the_budget_is_a_typed_error(self):
+        # 72 sigma/zeta nodes per detuning: one window of 7.2e6 at sigma = 1e5,
+        # zeta = 1 exceeds the budget even with one delay
+        with pytest.raises(ValueError, match="budget"):
+            avg_g2(0.0, 0.0, 1.0, 0.9, PHI15, 1e5, 0.0)
+        with pytest.raises(ValueError, match="budget"):
+            ModelCurves(REF.replace(sigma_wander=1e5)).g2zero([0.0])
+
+
+class TestWorkCounts:
+    """How many lattice nodes and delays each curve evaluates."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        g2_sums = averaging._g2_sums
+
+        def counted(tau, x, *args):
+            calls.append((np.size(x), np.size(tau)))
+            return g2_sums(tau, x, *args)
+        monkeypatch.setattr(averaging, "_g2_sums", counted)
+        return calls
+
+    @staticmethod
+    def nodes_within(delta, zeta, sigma):
+        # half-step nodes within 9 sigma of any detuning, counted directly
+        h = min(zeta, sigma) / 4.0
+        x = (np.arange(-20000, 20000) + 0.5) * h
+        return int(np.sum(np.any(np.abs(x[:, None] - delta) <= 9.0 * sigma, axis=1)))
+
+    def test_criterion_7_g2zero_is_one_lattice(self, monkeypatch):
+        m = ModelCurves(REF)
+        det = np.linspace(-20.0, 20.0, 9)
+        calls = self.spy(monkeypatch)
+        m.g2zero(det)
+        want = self.nodes_within(m._delta(det), m.zeta, m.sigma)
+        assert calls == [(want, 1)]
+        assert 185 <= want <= 195           # not one rule per detuning (9 x 99)
+
+    def test_criterion_7_histograms_share_one_lattice(self, monkeypatch):
+        tau = np.arange(-600.0, 600.0 + 1e-9, 12.5)
+        m = ModelCurves(REF)
+        hists = tuple(G2Histogram(detuning=d, tau_ps=tau, counts=m.g2_trace(d, tau))
+                      for d in (9.0, -9.0))
+        obj = _Objective(MeasurementSet(g2_histograms=hists), REF)
+        calls = self.spy(monkeypatch)
+        for jac in (False, True):
+            obj.residuals(REF, jac=jac)
+        want = self.nodes_within(m._delta([9.0, -9.0]), m.zeta, m.sigma)
+        assert calls == [(want, 49)] * 2
+        assert 150 <= want <= 160           # not one rule per histogram (2 x 99)
+
+    def test_sparse_detunings_keep_separate_windows(self, monkeypatch):
+        m = ModelCurves(REF)
+        det = np.array([-300.0, 0.0, 0.5, 300.0])
+        calls = self.spy(monkeypatch)
+        together = m.g2zero(det)
+        apart = [m.g2zero(d) for d in det]
+        assert calls[0][0] == self.nodes_within(m._delta(det), m.zeta, m.sigma)
+        assert calls[0][0] < sum(n for n, _ in calls[1:])
+        assert np.allclose(together, apart, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("sigma", [6.0, 15.0])
+    def test_refinement_converged_at_large_width(self, sigma):
+        assert check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, sigma,
+                                0.0) < 1e-9
+
+
+class TestBlocks:
+    """Calls over the node-evaluation budget, split into blocks of
+    detunings and of delays."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        # (nodes, delays, detunings) of each product with the weights
+        calls = []
+        g2_sums = averaging._g2_sums
+
+        def counted(tau, x, *args):
+            calls.append((np.size(x), np.size(tau), args[-1].shape[-2]))
+            return g2_sums(tau, x, *args)
+        monkeypatch.setattr(averaging, "_g2_sums", counted)
+        return calls
+
+    def test_many_detunings_at_a_small_width(self, monkeypatch):
+        # sigma ~ 0.0076 puts 16k nodes under a 481-point g2(0) scan: 7.7e6
+        # node evaluations in one product, so the scan runs in blocks
+        p = PhysicalParams(lifetime=125.0, sigma_wander=0.02)
+        req = ScanRequest(mode="g2zero", params=p, grid_start=-40.0, grid_stop=40.0,
+                          grid_count=481, out_path="unused")
+        calls = self.spy(monkeypatch)
+        det, g2 = np.array([r[:2] for r in run_scan(req)[1]], dtype=float).T
+        assert len(calls) > 1
+        assert all(n * (t + d) <= averaging.MAX_EVALUATIONS for n, t, d in calls)
+        assert sum(d for _, _, d in calls) == 481
+        monkeypatch.undo()
+        assert np.all(np.isfinite(g2))
+        apart = [ModelCurves(p).g2zero(d) for d in det[::40]]
+        assert np.allclose(g2[::40], apart, rtol=1e-13, atol=0)
+
+    def test_blocks_agree_with_one_product(self, monkeypatch):
+        det, tau = np.array([-20.0, -9.0, 0.0, 0.5, 9.0]), np.arange(-600.0, 601.0, 25.0)
+        m = ModelCurves(REF, jac=True)
+        whole = m.g2_trace(det, tau), m.g2zero(det)
+        monkeypatch.setattr(averaging, "MAX_EVALUATIONS", 1000)
+        calls = self.spy(monkeypatch)
+        blocks = m.g2_trace(det, tau), m.g2zero(det)
+        assert len({d for _, _, d in calls}) > 1 and len({t for _, t, _ in calls}) > 1
+        assert all(n * (t + d) <= 1000 for n, t, d in calls)
+        for a, b in zip(whole, blocks):
+            assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+
+    def test_fit_corner_on_many_delays(self):
+        # the widest lattice in the fit bounds (22k nodes per detuning) with
+        # two histograms on 121 distinct delays: evaluated, not refused
+        tau = np.arange(-600.0, 601.0, 5.0)
+        counts = ModelCurves(REF).g2_trace(np.array([9.0, -9.0]), tau)
+        hists = tuple(G2Histogram(detuning=d, tau_ps=tau, counts=c)
+                      for d, c in zip((9.0, -9.0), counts))
+        corner = REF.replace(**FIT_CORNERS["upper"])
+        res = _Objective(MeasurementSet(g2_histograms=hists), corner).residuals(
+            corner, jac=True)
+        for r, d in res.values():
+            assert np.all(np.isfinite(r)) and np.all(np.isfinite(d))
 
 
 class TestAvgG1:
@@ -60,19 +233,16 @@ class TestAvgG1:
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     def test_refinement_converged(self):
-        # the reference configuration's width: doubling moves g2(0) by 2.4e-7
+        # the reference configuration's width: halving the step moves g2(0)
+        # by 1.0e-9
         delta = np.linspace(-10, 10, 21)
-        assert 1e-8 < check_refinement(delta, 1.0, 1.0, PHI15, 1.7852, 0.0) < 1e-6
-
-    def test_refinement_fails_at_large_width(self):
-        with pytest.raises(RuntimeError, match=r"changed avg_g2 by 3\.3\d*e-02"):
-            check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, 6.0, 0.0)
+        assert 1e-10 < check_refinement(delta, 1.0, 1.0, PHI15, 1.7852, 0.0) < 1e-8
 
     def test_refinement_failure_reported(self):
-        # the 2.4e-7 change of the reference width, against a tighter rtol
-        with pytest.raises(RuntimeError, match="not converged"):
+        # the 1.0e-9 change of the reference width, against a tighter rtol
+        with pytest.raises(RuntimeError, match=r"changed avg_g2 by 1\.0\d*e-09"):
             check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, 1.7852,
-                             0.0, rtol=1e-8)
+                             0.0, rtol=1e-10)
 
     def test_rejects_negative_widths(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -85,9 +255,10 @@ class TestAvgG1:
 
     def test_linearity_of_the_weighting(self):
         # the average is a fixed linear functional of the curve samples
-        x, w = _wandering_nodes(1.2)
-        f = g1_general(0.7 + x, 1.0, 1.0, PHI15)
-        g = g1_general(0.7 + x, 1.4, 0.8, PHI15)
+        x, w = _wandering_nodes(np.array([0.7]), 1.0, 1.2)
+        w = w[0]
+        f = g1_general(x, 1.0, 1.0, PHI15)
+        g = g1_general(x, 1.4, 0.8, PHI15)
         combo = 2.0 * f + 3.0 * g
         assert combo @ w == pytest.approx(2.0 * (f @ w) + 3.0 * (g @ w), rel=1e-14)
 
@@ -213,8 +384,9 @@ class TestConvolution:
             m = ModelCurves(p, jac=jac)
             single = np.array([m.g2_trace(9.0, t) for t in tau])
             rows = []
-            spy = lambda tau, *args: rows.append(np.size(tau)) or g2_tau_parts(tau, *args)
-            monkeypatch.setattr(averaging, "g2_tau_parts", spy)
+            g2_sums = averaging._g2_sums
+            spy = lambda tau, *args: rows.append(np.size(tau)) or g2_sums(tau, *args)
+            monkeypatch.setattr(averaging, "_g2_sums", spy)
             grid = m.g2_trace(9.0, tau)
             monkeypatch.undo()
             assert rows == [(tau.size + 1) // 2]
@@ -321,10 +493,113 @@ class TestModelCurves:
         with pytest.raises(ValueError, match="zeta"):
             ModelCurves(PhysicalParams(dephasing_time=1e-300)).g2zero([0.0])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "open fault, ROADMAP item 1: at zeta = 2 the rate collision divides "
-        "by |2 - a|^2 = 0 on the delta = 0 node and gives NaN"))
     def test_finite_at_the_rate_collision(self):
-        # dephasing_time = 250 ps with the default 125 ps lifetime is zeta = 2
+        # dephasing_time = 250 ps with the default 125 ps lifetime is zeta = 2;
+        # no lattice node sits on delta = 0, where the bare closed form is
+        # singular, so the average is that of the neighbouring zeta
         g2 = ModelCurves(PhysicalParams(dephasing_time=250.0)).g2zero([0.0, 1.0])
-        assert np.all(np.isfinite(g2))
+        near = ModelCurves(PhysicalParams(dephasing_time=250.0 * (1 + 5e-10))).g2zero(
+            [0.0, 1.0])
+        assert np.allclose(g2, [1.5883, 1.6918], rtol=0, atol=1e-4)
+        assert np.allclose(g2, near, rtol=1e-8, atol=0)
+
+    def test_histograms_batched_by_detuning(self):
+        # several detunings sharing delays give one row each, with partials
+        tau = np.arange(-600.0, 601.0, 25.0)
+        for jac in (False, True):
+            m = ModelCurves(REF, jac=jac)
+            rows = m.g2_trace(np.array([9.0, -9.0, 2.0]), tau)
+            assert rows.shape == (3,) + tau.shape + ((7,) if jac else ())
+            for row, d in zip(rows, (9.0, -9.0, 2.0)):
+                assert np.allclose(row, m.g2_trace(d, tau), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("curve", ["g2zero", "transmission"])
+    def test_overflowing_detuning_is_a_typed_error(self, curve):
+        # a lifetime of 1e200 ps puts 1 ueV at delta = 3e197, where delta^2
+        # overflows: a typed error, not a NaN with an overflow warning
+        p = PhysicalParams(lifetime=1e200, dephasing_time=math.inf, sigma_wander=0.0,
+                           detector_resp=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="detunings"):
+                getattr(ModelCurves(p), curve)([1.0])
+
+
+def _finite_or_explained(m, curve, det, values):
+    """Non-finite g2 only where the closed form itself is: inf on a vanishing
+    unaveraged transmission, NaN at the bare rate collision zeta = 2, delta = 0
+    (test_bare_closed_form_at_the_rate_collision) under the one-node rule."""
+    values = np.reshape(values, (np.size(det), -1))
+    if curve == "transmission":
+        return np.all(np.isfinite(values))
+    T = ModelCurves(m.params).transmission(det)
+    for row, d, t in zip(values, np.atleast_1d(det), np.atleast_1d(T)):
+        value = row if not m.jac else row.reshape(-1, 7)[:, 0]
+        if np.all(np.isfinite(row)):
+            continue
+        one_node = averaging._one_node(m._delta(d), m.sigma)
+        if one_node and t == 0.0 and np.all(value == np.inf):
+            continue
+        if one_node and m.zeta == 2.0 and m._delta(d) == 0.0:
+            continue
+        return False
+    return True
+
+
+# corners of the fit bounds: the narrowest lattice, the widest (sigma ~ 300,
+# zeta ~ 1: 22k nodes per detuning) and a dephased one (zeta = 41)
+FIT_CORNERS = {
+    name: {k: DEFAULT_BOUNDS[k][i] for k, i in zip(DEFAULT_BOUNDS, corner)}
+    for name, corner in (("lower", (0,) * 6), ("upper", (1,) * 6),
+                         ("dephased", (0, 1, 0, 1, 1, 0)))}
+
+
+def case(**changes):
+    """A PhysicalParams example of the property below, as its arguments."""
+    fields = REF.replace(**changes).to_mapping()
+    del fields["drive_amp"]
+    return fields
+
+
+# every valid PhysicalParams gives finite curves or a typed error
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(omega0=st.floats(-50.0, 50.0),
+       lifetime=st.floats(-3.0, 250.0).map(lambda e: 10.0**e),
+       dephasing_time=st.just(math.inf) | st.floats(-3.0, 12.0).map(lambda e: 10.0**e),
+       beta=st.floats(0.0, 1.0),
+       t0=st.floats(0.0, 1.0),
+       sigma_wander=st.just(0.0) | st.floats(-25.0, 4.0).map(lambda e: 10.0**e),
+       detector_resp=st.just(0.0) | st.floats(-3.0, 5.0).map(lambda e: 10.0**e),
+       jac=st.booleans())
+@example(**case(dephasing_time=250.0), jac=True)                      # zeta = 2
+@example(**case(dephasing_time=250.0, sigma_wander=0.0), jac=False)
+@example(**case(sigma_wander=1e-20), jac=True)
+@example(**case(sigma_wander=1e-9), jac=True)
+@example(**case(t0=1.0, beta=1.0, dephasing_time=math.inf, sigma_wander=0.0),
+         jac=False)                                                   # Fano zero
+@example(**case(**FIT_CORNERS["lower"]), jac=True)
+@example(**case(**FIT_CORNERS["upper"]), jac=True)
+@example(**case(**FIT_CORNERS["dephased"]), jac=True)
+def test_curves_finite_or_typed_error(omega0, lifetime, dephasing_time, beta, t0,
+                                      sigma_wander, detector_resp, jac):
+    p = PhysicalParams(omega0=omega0, lifetime=lifetime, dephasing_time=dephasing_time,
+                       beta=beta, t0=t0, sigma_wander=sigma_wander,
+                       detector_resp=detector_resp)
+    in_fit_bounds = all(lo <= getattr(p, k) <= hi for k, (lo, hi) in DEFAULT_BOUNDS.items())
+    try:
+        m = ModelCurves(p, jac=jac)
+    except ValueError:          # t0 = 0: phi = -pi/2 is singular
+        assert not in_fit_bounds
+        return
+    det = omega0 + np.array([-20.0, -9.0, 0.0, 9.0, 20.0])
+    tau = np.arange(-600.0, 601.0, 50.0)
+    for curve, args in (("transmission", (det,)), ("g2zero", (det,)),
+                        ("g2_trace", (det[[1, 3]], tau)), ("g2_trace", (det[2], tau))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = getattr(m, curve)(*args)
+            except ValueError:
+                assert not in_fit_bounds, curve
+                continue
+        assert _finite_or_explained(m, curve, args[0], values), curve

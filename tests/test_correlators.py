@@ -186,6 +186,21 @@ class TestG2Tau:
         val = g2_tau_general(0.3, -math.tan(phi), 1.0, 1.0, phi)
         assert not np.isfinite(val)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "open fault, ROADMAP item 3: at zeta = 2, delta = 0 the decay rates "
+        "collide and the closed form divides by |2 - a|^2 = 0, giving NaN"))
+    def test_bare_closed_form_at_the_rate_collision(self):
+        assert math.isfinite(g2_tau_general(0.0, 0.0, 2.0, 0.9, -0.5))
+
+    def test_overflowing_detuning_is_a_typed_error(self):
+        # delta^6 overflows beyond REDUCED_MAX; NaN is no detuning either
+        for delta in (1e51, -3e197, math.nan):
+            with pytest.raises(ValueError, match="detunings"):
+                g2_tau_general(0.0, delta, 1.0, 0.9, -0.5)
+            with pytest.raises(ValueError, match="detunings"):
+                g1_general(delta, 1.0, 0.9, -0.5)
+        assert math.isfinite(g2_tau_general(0.3, 1e50, 1e50, 0.9, -0.5))
+
     def test_rounded_fano_zero_is_inf(self):
         # tan(phi_from_t0(sqrt(0.5))) rounds to -0.9999999999999999, which
         # left the unclamped transmission at delta = +1 at -2.2e-16 and g2
