@@ -21,13 +21,14 @@ the weight of a dropped node (< 2.6e-18). The half-step anchor keeps every
 node off delta = 0, where the bare closed form is singular at zeta = 2.
 Where the rounding of the nodes, eps |x|, exceeds :data:`RESOLUTION` sigma,
 the lattice cannot resolve the Gaussian and each detuning is its own node
-(the one-node rule, as at sigma = 0; its error is O(sigma^2 g2'')). Calls
-needing more than :data:`MAX_EVALUATIONS` node evaluations are split into
-blocks of neighbouring detunings and of delays, which bounds the memory; only
-a single detuning's window too wide for it raises ``ValueError``. The
-detector's Gaussian response of width ``t_resp`` is applied in closed form to
-every decay component before averaging (see
-:func:`fanostat.correlators.g2_tau_parts`).
+(the one-node rule, as at sigma = 0; its error is O(sigma^2 g2'')). One loop
+evaluates every call block by block: the one-node detunings form blocks of
+their own, the others blocks of neighbours on their merged windows, and the
+delays are split so that no product exceeds :data:`MAX_EVALUATIONS` node
+evaluations, which bounds the memory; only a single detuning's window too
+wide for it raises ``ValueError``. The detector's Gaussian response of width
+``t_resp`` is applied in closed form to every decay component before
+averaging (see :func:`fanostat.correlators.g2_tau_parts`).
 
 The drive enters the averaged transmission through the reduced intensity
 ``alpha``; the g2 closed form is weak-pump only (alpha -> 0), so the g2
@@ -50,9 +51,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import wofz
 
-from .correlators import (_g1_formula, _g2_sums, check_params, complex_step,
-                          g1_general)
-from .params import (HBAR_UEV_PS, PhysicalParams, detuning_to_delta,
+from .correlators import _g1_formula, _g2_sums, complex_step, g1_general
+from .params import (HBAR_UEV_PS, PhysicalParams, check_reduced, detuning_to_delta,
                      tau_to_dimensionless, to_dimensionless)
 
 # the physical fields the model curves are differentiated in, in this order
@@ -90,11 +90,9 @@ def _wandering_nodes(delta, zeta, sigma, jac=False, refine=1):
     """The lattice of the g2 average for the 1-d detunings ``delta``.
 
     Returns the nodes (N,) and the (n, N) weights, stacked with their delta
-    and sigma derivatives to (3, n, N) with ``jac``; or None for the
-    one-node rule. ``refine`` divides the step.
+    and sigma derivatives to (3, n, N) with ``jac``. ``refine`` divides the
+    step.
     """
-    if delta.size == 0 or _one_node(delta, sigma).any():
-        return None
     # each detuning's window, merged where they overlap
     lo, hi = _windows(np.sort(delta), zeta, sigma, refine)
     first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
@@ -110,32 +108,40 @@ def _wandering_nodes(delta, zeta, sigma, jac=False, refine=1):
 
 
 def _blocks(delta, zeta, sigma, n_tau, refine=1):
-    """The 1-d detunings in blocks of neighbours, as indices, each with the
-    number of delays per product so that it stays within
-    :data:`MAX_EVALUATIONS`. The detunings of a block take at most half of
-    it. Raises ``ValueError`` only where one detuning's window alone exceeds
-    it with one delay."""
+    """The 1-d detunings in blocks, as indices, each with the number of
+    delays per product so that it stays within :data:`MAX_EVALUATIONS`,
+    and whether it takes the lattice. The one-node detunings come first, in
+    blocks of their own; the others are grouped into neighbours whose
+    detunings take at most half of it. Raises ``ValueError`` only where one
+    detuning's window alone exceeds it with one delay."""
+    n_tau, coarse = max(n_tau, 1), _one_node(delta, sigma)
+    one, fine = np.flatnonzero(coarse), np.flatnonzero(~coarse)
+    blocks = [(rows, min(n_tau, MAX_EVALUATIONS // rows.size), False)
+              for rows in (one[i:i + MAX_EVALUATIONS]
+                           for i in range(0, one.size, MAX_EVALUATIONS))]
+    if fine.size == 0:
+        return blocks
     most = 2.0 * TAIL * sigma / _step(zeta, sigma, refine) + 1.0    # nodes per window
     if 2.0 * most > MAX_EVALUATIONS:
         raise ValueError(
             f"the wandering average needs {int(most)} nodes per detuning, over the "
             f"budget of {MAX_EVALUATIONS} node evaluations (sigma = {sigma:.4g}, "
             f"zeta = {zeta:.4g})")
-    if delta.size * most * (n_tau + delta.size) <= MAX_EVALUATIONS:
-        return [(slice(None), max(n_tau, 1))]
-    order = np.argsort(delta)
+    if fine.size * most * (n_tau + fine.size) <= MAX_EVALUATIONS:
+        return blocks + [(fine, n_tau, True)]
+    order = fine[np.argsort(delta[fine])]
     lo, hi = _windows(delta[order], zeta, sigma, refine)
     size = hi - lo + 1.0
     # the windows of sorted detunings j..i span size[j] nodes and the new
     # ones of each later detuning, whose last node never comes earlier
     total = np.cumsum(np.r_[size[0], np.minimum(size[1:], hi[1:] - hi[:-1])])
-    blocks, j = [], 0
-    while j < delta.size:
+    j = 0
+    while j < order.size:
         nodes = total[j:] - total[j] + size[j]
         n = np.searchsorted(nodes * np.arange(1, nodes.size + 1),
                             MAX_EVALUATIONS // 2, side="right")
         chunk = max(1, int(MAX_EVALUATIONS // nodes[n - 1]) - n)
-        blocks.append((order[j:j + n], min(chunk, max(n_tau, 1))))
+        blocks.append((order[j:j + n], min(chunk, n_tau), True))
         j += n
     return blocks
 
@@ -156,9 +162,8 @@ def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
     :func:`fanostat.correlators.g1_general` by the complex step, and the
     sigma partial is zero (the average is even in sigma).
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
     delta = np.asarray(delta, dtype=float)
+    check_reduced(zeta, beta, phi, alpha, sigma, delta=delta)
     if sigma == 0.0:
         out = g1_general(delta, zeta, beta, phi, alpha)
         if not jac:
@@ -166,7 +171,6 @@ def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
         d = complex_step(_g1_formula, delta, zeta, beta, phi, alpha)
         d = np.where(np.asarray(out)[..., None] > 0.0, d, 0.0)
         return out, np.concatenate([d, np.zeros_like(d[..., :1])], axis=-1)
-    phi = check_params(zeta, beta, phi, alpha)
     gam = np.sqrt(zeta * zeta + zeta * alpha)
     c0 = beta * beta * zeta / np.cos(phi) ** 2 - 2.0 * beta * zeta
     c1 = 2.0 * beta * np.tan(phi)
@@ -211,46 +215,30 @@ def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
     partials of numerator and denominator (see
     :func:`fanostat.correlators.g2_tau_parts`) by the quotient rule.
     """
+    check_reduced(zeta, beta, phi, sigma=sigma, t_resp=t_resp, delta=delta, tau=tau)
     return _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac)
 
 
 def _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False, refine=1):
-    check_params(zeta, beta, phi)
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
     tau = np.asarray(tau, dtype=float)
     delta = np.asarray(delta, dtype=float)
     shape = delta.shape + tau.shape
-    coarse = _one_node(delta, sigma)
-    if coarse.all():        # one node per detuning
-        num, den, *partials = _g2_sums(tau, delta.reshape(delta.shape + (1,) * tau.ndim),
-                                       zeta, beta, phi, t_resp, jac)
-        if jac:             # no sigma partials: the average is even in sigma
-            partials = [np.insert(partials[0], 6, 0.0, axis=-1),
-                        np.insert(partials[1], 4, 0.0, axis=-1)]
-        out, d = _quotient(num, den, *partials)
-    elif coarse.any():      # each detuning on its own rule
-        parts = [_average_g2(tau, delta[sel], zeta, beta, phi, sigma, t_resp, jac, refine)
-                 for sel in (coarse, ~coarse)]
-        joined = []
-        for a, b in zip(*(part if jac else (part,) for part in parts)):
-            both = np.empty(shape + a.shape[1 + tau.ndim:])
-            both[coarse], both[~coarse] = a, b
-            joined.append(both)
-        return tuple(joined) if jac else joined[0]
-    else:                   # the lattice, block by block
-        flat, taus = delta.ravel(), tau.ravel()
-        out = np.empty((flat.size, taus.size))
-        d = np.empty(out.shape + (7,)) if jac else None
-        for rows, chunk in _blocks(flat, zeta, sigma, taus.size, refine):
-            x, w = _wandering_nodes(flat[rows], zeta, sigma, jac, refine)
-            for start in range(0, taus.size, chunk):
-                cols = slice(start, start + chunk)
-                value, partial = _quotient(*_g2_sums(taus[cols], x[:, None], zeta, beta,
-                                                     phi, t_resp, jac, w))
-                out[rows, cols] = value
-                if jac:
-                    d[rows, cols] = partial
+    flat, taus = delta.ravel(), tau.ravel()
+    out = np.empty((flat.size, taus.size))
+    d = np.empty(out.shape + (7,)) if jac else None
+    for rows, chunk, lattice in _blocks(flat, zeta, sigma, taus.size, refine):
+        x, w = (_wandering_nodes(flat[rows], zeta, sigma, jac, refine) if lattice
+                else (flat[rows], None))        # one node per detuning
+        for start in range(0, taus.size, chunk):
+            cols = slice(start, start + chunk)
+            num, den, *partials = _g2_sums(taus[cols], x[:, None], zeta, beta, phi,
+                                           t_resp, jac, w)
+            if jac and not lattice:     # no sigma partials: the average is even in sigma
+                partials = [np.insert(partials[0], 6, 0.0, axis=-1),
+                            np.insert(partials[1], 4, 0.0, axis=-1)]
+            out[rows, cols], partial = _quotient(num, den, *partials)
+            if jac:
+                d[rows, cols] = partial
     if not jac:
         out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out

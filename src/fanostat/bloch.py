@@ -19,7 +19,8 @@ taken one matrix at a time. Each point is computed with the same
 elementwise operations as it would be alone, so a sweep equals its points
 solved one by one, bit for bit. :func:`output_correlators` returns g1 and
 g2 of a sweep from one stationary solve per point; :func:`output_g1` is the
-stationary part alone.
+stationary part alone. Both take the domain of the closed forms they are
+compared against (:func:`fanostat.params.check_reduced`).
 
 Reduced units as elsewhere: time in 2/gamma, so the population decays at
 rate 2 and the coherence at rate zeta; the drive amplitude is
@@ -48,7 +49,7 @@ import math
 import numpy as np
 from scipy.linalg import schur
 
-from .params import DimensionlessParams
+from .params import check_reduced
 
 # Delays at which all three eigenvalues lie within SERIES_SPREAD / tau take
 # the series for the second divided difference, summed to h_(SERIES_TERMS-1):
@@ -224,13 +225,9 @@ def _stationary(deltas, zeta, alpha, phi, beta):
     it a few ulp below.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0 or not np.all(np.isfinite(deltas)):
-        raise ValueError("deltas must be a non-empty 1-d array of finite detunings")
-    # zeta, alpha and phi are checked as every reduced parameter set is
-    DimensionlessParams(delta=0.0, zeta=zeta, alpha=alpha, phi=phi,
-                        sigma=0.0, t_resp=0.0)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("deltas must be a non-empty 1-d array of detunings")
+    check_reduced(zeta, beta, phi, alpha, delta=deltas)
     M, b = bloch_matrix(deltas, zeta, alpha)
     v = steady_state(M, b)
     c = -np.exp(1j * phi) * beta / math.cos(phi)

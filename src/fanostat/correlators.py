@@ -21,6 +21,10 @@ there is no regular rewrite yet, and the strict xfail
 curves never evaluate that point: the wandering lattice of
 :mod:`fanostat.averaging` has its nodes at half steps, off delta = 0.
 
+The model functions check their reduced arguments once, on entry, with
+:func:`fanostat.params.check_reduced`; the underscore helpers are
+unvalidated, for callers that have checked them.
+
 Derivatives for the fit come with the values they differentiate:
 :func:`detected_decay` returns its partials from its own ``erfcx`` values
 (erfcx'(z) = 2z erfcx(z) - 2/sqrt(pi)), and :func:`g2_tau_parts`
@@ -35,38 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-_HALF_PI = np.pi / 2.0
-
-# the g2 coefficients carry zeta**6 and delta**6 (B's denominator), which
-# overflow double precision above 1.5e51: zeta and |delta| are capped here
-REDUCED_MAX = 1e50
-
-
-def _check_phi(phi):
-    phi = float(phi)
-    if not -_HALF_PI < phi <= 0.0:
-        raise ValueError("phi must lie in (-pi/2, 0]; phi = -pi/2 (t0 = 0) is singular")
-    return phi
-
-
-def check_params(zeta, beta, phi, alpha=0.0, delta=None):
-    """Validate the model parameters shared by the closed forms, and the
-    reduced detunings ``delta`` if given; returns phi."""
-    phi = _check_phi(phi)
-    if zeta < 1.0:
-        raise ValueError("zeta must be >= 1")
-    if not zeta <= REDUCED_MAX:
-        raise ValueError(f"zeta must not exceed {REDUCED_MAX:g}, where the closed "
-                         f"forms overflow; got {zeta!r}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if delta is not None and not np.all(np.abs(delta) <= REDUCED_MAX):
-        raise ValueError(f"reduced detunings must be finite and at most {REDUCED_MAX:g} "
-                         f"in size, where the closed forms overflow; got up to "
-                         f"{float(np.max(np.abs(delta)))!r}")
-    return phi
+from .params import check_reduced
 
 
 @dataclass(frozen=True)
@@ -90,9 +63,9 @@ def g2zero_ideal(delta, phi) -> CorrelatorDecomposition:
     The bare transmission is T0 = cos(phi)^2. At the transmission zero
     ``delta = -tan(phi)`` the bound term diverges; ``total`` is ``inf`` there.
     """
-    phi = _check_phi(phi)
-    T0 = np.cos(phi) ** 2
     delta = np.asarray(delta, dtype=float)
+    check_reduced(phi=phi, delta=delta)
+    T0 = np.cos(phi) ** 2
     u = T0 * (delta + np.tan(phi)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = 1.0 / (u * u)
@@ -135,7 +108,7 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
     formula a few ulp below it.
     """
     delta = np.asarray(delta, dtype=float)
-    phi = check_params(zeta, beta, phi, alpha, delta)
+    check_reduced(zeta, beta, phi, alpha, delta=delta)
     out = np.maximum(_g1_formula(delta, zeta, beta, phi, alpha), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -208,16 +181,18 @@ class G2Coefficients:
 def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     """Evaluate the weak-pump g2 coefficients; see :class:`G2Coefficients`."""
     delta = np.asarray(delta, dtype=float)
-    phi = check_params(zeta, beta, phi, delta=delta)
-    # the zeta = 2, delta = 0 decay-rate collision divides by zero; let it
-    # propagate as inf rather than warn (see the strict xfail
-    # test_bare_closed_form_at_the_rate_collision)
+    check_reduced(zeta, beta, phi, delta=delta)
+    c = _clamped_coefficients(delta, zeta, beta, phi)
+    return G2Coefficients(*(map(float, c) if delta.ndim == 0 else c))
+
+
+def _clamped_coefficients(delta, zeta, beta, phi):
+    """A, B, g2zero and g1 clamped at zero, unvalidated. The decay-rate
+    collision zeta = 2, delta = 0 divides by zero: inf, not a warning (see
+    test_bare_closed_form_at_the_rate_collision)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         A, B, g20, g1 = np.moveaxis(_coefficients(delta, zeta, beta, phi), -1, 0)
-    g1 = np.maximum(g1, 0.0)
-    if delta.ndim == 0:
-        return G2Coefficients(float(A), float(B), float(g20), float(g1))
-    return G2Coefficients(A, B, g20, g1)
+    return A, B, g20, np.maximum(g1, 0.0)
 
 
 def _coefficient_partials(delta, zeta, beta, phi, g1):
@@ -302,6 +277,8 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
     differentiated by the complex step (:func:`complex_step`), ``D`` in
     closed form; ``a = zeta - i delta`` gives dD/ddelta = -i dD/da.
     """
+    delta = np.asarray(delta, dtype=float)
+    check_reduced(zeta, beta, phi, t_resp=t_resp, delta=delta, tau=tau)
     return _g2_sums(tau, delta, zeta, beta, phi, t_resp, jac)
 
 
@@ -318,15 +295,11 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
     (3, n, N), whose sums of the node terms give the delta and sigma
     partials: the numerator's are along (delta, zeta, beta, phi, tau,
     t_resp, sigma) and the denominator's along (delta, zeta, beta, phi,
-    sigma).
+    sigma). Unvalidated: its callers have checked the parameters.
     """
-    if t_resp < 0:
-        raise ValueError("t_resp must be non-negative")
-    tau = np.asarray(tau, dtype=float)
-    x = np.asarray(x, dtype=float)
-    c = g2_coefficients(x, zeta, beta, phi)
-    g1sq = c.g1 * c.g1
-    K = c.g2zero - g1sq - c.A - 1j * c.B
+    A, B, g20, g1 = _clamped_coefficients(x, zeta, beta, phi)
+    g1sq = g1 * g1
+    K = g20 - g1sq - A - 1j * B
     decay = detected_decay(2.0, tau, t_resp, jac)
     osc = detected_decay(zeta - 1j * x, tau, t_resp, jac)
     if jac:
@@ -336,12 +309,12 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
         return v if weights is None else weights @ v
 
     den = total(g1sq)
-    num = den + total(c.A) * decay + total((K * osc).real)
+    num = den + total(A) * decay + total((K * osc).real)
     if not jac:
         return num, den
 
-    dA, dB, dg20, dg1 = _coefficient_partials(x, zeta, beta, phi, c.g1)
-    dg1sq = 2.0 * np.asarray(c.g1)[..., None] * dg1
+    dA, dB, dg20, dg1 = _coefficient_partials(x, zeta, beta, phi, g1)
+    dg1sq = 2.0 * np.asarray(g1)[..., None] * dg1
     dK = dg20 - dg1sq - dA - 1j * dB
     K_osc_a = K * osc_a
 
@@ -352,7 +325,7 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
         return (node_sum(dg1sq[..., i]) + node_sum(dA[..., i]) * decay
                 + node_sum((dK[..., i] * osc).real + extra))
 
-    A = node_sum(c.A)
+    A = node_sum(A)     # summed over the nodes
     dnum = [along(1, K_osc_a.real), along(2), along(3),
             (A * decay_t + node_sum((K * osc_t).real)) * np.sign(tau),  # d|tau|/dtau
             A * decay_s + node_sum((K * osc_s).real)]

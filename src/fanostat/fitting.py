@@ -54,13 +54,15 @@ class G2Histogram:
         cnt = np.asarray(self.counts, dtype=float)
         if tau.ndim != 1 or tau.shape != cnt.shape:
             raise ValueError("tau_ps and counts must be matching 1-d arrays")
-        if np.any(cnt < 0):
-            raise ValueError("histogram counts must be non-negative")
+        if not (math.isfinite(self.detuning) and np.all(np.isfinite(tau))):
+            raise ValueError("histogram detuning and tau_ps must be finite")
+        if not np.all((cnt >= 0) & (cnt < np.inf)):
+            raise ValueError("histogram counts must be finite and non-negative")
         unc = self.uncertainty
         if unc is not None:
             unc = np.asarray(unc, dtype=float)
-            if unc.shape != cnt.shape or np.any(unc <= 0):
-                raise ValueError("uncertainty must be positive and match counts")
+            if unc.shape != cnt.shape or not np.all((unc > 0) & (unc < np.inf)):
+                raise ValueError("uncertainty must be positive, finite and match counts")
             unc.setflags(write=False)
         tau.setflags(write=False)
         cnt.setflags(write=False)

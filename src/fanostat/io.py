@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,13 +191,20 @@ def _fmt(x):
     return str(x)
 
 
+def _strict(v):
+    # strict JSON has no NaN or infinity: such a float becomes CSV's token
+    return _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def write_series(columns, rows, path, fmt="csv", metadata=None):
     """Write a columnar series with a metadata block.
 
     ``rows`` is an iterable of tuples matching ``columns``. CSV output puts
-    the metadata in leading ``# key: value`` lines; JSON output nests it.
-    Floats are written in full round-trip precision. Output is deterministic
-    for identical inputs (metadata keys sorted, no timestamps).
+    the metadata in leading ``# key: value`` lines; JSON output nests it and
+    is strict JSON, with each non-finite float written as the string CSV
+    writes for it (``"inf"``, ``"-inf"`` or ``"nan"``). Floats are written
+    in full round-trip precision. Output is deterministic for identical
+    inputs (metadata keys sorted, no timestamps).
     """
     path = Path(path)
     rows = [tuple(r) for r in rows]
@@ -214,14 +222,14 @@ def write_series(columns, rows, path, fmt="csv", metadata=None):
                     fh.write(",".join(_fmt(v) for v in r) + "\n")
         elif fmt == "json":
             doc = {
-                "metadata": {k: meta[k] for k in sorted(meta)},
+                "metadata": {k: _strict(meta[k]) for k in sorted(meta)},
                 "columns": list(columns),
-                "rows": [[(float(v) if isinstance(v, (float, np.floating, int,
-                                                      np.integer)) else str(v))
+                "rows": [[(_strict(float(v)) if isinstance(v, (float, np.floating, int,
+                                                               np.integer)) else str(v))
                           for v in r] for r in rows],
             }
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
+                json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
                 fh.write("\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")

@@ -7,6 +7,11 @@ Conventions used throughout the package:
 * dimensionless detuning ``delta = 2*(E_laser - E_transition)/(hbar*gamma)``
 * dimensionless time ``tau_t = tau*gamma/2`` (time in units of ``2/gamma``)
 * transition frequencies quoted in THz are ordinary frequencies (E = h*nu)
+
+:func:`check_reduced` is the one check of the reduced quantities: every
+public function of :mod:`fanostat.correlators`, :mod:`fanostat.averaging`
+and :mod:`fanostat.bloch`, and :class:`DimensionlessParams`, calls it once
+on entry, and nothing below them checks again.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 HBAR_UEV_PS = 658.2119569
+
+# the g2 coefficients carry zeta**6 and delta**6 (B's denominator), which
+# overflow double precision above 1.5e51: zeta, |delta| and sigma (the
+# wandering lattice reaches |delta| + 9 sigma) are capped here
+REDUCED_MAX = 1e50
 
 
 def hbar_gamma(lifetime_ps):
@@ -145,18 +155,37 @@ class DimensionlessParams:
     t_resp: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-        if self.zeta < 1.0:
-            raise ValueError("zeta must be >= 1")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
-        if not -math.pi / 2 < self.phi <= 0.0:
-            raise ValueError("phi must lie in (-pi/2, 0]")
-        if self.sigma < 0 or self.t_resp < 0:
-            raise ValueError("sigma and t_resp must be >= 0")
+        check_reduced(self.zeta, phi=self.phi, alpha=self.alpha, sigma=self.sigma,
+                      t_resp=self.t_resp, delta=self.delta)
+
+
+def check_reduced(zeta=1.0, beta=0.0, phi=0.0, alpha=0.0, sigma=0.0, t_resp=0.0,
+                  delta=None, tau=None):
+    """Raise ``ValueError``, naming the first offender, unless every given
+    reduced quantity is finite and in its domain: zeta in [1, REDUCED_MAX],
+    beta in [0, 1], phi in (-pi/2, 0], alpha, sigma and t_resp >= 0, sigma
+    and the detunings ``delta`` at most REDUCED_MAX in size; ``tau`` holds
+    the delays. The defaults are valid, so each caller passes what it takes.
+    """
+    for name, value, ok, rule in (
+            ("zeta", zeta, 1.0 <= zeta <= REDUCED_MAX,
+             "must lie in [1, {cap:g}], beyond which the closed forms overflow"),
+            ("beta", beta, 0.0 <= beta <= 1.0, "must lie in [0, 1]"),
+            ("phi", phi, -math.pi / 2 < phi <= 0.0,
+             "must lie in (-pi/2, 0]; phi = -pi/2 (t0 = 0) is singular"),
+            ("alpha", alpha, 0.0 <= alpha < math.inf, "must be non-negative and finite"),
+            ("sigma", sigma, 0.0 <= sigma <= REDUCED_MAX,
+             "must be non-negative and at most {cap:g}"),
+            ("t_resp", t_resp, 0.0 <= t_resp < math.inf,
+             "must be non-negative and finite")):
+        if not ok:
+            raise ValueError(f"{name} {rule.format(cap=REDUCED_MAX)}; got {value!r}")
+    if delta is not None and not np.all(np.abs(delta) <= REDUCED_MAX):
+        raise ValueError(f"reduced detunings delta must be finite and at most "
+                         f"{REDUCED_MAX:g} in size, where the closed forms overflow; "
+                         f"got up to {float(np.max(np.abs(delta)))!r}")
+    if tau is not None and not np.all(np.isfinite(tau)):
+        raise ValueError("reduced delays tau must be finite")
 
 
 def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams:
@@ -164,8 +193,6 @@ def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams
 
     The laser energy is measured from the same reference as ``p.omega0``.
     """
-    if not math.isfinite(laser_energy_uev):
-        raise ValueError("laser energy must be finite")
     return DimensionlessParams(
         delta=float(detuning_to_delta(laser_energy_uev - p.omega0, p.lifetime)),
         zeta=1.0 + 2.0 * p.lifetime / p.dephasing_time,

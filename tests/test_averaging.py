@@ -32,7 +32,7 @@ class TestSpecValidation:
             assert np.allclose(w[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert np.allclose(w[1:].sum(axis=2), 0.0, rtol=0, atol=1e-12)
             assert np.allclose(x / (1.1 / (4 * refine)) % 1.0, 0.5, rtol=0, atol=1e-9)
-        assert _wandering_nodes(delta, 1.1, 0.0) is None
+        assert averaging._one_node(delta, 0.0).all()
 
 
 class TestLattice:
@@ -59,8 +59,8 @@ class TestLattice:
         eps = np.finfo(float).eps
         delta = np.array([-9.0, 3.4])
         tiny = 0.5 * eps * 9.0 / averaging.RESOLUTION
-        assert _wandering_nodes(delta, 1.0, tiny) is None
-        assert _wandering_nodes(delta, 1.0, 4.0 * tiny) is not None
+        assert averaging._one_node(delta, tiny).tolist() == [True, False]
+        assert not averaging._one_node(delta, 4.0 * tiny).any()
 
     def test_far_detuning_leaves_the_others_on_the_lattice(self):
         # 3e7 ueV is beyond the lattice's resolution at the reference width:
@@ -185,6 +185,33 @@ class TestBlocks:
         assert all(n * (t + d) <= 1000 for n, t, d in calls)
         for a, b in zip(whole, blocks):
             assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("jac", [False, True])
+    @pytest.mark.parametrize("n_delta,n_tau", [(41, 61), (1500, 2)])
+    def test_one_node_rule_in_blocks(self, n_delta, n_tau, jac, monkeypatch):
+        # at sigma = 0 each detuning is its own node; over the budget the
+        # call is split into blocks of detunings and of delays as on the
+        # lattice, and each row is g2_tau_parts at its detuning
+        delta, tau = np.linspace(-6.0, 6.0, n_delta), np.linspace(0.0, 8.0, n_tau)
+        args = (1.2, 0.9, PHI15, 0.0, 0.136)
+        whole = avg_g2(tau, delta, *args, jac=jac)
+        monkeypatch.setattr(averaging, "MAX_EVALUATIONS", 1000)
+        calls = []
+        g2_sums = averaging._g2_sums
+
+        def counted(tau, x, *rest):
+            calls.append((np.size(x), np.size(tau)))
+            return g2_sums(tau, x, *rest)
+        monkeypatch.setattr(averaging, "_g2_sums", counted)
+        blocks = avg_g2(tau, delta, *args, jac=jac)
+        assert len(calls) > 1 and all(n * t <= 1000 for n, t in calls)
+        assert sum(n * t for n, t in calls) == delta.size * tau.size
+        for a, b in zip(*(x if jac else (x,) for x in (whole, blocks))):
+            assert np.array_equal(a, b)
+        value = blocks[0] if jac else blocks
+        for row, d in zip(value, delta):
+            num, den = g2_tau_parts(tau, d, 1.2, 0.9, PHI15, 0.136)
+            assert np.array_equal(row, num / den)
 
     def test_fit_corner_on_many_delays(self):
         # the widest lattice in the fit bounds (22k nodes per detuning) with

@@ -480,10 +480,13 @@ class TestSweep:
 
     def test_huge_dephasing_is_finite(self):
         # the series of the second divided difference is summed in
-        # (lam - mu)*tau, so eigenvalues 1e160 apart do not overflow it
-        g1, g2 = output_correlators(np.linspace(0, 8, 17), [0.0, 3.0], 1e160,
+        # (lam - mu)*tau, so eigenvalues 1e50 apart do not overflow it;
+        # beyond that zeta the closed forms overflow, and both refuse it
+        g1, g2 = output_correlators(np.linspace(0, 8, 17), [0.0, 3.0], 1e50,
                                     0.0, -0.5, 0.9)
         assert np.all(g1 == 1.0) and np.all(g2 == 1.0)
+        with pytest.raises(ValueError, match="zeta"):
+            output_correlators(np.linspace(0, 8, 17), [0.0], 1e160, 0.0, -0.5, 0.9)
 
     def test_one_stationary_solve_per_point_and_drive(self, monkeypatch):
         # the default grid: g1 and g2 at alpha from one solve, g1 at G1_DRIVE

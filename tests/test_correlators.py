@@ -136,8 +136,9 @@ class TestG1General:
             g1_general(0.0, 0.5, 1.0, PHI15)
         with pytest.raises(ValueError):
             g1_general(0.0, 1.0, 1.5, PHI15)
-        with pytest.raises(ValueError):
-            g1_general(0.0, 1.0, 1.0, PHI15, alpha=-1e-3)
+        for alpha in (-1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                g1_general(0.0, 1.0, 1.0, PHI15, alpha=alpha)
 
 
 class TestG2Tau:

@@ -406,3 +406,17 @@ class TestHistogramNormalization:
         with pytest.raises(ValueError):
             G2Histogram(detuning=0.0, tau_ps=np.array([0.0, 1.0]),
                         counts=np.array([-1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["detuning", "tau_ps", "counts", "uncertainty"])
+    def test_rejects_non_finite(self, field, bad):
+        # one NaN count in the tail would make every residual of the
+        # histogram NaN, and the fit would drop it whole
+        valid = dict(detuning=9.0, tau_ps=np.array([-50.0, 0.0, 50.0]),
+                     counts=np.array([100.0, 60.0, 100.0]),
+                     uncertainty=np.array([10.0, 8.0, 10.0]))
+        G2Histogram(**valid)
+        if field != "detuning":
+            bad = np.where([False, False, True], bad, valid[field])
+        with pytest.raises(ValueError, match="finite"):
+            G2Histogram(**{**valid, field: bad})

@@ -431,6 +431,25 @@ class TestCLI:
         rep = json.loads(out.read_text(), parse_constant=reject)
         assert set(rep["parameter_stderr"].values()) == {None}
 
+    def test_scan_json_is_strict(self, tmp_path):
+        # the divergent row on the Fano zero and the infinite dephasing time
+        # are written as CSV's tokens, not as Infinity
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--mode", "g2zero", "--set", "t0=1.0", "--set", "beta=1.0",
+                     "--set", "dephasing_time=inf", "--average", "off", "--grid=-1:1:3",
+                     "--out", str(out), "--format", "json"]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite constant {name} in the series")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["rows"][1][1:] == ["inf", "divergent"]
+        assert doc["metadata"]["param_dephasing_time"] == "inf"
+        series = tmp_path / "s.json"
+        write_series(("x", "y"), [(math.nan, -math.inf)], series, "json", {"k": math.nan})
+        doc = json.loads(series.read_text(), parse_constant=reject)
+        assert doc["rows"] == [["nan", "-inf"]] and doc["metadata"] == {"k": "nan"}
+
     def test_fit_non_finite_g2_weight(self, tmp_path, capsys):
         det = np.linspace(-40, 40, 9)
         f_t = tmp_path / "trans.csv"

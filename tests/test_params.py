@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from analytic import scattering_matrix
-from fanostat import (HBAR_UEV_PS, DimensionlessParams, PhysicalParams,
-                      detuning_to_delta, hbar_gamma, phi_from_t0,
+from fanostat import (HBAR_UEV_PS, DimensionlessParams, PhysicalParams, avg_g1,
+                      avg_g2, detuning_to_delta, g1_general, g2_coefficients,
+                      g2_tau_general, g2_tau_parts, g2zero_ideal, hbar_gamma,
+                      output_correlators, output_g1, phi_from_t0,
                       tau_to_dimensionless, to_dimensionless)
 
 REF = PhysicalParams()   # defaults are the documented reference configuration
@@ -102,6 +105,44 @@ class TestDimensionlessParamsValidation:
         DimensionlessParams(**valid)
         with pytest.raises(ValueError, match=field):
             DimensionlessParams(**{**valid, field: bad})
+
+
+# every public entry into the model, with the reduced arguments it takes in
+# order; each is checked once, by params.check_reduced
+VALID = dict(tau=0.4, delta=0.5, zeta=1.2, beta=0.9, phi=-0.5, alpha=1e-3, sigma=0.3,
+             t_resp=0.1)
+OUT_OF_RANGE = dict(tau=None, delta=1e51, zeta=0.5, beta=1.5, phi=0.1, alpha=-1e-3,
+                    sigma=-0.1, t_resp=-0.1)
+ENTRIES = {
+    "g1_general": (g1_general, "delta zeta beta phi alpha"),
+    "g2zero_ideal": (g2zero_ideal, "delta phi"),
+    "g2_coefficients": (g2_coefficients, "delta zeta beta phi"),
+    "g2_tau_parts": (g2_tau_parts, "tau delta zeta beta phi t_resp"),
+    "g2_tau_general": (g2_tau_general, "tau delta zeta beta phi"),
+    "avg_g1": (avg_g1, "delta zeta beta phi sigma alpha"),
+    "avg_g2": (avg_g2, "tau delta zeta beta phi sigma t_resp"),
+    "output_g1": (lambda delta, *rest: output_g1([delta], *rest),
+                  "delta zeta alpha phi beta"),
+    "output_correlators": (
+        lambda tau, delta, *rest: output_correlators([tau], [delta], *rest),
+        "tau delta zeta alpha phi beta"),
+    "DimensionlessParams": (DimensionlessParams, "delta zeta alpha phi sigma t_resp"),
+}
+
+
+@pytest.mark.parametrize("entry,arg,bad", [
+    (entry, arg, bad) for entry, (_, args) in ENTRIES.items() for arg in args.split()
+    for bad in (math.nan, math.inf, -math.inf, OUT_OF_RANGE[arg]) if bad is not None])
+def test_entry_rejects_each_bad_argument(entry, arg, bad):
+    # NaN, +-inf and an out-of-range value of any argument: a typed error,
+    # never a silent NaN, a warning or the value at another argument
+    f, args = ENTRIES[entry]
+    values = {name: VALID[name] for name in args.split()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f(*values.values())
+        with pytest.raises(ValueError, match=arg if arg != "delta" else "detunings"):
+            f(*{**values, arg: bad}.values())
 
 
 class TestCouplingVector:
