@@ -8,10 +8,11 @@ Conventions used throughout the package:
 * dimensionless time ``tau_t = tau*gamma/2`` (time in units of ``2/gamma``)
 * transition frequencies quoted in THz are ordinary frequencies (E = h*nu)
 
-:func:`check_reduced` is the one check of the reduced quantities: every
-public function of :mod:`fanostat.correlators`, :mod:`fanostat.averaging`
-and :mod:`fanostat.bloch`, and :class:`DimensionlessParams`, calls it once
-on entry, and nothing below them checks again.
+:func:`check_reduced` is the one check of the reduced quantities. The
+model entries call it on entry: :class:`DimensionlessParams`, the closed
+forms of :mod:`fanostat.correlators`, ``avg_g1`` and ``avg_g2`` of
+:mod:`fanostat.averaging` and the oracle of :mod:`fanostat.bloch`; the
+helpers below them do not check again.
 """
 
 from __future__ import annotations

@@ -471,6 +471,12 @@ class TestPartials:
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)[1:]
             assert np.allclose(g, w[0], rtol=1e-13, atol=0)
+        for sigma in (0.0, 1.7852):     # the one-node rule and the lattice
+            got = avg_g2(0.3, 0.7, 1.05, 0.9, PHI15, sigma, 0.136, jac=True)
+            want = avg_g2(np.array([0.3]), np.array([0.7]), 1.05, 0.9, PHI15, sigma,
+                          0.136, jac=True)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w[0, 0])
 
     def test_curves_with_partials_keep_their_values(self):
         # the value column of a curve with partials is the value-only curve
