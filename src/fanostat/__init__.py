@@ -8,9 +8,8 @@ from .params import (HBAR_UEV_PS, DimensionlessParams, FPBackground,
                      PhysicalParams, detuning_to_delta, fp_background,
                      hbar_gamma, phi_from_t0, tau_to_dimensionless,
                      to_dimensionless)
-from .correlators import (CorrelatorDecomposition, G2Coefficients, g1_general,
-                          g2_coefficients, g2_tau_general, g2_tau_parts,
-                          g2zero_ideal)
+from .correlators import (CorrelatorDecomposition, g1_general, g2_tau_general,
+                          g2_tau_parts, g2zero_ideal)
 from .averaging import ModelCurves, avg_g1, avg_g2, check_refinement
 from .bloch import (bloch_matrix, output_correlators, output_g1,
                     propagate_exact, steady_state)

@@ -9,26 +9,44 @@ at long delay and stays finite on top of the (unaveraged) divergences.
 
 The averaged transmission is a Voigt profile in closed form (Faddeeva
 function). The g2 average is the trapezoid rule on one lattice per call,
-x_k = (k + 1/2) h with h = min(zeta, sigma)/4, shared by all its
-detunings; each weights the nodes within :data:`TAIL` widths of it by the
-Gaussian, so detunings farther apart than 2 TAIL sigma get separate
-windows. Numerator and denominator are analytic in |Im delta| < zeta (the
-detector factor is entire), so the error falls like exp(-2 pi zeta/h)
-(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Rev. 56, 2014); :func:`check_refinement` measures it by halving h.
-h is continuous in (zeta, sigma), so only the window truncation jumps, by
-the weight of a dropped node (< 2.6e-18). The half-step anchor keeps every
-node off delta = 0, where the bare closed form is singular at zeta = 2.
-Where the rounding of the nodes, eps |x|, exceeds :data:`RESOLUTION` sigma,
-the lattice cannot resolve the Gaussian and each detuning is its own node
-(the one-node rule, as at sigma = 0; its error is O(sigma^2 g2'')). One loop
-evaluates every call block by block: the one-node detunings form blocks of
-their own, the others blocks of neighbours on their merged windows, and the
-delays are split so that no product exceeds :data:`MAX_EVALUATIONS` node
-evaluations, which bounds the memory; only a single detuning's window too
-wide for it raises ``ValueError``. The detector's Gaussian response of width
-``t_resp`` is applied in closed form to every decay component before
-averaging (see :func:`fanostat.correlators.g2_tau_parts`).
+x_k = (k + 1/2) h, shared by all its detunings; each weights the nodes
+within :data:`TAIL` widths of it by the Gaussian, so detunings farther
+apart than 2 TAIL sigma get separate windows. The numerator and the
+denominator g1^2 have their only poles at delta = +-i zeta (the detector
+factor is entire, and the collision poles +-i(zeta - 2) cancel), which
+would limit the rule's strip of analyticity to |Im delta| < zeta. Their
+principal parts are subtracted in closed form instead: the Gaussian average
+of 1/(x - p) is i sqrt(pi/2) w((p - delta)/(sqrt(2) sigma))/sigma (Fried &
+Conte's plasma dispersion function), that of 1/(x - p)^2 its p-derivative,
+and each correction is 2 Re[c (<f> - sum_k W_k f(x_k))], with the
+residues c of :func:`fanostat.correlators._pole_coefficients` and
+:func:`fanostat.correlators._residue_delays`. What remains is entire, and
+the integrand oscillates like exp(i x t) over the delays t that the
+detector sees, |t| <= tau_max + 6 t_resp. So the step is
+
+    h = 2 pi/(tau_max + 6 t_resp + ALIAS/sigma),
+
+with tau_max the largest |tau| of the call, independent of zeta: the error
+is the Gaussian's aliasing beyond those frequencies, about
+exp(-ALIAS^2/2) = 1.3e-14 (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Rev. 56, 2014), and
+:func:`check_refinement` measures it by halving h. Each window then holds
+9 sigma (tau_max + 6 t_resp)/pi + 23 nodes. h is continuous in sigma,
+t_resp and the delays, so only the window truncation jumps, by the weight of
+a dropped node (< 2.6e-18). The half-step anchor keeps every node off
+delta = 0, where the bare closed form is singular at zeta = 2. Where the
+rounding of the nodes, eps |x|, exceeds :data:`RESOLUTION` sigma, the
+lattice cannot resolve the Gaussian and each detuning is its own node (the
+one-node rule, as at sigma = 0, with no pole correction; its error is
+O(sigma^2 g2'')). One loop evaluates every call block by block: the
+one-node detunings form blocks of their own, the others blocks of
+neighbours on their merged windows, and the delays are split so that no
+product exceeds :data:`MAX_EVALUATIONS` node evaluations, which bounds the
+memory. Only a single detuning's window too wide for it raises
+``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4. The
+detector's Gaussian response of width ``t_resp`` is applied in closed form
+to every decay component before averaging (see
+:func:`fanostat.correlators.g2_tau_parts`).
 
 The drive enters the averaged transmission through the reduced intensity
 ``alpha``; the g2 closed form is weak-pump only (alpha -> 0), so the g2
@@ -41,7 +59,10 @@ denominator. Those in (zeta, beta, phi, tau, t_resp) are the node partials
 summed with the weights W; those in the detuning and in sigma are the node
 terms summed with the weights' derivatives W y/sigma and W (y^2 - 1)/sigma,
 y = (x_k - delta)/sigma, exact for the discrete sum at fixed nodes (moving
-the nodes with h changes the sum by no more than its error).
+the nodes with h changes the sum by no more than its error). The pole
+corrections add theirs: the residues' by the complex step and from
+:func:`fanostat.correlators.detected_decay`'s partials, and the closed-form
+averages' in delta, sigma and zeta from w'.
 :class:`ModelCurves` chains them to the physical fields of
 :data:`FIT_FIELDS`.
 """
@@ -51,7 +72,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import wofz
 
-from .correlators import _g1_formula, _g2_sums, complex_step, g1_general
+from .correlators import (_g1_formula, _g2_sums, _pole_coefficients, _residue_delays,
+                          complex_step, g1_general)
 from .params import (HBAR_UEV_PS, PhysicalParams, check_reduced, detuning_to_delta,
                      tau_to_dimensionless, to_dimensionless)
 
@@ -60,6 +82,9 @@ FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "bet
 
 # the Gaussian is cut this many widths from each detuning (weights < 2.6e-18)
 TAIL = 9.0
+# the lattice resolves frequencies up to ALIAS/sigma beyond the delays: the
+# Gaussian's own aliasing is about exp(-ALIAS^2/2) = 1.3e-14
+ALIAS = 8.0
 # the largest node rounding, eps |x|, relative to sigma that the lattice takes
 RESOLUTION = 1e-9
 # at most this many node evaluations, nodes x (delays + detunings), per
@@ -74,31 +99,31 @@ def _one_node(delta, sigma):
     return ~(RESOLUTION * sigma > np.finfo(float).eps * (np.abs(delta) + TAIL * sigma))
 
 
-def _step(zeta, sigma, refine):
-    """The lattice step h = min(zeta, sigma)/4, divided by ``refine``."""
-    return min(zeta, sigma) / (4.0 * refine)
+def _step(tau, sigma, t_resp, refine=1):
+    """The lattice step 2 pi/(tau_max + 6 t_resp + ALIAS/sigma), divided by
+    ``refine``, with tau_max the largest |tau| of the call."""
+    reach = np.max(np.abs(tau), initial=0.0) + 6.0 * t_resp
+    return 2.0 * np.pi / (reach + ALIAS / sigma) / refine
 
 
-def _windows(delta, zeta, sigma, refine):
+def _windows(delta, step, sigma):
     """For each detuning, its first and last node k of the nodes
     (k + 1/2) step within TAIL sigma of it."""
-    step, reach = _step(zeta, sigma, refine), TAIL * sigma
+    reach = TAIL * sigma
     return np.ceil((delta - reach) / step - 0.5), np.floor((delta + reach) / step - 0.5)
 
 
-def _wandering_nodes(delta, zeta, sigma, jac=False, refine=1):
+def _wandering_nodes(delta, step, sigma, jac=False):
     """The lattice of the g2 average for the 1-d detunings ``delta``.
 
     Returns the nodes (N,) and the (n, N) weights, stacked with their delta
-    and sigma derivatives to (3, n, N) with ``jac``. ``refine`` divides the
-    step.
+    and sigma derivatives to (3, n, N) with ``jac``.
     """
     # each detuning's window, merged where they overlap
-    lo, hi = _windows(np.sort(delta), zeta, sigma, refine)
-    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
-    starts, ends = lo[first], hi[np.r_[first[1:] - 1, -1]]
+    lo, hi = _windows(np.sort(delta), step, sigma)
+    first = np.flatnonzero(np.concatenate([[True], lo[1:] > hi[:-1] + 1.0]))
+    starts, ends = lo[first], hi[np.append(first[1:] - 1, -1)]
     k = np.concatenate([np.arange(a, b + 1.0) for a, b in zip(starts, ends)]) + 0.5
-    step = _step(zeta, sigma, refine)
     y = (k - delta[:, None] / step) * (step / sigma)      # (x_k - delta)/sigma
     w = np.where(np.abs(y) <= TAIL,
                  step / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-0.5 * y * y), 0.0)
@@ -107,13 +132,14 @@ def _wandering_nodes(delta, zeta, sigma, jac=False, refine=1):
     return k * step, w
 
 
-def _blocks(delta, zeta, sigma, n_tau, refine=1):
+def _blocks(delta, step, sigma, n_tau):
     """The 1-d detunings in blocks, as indices, each with the number of
     delays per product so that it stays within :data:`MAX_EVALUATIONS`,
-    and whether it takes the lattice. The one-node detunings come first, in
-    blocks of their own; the others are grouped into neighbours whose
-    detunings take at most half of it. Raises ``ValueError`` only where one
-    detuning's window alone exceeds it with one delay."""
+    and whether it takes the lattice of step ``step``. The one-node
+    detunings come first, in blocks of their own; the others are grouped
+    into neighbours whose detunings take at most half of it. Raises
+    ``ValueError`` only where one detuning's window alone exceeds it with
+    one delay."""
     n_tau, coarse = max(n_tau, 1), _one_node(delta, sigma)
     one, fine = np.flatnonzero(coarse), np.flatnonzero(~coarse)
     blocks = [(rows, min(n_tau, MAX_EVALUATIONS // rows.size), False)
@@ -121,16 +147,18 @@ def _blocks(delta, zeta, sigma, n_tau, refine=1):
                            for i in range(0, one.size, MAX_EVALUATIONS))]
     if fine.size == 0:
         return blocks
-    most = 2.0 * TAIL * sigma / _step(zeta, sigma, refine) + 1.0    # nodes per window
+    most = 2.0 * TAIL * sigma / step + 1.0    # nodes per window
     if 2.0 * most > MAX_EVALUATIONS:
         raise ValueError(
             f"the wandering average needs {int(most)} nodes per detuning, over the "
-            f"budget of {MAX_EVALUATIONS} node evaluations (sigma = {sigma:.4g}, "
-            f"zeta = {zeta:.4g})")
+            f"budget of {MAX_EVALUATIONS} node evaluations: sigma (tau_max + "
+            f"6 t_resp) must stay below about "
+            f"{np.pi * (MAX_EVALUATIONS - 2.0) / (2.0 * TAIL) - ALIAS:.3g} "
+            f"(sigma = {sigma:.4g})")
     if fine.size * most * (n_tau + fine.size) <= MAX_EVALUATIONS:
         return blocks + [(fine, n_tau, True)]
     order = fine[np.argsort(delta[fine])]
-    lo, hi = _windows(delta[order], zeta, sigma, refine)
+    lo, hi = _windows(delta[order], step, sigma)
     size = hi - lo + 1.0
     # the windows of sorted detunings j..i span size[j] nodes and the new
     # ones of each later detuning, whose last node never comes earlier
@@ -144,6 +172,71 @@ def _blocks(delta, zeta, sigma, n_tau, refine=1):
         blocks.append((order[j:j + n], min(chunk, n_tau), True))
         j += n
     return blocks
+
+
+def _pole_averages(p, delta, sigma):
+    """F_n = d^n/dp^n <1/(x - p)> for n = 0, 1, 2, stacked, over the Gaussian
+    of width sigma about each detuning, for Im p > 0 (Fried & Conte's plasma
+    dispersion function).
+
+    With z = (p - delta)/(sqrt(2) sigma), v = 1 + i sqrt(pi) z w(z) and
+    u = 1 - v + 2 z^2 v: F_0 = i sqrt(pi/2) w(z)/sigma, F_1 = -v/sigma^2
+    and F_2 = u/(sigma^2 (p - delta)), from w'(z) = -2z w(z) + 2i/sqrt(pi)
+    and w'' = -2w - 2z w'. Those forms of v and u lose digits like |z|^2
+    and |z|^4; beyond |z| = 10 they come from w's asymptotic series instead,
+    v = -sum_k (2k-1)!! q^k and u = -sum_k 2k (2k-1)!! q^k with
+    q = 1/(2 z^2).
+    """
+    z = (p - delta) / (np.sqrt(2.0) * sigma)
+    w = wofz(z)
+    v = 1.0 + 1j * np.sqrt(np.pi) * z * w
+    u = 1.0 - v + 2.0 * z * z * v
+    far = np.abs(z) > 10.0
+    if np.any(far):
+        q = 0.5 / z[far] ** 2
+        term, v[far], u[far] = np.ones_like(q), 0.0, 0.0
+        for k in range(1, 17):      # the terms fall below 1e-16 of the first
+            term = term * (2 * k - 1) * q
+            v[far] -= term
+            u[far] -= 2 * k * term
+    return np.stack([1j * np.sqrt(np.pi / 2.0) * w / sigma, -v / sigma**2,
+                     u / (sigma**2 * (p - delta))])
+
+
+# the order of the pole each coefficient of correlators._pole_coefficients
+# multiplies: the numerator's residue and g1^2's residue are simple, the
+# last is g1^2's double pole
+_ORDERS = np.array([0, 0, 0, 0, 0, 0, 1])
+
+
+def _pole_parts(delta, x, w, zeta, sigma, c, dc=None):
+    """2 Re[c (<f> - sum_k W_k f(x_k))] for each detuning and coefficient c
+    of :func:`fanostat.correlators._pole_coefficients`, with f = 1/(x - i
+    zeta) or its square: what the lattice misses of each principal part.
+
+    Returns shape (n, 7); given the coefficients' (zeta, beta, phi) partials
+    ``dc`` (3, 7) and the stacked weights, shape (6, n, 7) along (value,
+    delta, zeta, beta, phi, sigma).
+    """
+    p = 1j * zeta
+    F = _pole_averages(p, delta, sigma).T      # (n, 3)
+    f = 1.0 / (x - p)
+    sums = w @ np.stack([f, f * f, 2.0 * f**3], axis=-1)    # f^2 and its p-derivative
+    # the gaps of f and f^2 and their partials: d/ddelta F_m = -F_(m+1) (the
+    # nodes stay), d/dzeta = i d/dp, sigma dF_m/dsigma = -(m+1) F_m -
+    # (p - delta) F_(m+1)
+    if dc is None:
+        return 2.0 * (c * (F[:, :2] - sums[:, :2])[:, _ORDERS]).real
+    gaps = np.stack([
+        F[:, :2] - sums[0, :, :2],
+        -F[:, 1:] - sums[1, :, :2],
+        1j * (F[:, 1:] - sums[0, :, 1:]),
+        -(F[:, :2] * [1.0, 2.0] + (p - delta)[:, None] * F[:, 1:]) / sigma - sums[2, :, :2],
+    ])[..., _ORDERS]        # (value, delta, zeta, sigma), n, 7
+    terms = c * gaps
+    d_terms = dc[:, None] * gaps[0]
+    return 2.0 * np.stack([terms[0], terms[1], d_terms[0] + terms[2], d_terms[1],
+                           d_terms[2], terms[3]]).real
 
 
 def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
@@ -206,9 +299,14 @@ def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
     Returns shape ``delta.shape + tau.shape``: one row of delays per
     detuning. Numerator and denominator of the normalized correlator are
     averaged over the same Gaussian before dividing, on the lattice of the
-    module docstring shared by all the detunings; the numerator carries the
-    detector response of width ``t_resp``. ``sigma = 0`` is the one-node
-    rule.
+    module docstring shared by all the detunings, with the principal parts
+    of their poles at delta = +-i zeta added in closed form; the numerator
+    carries the detector response of width ``t_resp``. The step
+    h = 2 pi/(tau_max + 6 t_resp + 8/sigma) resolves the delays' oscillation
+    with a Gaussian aliasing error near 1e-14, whatever zeta is; a window
+    of 18 sigma/h nodes over :data:`MAX_EVALUATIONS`/2, where
+    sigma (tau_max + 6 t_resp) passes about 9.1e4, raises ``ValueError``.
+    ``sigma = 0`` is the one-node rule.
 
     With ``jac``, also returns the partials with respect to (delta, zeta,
     beta, phi, tau, t_resp, sigma) along a new last axis, from the averaged
@@ -226,14 +324,24 @@ def _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False, refine=1)
     flat, taus = delta.ravel(), tau.ravel()
     out = np.empty((flat.size, taus.size))
     d = np.empty(out.shape + (7,)) if jac else None
-    for rows, chunk, lattice in _blocks(flat, zeta, sigma, taus.size, refine):
-        x, w = (_wandering_nodes(flat[rows], zeta, sigma, jac, refine) if lattice
-                else (flat[rows], None))        # one node per detuning
+    step = _step(taus, sigma, t_resp, refine) if sigma > 0.0 else np.inf
+    poles = None
+    for rows, chunk, lattice in _blocks(flat, step, sigma, taus.size):
+        if lattice:
+            x, w = _wandering_nodes(flat[rows], step, sigma, jac)
+            if poles is None:       # the residues, once per call
+                poles = _pole_terms(taus, zeta, beta, phi, t_resp, jac)
+            parts = _pole_parts(flat[rows], x, w, zeta, sigma, *poles[0])
+        else:
+            x, w = flat[rows], None         # one node per detuning
         for start in range(0, taus.size, chunk):
             cols = slice(start, start + chunk)
             num, den, *partials = _g2_sums(taus[cols], x[:, None], zeta, beta, phi,
                                            t_resp, jac, w)
-            if jac and not lattice:     # no sigma partials: the average is even in sigma
+            if lattice:
+                num, den, partials = _corrected(num, den, partials, parts,
+                                                *(v[..., cols] for v in poles[1:]))
+            elif jac:       # no sigma partials: the average is even in sigma
                 partials = [np.insert(partials[0], 6, 0.0, axis=-1),
                             np.insert(partials[1], 4, 0.0, axis=-1)]
             out[rows, cols], partial = _quotient(num, den, *partials)
@@ -243,6 +351,35 @@ def _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False, refine=1)
         out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
     return out.reshape(shape), d.reshape(shape + (7,))
+
+
+def _pole_terms(tau, zeta, beta, phi, t_resp, jac):
+    """The pole coefficients (with their partials in zeta, beta, phi) and
+    the residue's delay functions (with theirs in zeta, tau, t_resp)."""
+    re, im = _pole_coefficients(zeta, beta, phi)
+    if not jac:
+        return (re + 1j * im,), _residue_delays(tau, zeta, t_resp)
+    d_re, d_im = np.moveaxis(complex_step(_pole_coefficients, zeta, beta, phi), -1, 1)
+    return (re + 1j * im, d_re + 1j * d_im), *_residue_delays(tau, zeta, t_resp, jac=True)
+
+
+def _corrected(num, den, partials, parts, F, dF=None):
+    """The lattice sums plus the pole parts they miss (see
+    :func:`_pole_parts`): the numerator's residue times its delay functions
+    ``F``, and g1^2's pole parts in the denominator. ``dF`` holds the
+    partials of ``F`` in (zeta, tau, t_resp)."""
+    value = parts if dF is None else parts[0]
+    num = num + value[:, :5] @ F
+    den = den + value[:, 5:].sum(-1, keepdims=True)
+    if dF is None:
+        return num, den, partials
+    dnum, dden = partials
+    along = np.moveaxis(parts[1:, :, :5] @ F, 0, -1)     # delta, zeta, beta, phi, sigma
+    extra = np.moveaxis(value[:, :5] @ dF, 0, -1)         # zeta, tau, t_resp
+    dnum = dnum + np.concatenate([along[..., :4], extra[..., 1:], along[..., 4:]], axis=-1)
+    dnum[..., 1] += extra[..., 0]
+    dden = dden + np.moveaxis(parts[1:, :, 5:].sum(-1), 0, -1)[:, None]
+    return num, den, [dnum, dden]
 
 
 def _quotient(num, den, dnum=None, dden=None):

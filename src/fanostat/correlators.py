@@ -19,7 +19,12 @@ the population and coherence decay rates collide, and lose digits near it;
 there is no regular rewrite yet, and the strict xfail
 ``test_bare_closed_form_at_the_rate_collision`` records it. The averaged
 curves never evaluate that point: the wandering lattice of
-:mod:`fanostat.averaging` has its nodes at half steps, off delta = 0.
+:mod:`fanostat.averaging` has its nodes at half steps, off delta = 0. That
+lattice's step is set by the delays, not by zeta, because the average adds
+the principal parts of g2's poles at delta = +-i zeta in closed form; their
+coefficients (:func:`_pole_coefficients`) and the delay functions of the
+numerator's residue (:func:`_residue_delays`) are here, regular at zeta = 1
+where the collision poles meet them.
 
 The model functions check their reduced arguments once, on entry, with
 :func:`fanostat.params.check_reduced`; the underscore helpers are
@@ -37,9 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erf, erfcx
 
 from .params import check_reduced
+
+# below this 2 zeta - 2 the divided difference D[2, 2 zeta] is a quadrature
+# of dD/da, where the difference quotient would lose digits
+DIVIDED_DIFFERENCE = 0.05
+# the three-point Gauss-Legendre rule on [0, 1]: nodes and weights
+GAUSS_LEGENDRE = (0.5 + np.array([-0.5, 0.0, 0.5]) * np.sqrt(0.6),
+                  np.array([5.0, 8.0, 5.0]) / 18.0)
 
 
 @dataclass(frozen=True)
@@ -135,12 +147,15 @@ def complex_step(f, *args):
 
 
 def _coefficients(delta, zeta, beta, phi):
-    """A, B, g2zero and the unclamped g1 (see :class:`G2Coefficients`),
-    stacked along a new last axis.
+    """A, B, g2zero and the unclamped g1, stacked along a new last axis.
 
-    Unvalidated and analytic in every argument (complex step). ``A`` and
-    ``B`` share the rate-collision factor P = delta^2 + (zeta - 2)^2; ``B``
-    is regular at delta = 0, where the sin factor supplies the odd symmetry.
+    ``A`` weights exp(-2|tau|), ``B`` weights exp(-zeta|tau|) sin(delta|tau|),
+    ``g2zero`` is the unnormalized zero-delay value (g1 evaluated at doubled
+    beta); the cosine weight follows from continuity at tau = 0 as
+    ``g2zero - g1^2 - A``. Unvalidated and analytic in every argument
+    (complex step). ``A`` and ``B`` share the rate-collision factor
+    P = delta^2 + (zeta - 2)^2; ``B`` is regular at delta = 0, where the sin
+    factor supplies the odd symmetry.
     """
     d2, z = delta * delta, zeta
     P = d2 + (z - 2.0) ** 2
@@ -161,31 +176,6 @@ def _coefficients(delta, zeta, beta, phi):
                      _g1_formula(delta, zeta, beta, phi)], axis=-1)
 
 
-@dataclass(frozen=True)
-class G2Coefficients:
-    """Weak-pump g2(tau) building blocks at one parameter point.
-
-    ``A`` weights exp(-2|tau|), ``B`` weights exp(-zeta|tau|) sin(delta|tau|),
-    ``g2zero`` is the unnormalized zero-delay value (g1 evaluated at doubled
-    beta), and ``g1`` the weak-drive transmission, clamped at zero as in
-    :func:`g1_general`. The cosine weight follows from continuity at tau = 0
-    as ``g2zero - g1^2 - A``.
-    """
-
-    A: float
-    B: float
-    g2zero: float
-    g1: float
-
-
-def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
-    """Evaluate the weak-pump g2 coefficients; see :class:`G2Coefficients`."""
-    delta = np.asarray(delta, dtype=float)
-    check_reduced(zeta, beta, phi, delta=delta)
-    c = _clamped_coefficients(delta, zeta, beta, phi)
-    return G2Coefficients(*(map(float, c) if delta.ndim == 0 else c))
-
-
 def _clamped_coefficients(delta, zeta, beta, phi):
     """A, B, g2zero and g1 clamped at zero, unvalidated. The decay-rate
     collision zeta = 2, delta = 0 divides by zero: inf, not a warning (see
@@ -195,11 +185,16 @@ def _clamped_coefficients(delta, zeta, beta, phi):
     return A, B, g20, np.maximum(g1, 0.0)
 
 
-def _coefficient_partials(delta, zeta, beta, phi, g1):
-    """Partials of A, B, g2zero and g1 along a last axis (delta, zeta, beta, phi)."""
+def _coefficient_partials(delta, zeta, beta, phi, g1, along_delta=True):
+    """Partials of A, B, g2zero and g1 along a last axis (delta, zeta, beta,
+    phi), or (zeta, beta, phi) without ``along_delta``."""
+    def at_delta(*args):
+        return _coefficients(np.asarray(delta)[..., None], *args)
+
     with np.errstate(divide="ignore", invalid="ignore"):
         dA, dB, dg20, dg1 = np.moveaxis(
-            complex_step(_coefficients, delta, zeta, beta, phi), -1, 0)
+            complex_step(_coefficients, delta, zeta, beta, phi) if along_delta
+            else complex_step(at_delta, zeta, beta, phi), -1, 0)
     # the clamped g1 is flat where the clamp acts
     return dA, dB, dg20, np.where(np.asarray(g1)[..., None] > 0.0, dg1, 0.0)
 
@@ -266,7 +261,7 @@ def g2_tau_parts(tau, delta, zeta, beta, phi, t_resp=0.0, jac=False):
 
     The numerator is ``g1^2 + A D(2, tau) + Re[K D(zeta - i delta, tau)]``
     with ``K = C - iB`` and ``C = g2zero - g1^2 - A`` (see
-    :class:`G2Coefficients`), where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by
+    :func:`_coefficients`), where ``D(a, tau)`` is ``exp(-a|tau|)`` seen by
     a detector of Gaussian response width ``t_resp`` (:func:`detected_decay`).
     ``t_resp = 0`` is the bare correlator.
 
@@ -313,7 +308,8 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
     if not jac:
         return num, den
 
-    dA, dB, dg20, dg1 = _coefficient_partials(x, zeta, beta, phi, g1)
+    # on a lattice the delta partials come from the weights, not the nodes
+    dA, dB, dg20, dg1 = _coefficient_partials(x, zeta, beta, phi, g1, weights is None)
     dg1sq = 2.0 * np.asarray(g1)[..., None] * dg1
     dK = dg20 - dg1sq - dA - 1j * dB
     K_osc_a = K * osc_a
@@ -321,23 +317,107 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
     def node_sum(v):
         return v if weights is None else weights[0] @ v
 
-    def along(i, extra=0.0):   # numerator partial in coefficient argument i
-        return (node_sum(dg1sq[..., i]) + node_sum(dA[..., i]) * decay
-                + node_sum((dK[..., i] * osc).real + extra))
-
+    # along the coefficient arguments: the node sums of dg1^2 and dA, and
+    # per delay those of Re[dK D]; then Re[K dD/da], Re[K dD/dt] and
+    # Re[K dD/ds]
+    n = dK.shape[-1]
+    dg1sq_sum, dA_sum = node_sum(np.moveaxis(np.stack([dg1sq, dA]), -1, 1))
+    terms = node_sum(np.stack([dK[..., i] * osc for i in range(n)]
+                              + [K_osc_a, K * osc_t, K * osc_s]).real)
+    dnum = [dg1sq_sum[i] + dA_sum[i] * decay + terms[i] for i in range(n)]
     A = node_sum(A)     # summed over the nodes
-    dnum = [along(1, K_osc_a.real), along(2), along(3),
-            (A * decay_t + node_sum((K * osc_t).real)) * np.sign(tau),  # d|tau|/dtau
-            A * decay_s + node_sum((K * osc_s).real)]
-    dden = [node_sum(dg1sq[..., i]) for i in (1, 2, 3)]
+    dnum[n - 3] = dnum[n - 3] + terms[n]        # zeta
+    dnum += [(A * decay_t + terms[n + 1]) * np.sign(tau),  # d|tau|/dtau
+             A * decay_s + terms[n + 2]]
+    dden = list(dg1sq_sum)
     if weights is None:
-        dnum.insert(0, along(0, K_osc_a.imag))
-        dden.insert(0, dg1sq[..., 0])
+        dnum[0] = dnum[0] + K_osc_a.imag
     else:
         (num, dnum_delta, dnum_sigma), (den, dden_delta, dden_sigma) = num, den
         dnum = [dnum_delta, *dnum, dnum_sigma]
         dden = [dden_delta, *dden, dden_sigma]
     return num, den, np.stack(dnum, axis=-1), np.stack(dden, axis=-1)
+
+
+def _pole_coefficients(zeta, beta, phi):
+    """Coefficients of the principal parts of the weak-pump g2 at the pole
+    delta = i zeta, as their real and imaginary parts (2, 7): the five c_j
+    of the numerator's residue sum_j c_j F_j(tau) (see
+    :func:`_residue_delays`), then the residue and the double-pole
+    coefficient of the denominator g1^2.
+
+    Continued to complex delta, the numerator is N = g1^2 + A D(2, tau) +
+    [K D(zeta - i delta, tau) + K~ D(zeta + i delta, tau)]/2 with
+    K~ = g2zero - g1^2 - A + iB. Near i zeta, D(zeta - i delta) tends to
+    D(2 zeta) and D(zeta + i delta) to D(0) = 1. g1 = 1 + g/(delta - i zeta)
+    + (its mirror at -i zeta), so g1^2 has the double pole g^2, which K~
+    doubles (its coefficient is -2 g^2) and K cancels, so that N's poles are
+    simple. The residues of A and K carry 1/(zeta - 1), where the collision
+    poles +-i(zeta - 2) of A and B meet +-i zeta; they pair into the
+    divided difference D[2, 2 zeta], which leaves every coefficient regular
+    on zeta >= 1 (derived with sympy). Real and analytic in every argument,
+    for the complex step.
+    """
+    t = np.tan(phi)
+    sec2 = 1.0 + t * t
+    re, im = beta * t, beta * (1.0 - 0.5 * beta * sec2)      # g, the residue of g1
+    g1sq = 2.0 * im - (re * re + im * im) / zeta               # Im of g1^2's residue
+    half = beta * (1.0 - beta * sec2) - 0.5 * g1sq              # Im of (g2zero's - g1sq)/2
+    A = (0.5 * beta**3 * sec2 * t, -0.125 * (beta * beta * sec2) ** 2)
+    zero = 0.0 * re         # of the arguments' shape, as the complex step needs
+    return np.stack([
+        [2.0 * re - A[0], zero, A[0], zero, 2.0 * re * im, 2.0 * re,
+         re * re - im * im],
+        [g1sq + half - A[1], half, A[1], 2.0 * A[1], im * im - re * re, g1sq,
+         2.0 * re * im]])
+
+
+def _residue_delays(tau, zeta, t_resp, jac=False):
+    """The delay functions F_j of the numerator's residue at delta = i zeta:
+    1, D(2 zeta), D(2), the divided difference D[2, 2 zeta] =
+    (D(2) - D(2 zeta))/(2 - 2 zeta) and dD/da at a = 0, which is
+    -E|tau + t_resp n| over a standard normal n; shape (5, len(tau)) for
+    the 1-d delays ``tau``.
+
+    With ``jac``, also their partials in (zeta, tau, t_resp), stacked to
+    (3, 5, len(tau)). Where 2 zeta - 2 < :data:`DIVIDED_DIFFERENCE`, the
+    difference quotient would cancel, and D[2, 2 zeta] is the mean of dD/da
+    over [2, 2 zeta] by the three-point Gauss-Legendre rule (error below
+    3e-6 (2 zeta - 2)^6); its partials then take the second partials of D,
+    which follow from the first by the relations behind
+    :func:`detected_decay`'s.
+    """
+    t = np.abs(tau)
+    s, h = t_resp, 2.0 * zeta - 2.0
+    near = h < DIVIDED_DIFFERENCE
+    a = np.concatenate([[2.0 * zeta, 2.0], 2.0 + GAUSS_LEGENDRE[0] * h if near else []])
+    D, D_a, D_t, D_s = detected_decay(a[:, None], t, s, True)
+    F = np.empty((5, t.size))
+    dF = np.zeros((3, 5, t.size))
+    F[0], F[1], F[2] = 1.0, D[0], D[1]
+    dF[0, 1], dF[1, 1:3], dF[2, 1:3] = 2.0 * D_a[0], D_t[:2], D_s[:2]
+    if near:
+        e, e_a, e_t, e_s, a = D[2:], D_a[2:], D_t[2:], D_s[2:], a[2:, None]
+        F[3] = GAUSS_LEGENDRE[1] @ e_a
+        if jac:
+            dF[:, 3] = GAUSS_LEGENDRE[1] @ np.stack([
+                2.0 * GAUSS_LEGENDRE[0][:, None]
+                * (t * t * e + s * s * (e + a * e_a + t * e_t)),
+                e_t / a + a * (t * e + s * s * e_t), e_s / a + a * s * (e + a * e_a)])
+    else:
+        F[3] = (D[1] - D[0]) / -h
+        dF[:, 3] = 2.0 * (F[3] - D_a[0]), D_t[1] - D_t[0], D_s[1] - D_s[0]
+        dF[:, 3] /= -h
+    if s > 0.0:
+        g, erf_t = np.exp(-0.5 * (t / s) ** 2), erf(t / (np.sqrt(2.0) * s))
+    else:
+        g, erf_t = 0.0, 1.0
+    F[4] = -s * np.sqrt(2.0 / np.pi) * g - t * erf_t
+    if not jac:
+        return F
+    dF[1, 4], dF[2, 4] = -erf_t, -np.sqrt(2.0 / np.pi) * g
+    dF[1] *= np.sign(tau)       # d|tau|/dtau
+    return F, dF
 
 
 def g2_tau_general(tau, delta, zeta, beta, phi):

@@ -30,10 +30,14 @@ HBAR_UEV_PS = 658.2119569
 REDUCED_MAX = 1e50
 
 
+def _check_lifetime(lifetime_ps):
+    if not (math.isfinite(lifetime_ps) and lifetime_ps > 0):
+        raise ValueError(f"lifetime must be finite and positive, got {lifetime_ps!r}")
+
+
 def hbar_gamma(lifetime_ps):
     """Energy unit hbar*gamma in ueV for a given radiative lifetime 1/gamma."""
-    if lifetime_ps <= 0:
-        raise ValueError("lifetime must be positive")
+    _check_lifetime(lifetime_ps)
     return HBAR_UEV_PS / lifetime_ps
 
 
@@ -60,6 +64,7 @@ def detuning_to_delta(detuning_uev, lifetime_ps):
 
 def tau_to_dimensionless(tau_ps, lifetime_ps):
     """Dimensionless delay tau*gamma/2 from a delay in ps."""
+    _check_lifetime(lifetime_ps)
     return np.asarray(tau_ps, dtype=float) / (2.0 * lifetime_ps)
 
 

@@ -1,12 +1,17 @@
 """Closed-form references the tests compare the program against.
 
 They are written apart from ``fanostat`` so that a test of the program does
-not check it against itself.
+not check it against itself; :func:`g2_coefficients` is the one view of the
+program's internals that only the tests read.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from fanostat.correlators import _clamped_coefficients
+from fanostat.params import check_reduced
 
 
 def g1_ideal(delta, phi):
@@ -35,3 +40,28 @@ def scattering_matrix(t0):
     """Background scattering matrix ((t0, i*r0), (i*r0, t0)), r0 = -sqrt(1-t0^2)."""
     r0 = -math.sqrt(1.0 - t0 * t0)
     return np.array([[t0, 1j * r0], [1j * r0, t0]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class G2Coefficients:
+    """Weak-pump g2(tau) building blocks at one parameter point.
+
+    ``A`` weights exp(-2|tau|), ``B`` weights exp(-zeta|tau|) sin(delta|tau|),
+    ``g2zero`` is the unnormalized zero-delay value (g1 evaluated at doubled
+    beta), and ``g1`` the weak-drive transmission, clamped at zero as in
+    :func:`fanostat.g1_general`. The cosine weight follows from continuity
+    at tau = 0 as ``g2zero - g1^2 - A``.
+    """
+
+    A: float
+    B: float
+    g2zero: float
+    g1: float
+
+
+def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
+    """The program's weak-pump g2 coefficients, checked as a public entry."""
+    delta = np.asarray(delta, dtype=float)
+    check_reduced(zeta, beta, phi, delta=delta)
+    c = _clamped_coefficients(delta, zeta, beta, phi)
+    return G2Coefficients(*(map(float, c) if delta.ndim == 0 else c))

@@ -18,11 +18,10 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import erfcx
 
-from analytic import ideal_min_g2zero, scattering_matrix
+from analytic import g2_coefficients, ideal_min_g2zero, scattering_matrix
 from fanostat import (G2Histogram, MeasurementSet,
                       ModelCurves, PhysicalParams, avg_g1,
-                      avg_g2, fit_full_model, g1_general, g2_coefficients,
-                      g2_tau_general, g2_tau_parts, g2zero_ideal,
+                      avg_g2, fit_full_model, g1_general, g2_tau_general, g2_tau_parts, g2zero_ideal,
                       output_correlators, phi_from_t0)
 from fanostat.cli import G1_DRIVE, oracle_check
 

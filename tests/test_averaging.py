@@ -15,7 +15,7 @@ from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2,
 from fanostat import averaging
 from fanostat.averaging import _wandering_nodes
 from fanostat.cli import ScanRequest, run_scan
-from fanostat.correlators import detected_decay, g2_tau_parts
+from fanostat.correlators import _g2_sums, detected_decay, g2_tau_parts
 from fanostat.fitting import DEFAULT_BOUNDS, G2Histogram, MeasurementSet, _Objective
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
@@ -28,10 +28,12 @@ class TestSpecValidation:
         # check_refinement; their delta and sigma derivatives sum to zero
         delta = np.array([-30.0, -0.4, 0.0, 2.1, 2.2, 40.0])
         for refine in (1, 2):
-            x, w = _wandering_nodes(delta, 1.1, 2.3, jac=True, refine=refine)
+            step = averaging._step(np.array([0.0, -2.4]), 2.3, 0.136, refine)
+            assert step == pytest.approx(2 * math.pi / (2.4 + 6 * 0.136 + 8 / 2.3) / refine)
+            x, w = _wandering_nodes(delta, step, 2.3, jac=True)
             assert np.allclose(w[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert np.allclose(w[1:].sum(axis=2), 0.0, rtol=0, atol=1e-12)
-            assert np.allclose(x / (1.1 / (4 * refine)) % 1.0, 0.5, rtol=0, atol=1e-9)
+            assert np.allclose(x / step % 1.0, 0.5, rtol=0, atol=1e-9)
         assert averaging._one_node(delta, 0.0).all()
 
 
@@ -51,8 +53,9 @@ class TestLattice:
 
     def test_no_node_on_zero_detuning(self):
         # the half-step anchor: zeta = 2 has its rate collision at delta = 0
-        x, _ = _wandering_nodes(np.array([0.0, 1e-3]), 2.0, 1.7852)
-        assert np.min(np.abs(x)) == pytest.approx(1.7852 / 8.0)
+        x, _ = _wandering_nodes(np.array([0.0, 1e-3]),
+                                averaging._step(0.0, 1.7852, 0.0), 1.7852)
+        assert np.min(np.abs(x)) == pytest.approx(math.pi * 1.7852 / 8.0)
 
     def test_unresolvable_width_is_the_one_node_rule(self):
         # node rounding eps |x| beyond RESOLUTION sigma: the lattice is not used
@@ -75,12 +78,15 @@ class TestLattice:
         assert not np.allclose(m.g2zero([0.0])[0, 0], bare.g2zero([0.0]), rtol=0.1)
 
     def test_over_the_budget_is_a_typed_error(self):
-        # 72 sigma/zeta nodes per detuning: one window of 7.2e6 at sigma = 1e5,
-        # zeta = 1 exceeds the budget even with one delay
+        # 9 sigma (tau_max + 6 t_resp)/pi + 23 nodes per detuning: one window
+        # exceeds the budget even with one delay where sigma (tau_max +
+        # 6 t_resp) passes about 9.1e4; zeta does not enter
+        with pytest.raises(ValueError, match=r"sigma \(tau_max \+ 6 t_resp\) must stay"):
+            avg_g2(0.0, 0.0, 1.0, 0.9, PHI15, 1e5, 1.0)
+        wide = ModelCurves(REF.replace(sigma_wander=1e5))     # sigma = 3.8e4
+        assert np.isfinite(wide.g2zero([0.0])).all()
         with pytest.raises(ValueError, match="budget"):
-            avg_g2(0.0, 0.0, 1.0, 0.9, PHI15, 1e5, 0.0)
-        with pytest.raises(ValueError, match="budget"):
-            ModelCurves(REF.replace(sigma_wander=1e5)).g2zero([0.0])
+            wide.g2_trace([0.0], [1e4])
 
 
 class TestWorkCounts:
@@ -98,9 +104,9 @@ class TestWorkCounts:
         return calls
 
     @staticmethod
-    def nodes_within(delta, zeta, sigma):
+    def nodes_within(delta, sigma, tau=0.0, t_resp=0.0):
         # half-step nodes within 9 sigma of any detuning, counted directly
-        h = min(zeta, sigma) / 4.0
+        h = 2 * math.pi / (np.max(np.abs(tau)) + 6 * t_resp + 8 / sigma)
         x = (np.arange(-20000, 20000) + 0.5) * h
         return int(np.sum(np.any(np.abs(x[:, None] - delta) <= 9.0 * sigma, axis=1)))
 
@@ -109,9 +115,9 @@ class TestWorkCounts:
         det = np.linspace(-20.0, 20.0, 9)
         calls = self.spy(monkeypatch)
         m.g2zero(det)
-        want = self.nodes_within(m._delta(det), m.zeta, m.sigma)
+        want = self.nodes_within(m._delta(det), m.sigma, 0.0, m.t_resp)
         assert calls == [(want, 1)]
-        assert 185 <= want <= 195           # not one rule per detuning (9 x 99)
+        assert 35 <= want <= 45             # not one rule per detuning (9 x 27)
 
     def test_criterion_7_histograms_share_one_lattice(self, monkeypatch):
         tau = np.arange(-600.0, 600.0 + 1e-9, 12.5)
@@ -122,9 +128,10 @@ class TestWorkCounts:
         calls = self.spy(monkeypatch)
         for jac in (False, True):
             obj.residuals(REF, jac=jac)
-        want = self.nodes_within(m._delta([9.0, -9.0]), m.zeta, m.sigma)
+        want = self.nodes_within(m._delta([9.0, -9.0]), m.sigma,
+                                 tau / (2 * REF.lifetime), m.t_resp)
         assert calls == [(want, 49)] * 2
-        assert 150 <= want <= 160           # not one rule per histogram (2 x 99)
+        assert 43 <= want <= 53             # not one rule per histogram (2 x 40)
 
     def test_sparse_detunings_keep_separate_windows(self, monkeypatch):
         m = ModelCurves(REF)
@@ -132,7 +139,7 @@ class TestWorkCounts:
         calls = self.spy(monkeypatch)
         together = m.g2zero(det)
         apart = [m.g2zero(d) for d in det]
-        assert calls[0][0] == self.nodes_within(m._delta(det), m.zeta, m.sigma)
+        assert calls[0][0] == self.nodes_within(m._delta(det), m.sigma, 0.0, m.t_resp)
         assert calls[0][0] < sum(n for n, _ in calls[1:])
         assert np.allclose(together, apart, rtol=1e-14, atol=0)
 
@@ -140,6 +147,80 @@ class TestWorkCounts:
     def test_refinement_converged_at_large_width(self, sigma):
         assert check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, sigma,
                                 0.0) < 1e-9
+
+
+def fine_trapezoid(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
+    """The reference of the g2 average: the trapezoid rule at step
+    min(zeta, sigma)/16 over +-12 sigma about the detunings, with no pole
+    correction, summed in blocks of nodes."""
+    h = min(zeta, sigma) / 16.0
+    k = np.arange(np.floor((delta.min() - 12.0 * sigma) / h),
+                  np.ceil((delta.max() + 12.0 * sigma) / h) + 1.0) + 0.5
+    sums = None
+    for x in np.array_split(k * h, max(1, k.size // 4000)):
+        y = (x - delta[:, None]) / sigma
+        w = h / (math.sqrt(2.0 * math.pi) * sigma) * np.exp(-0.5 * y * y)
+        if jac:
+            w = np.stack([w, w * y / sigma, w * (y * y - 1.0) / sigma])
+        part = _g2_sums(tau, x[:, None], zeta, beta, phi, t_resp, jac, w)
+        sums = part if sums is None else [a + b for a, b in zip(sums, part)]
+    out, d = averaging._quotient(*sums)
+    return (out, d) if jac else out
+
+
+# (sigma, zeta, t_resp, delays, detunings) in reduced units: the reference
+# configuration's histograms and g2(0) scan, the fit-bound corner (lifetime
+# 2000 ps, dephasing_time 1e7 ps, sigma_wander 50 ueV) on two of its delays,
+# a wide and a narrow width, a width small enough that the closed-form
+# averages take w's asymptotic series, and a case near the rate collision
+POLE_CASES = {
+    "histograms": (1.7852, 1.0066, 0.136, np.arange(0.0, 2.41, 0.1),
+                   np.array([-3.418, 3.418])),
+    "g2zero": (1.7852, 1.0066, 0.136, np.array([0.0]), np.linspace(-7.6, 7.6, 9)),
+    "corner": (303.9, 1.0004, 0.0085, np.array([0.0, 0.15]),
+               np.array([-54.7, 54.7])),
+    "wide": (6.0, 1.2, 0.136, np.linspace(0.0, 4.0, 9), np.array([-3.418, 3.418])),
+    "narrow": (0.4, 1.0066, 0.136, np.linspace(0.0, 2.4, 13), np.array([-1.0, 2.0])),
+    "small": (0.0038, 1.0066, 0.136, np.linspace(0.0, 2.4, 13), np.array([0.3, 0.32])),
+    "collision": (1.0, 2.001, 0.136, np.linspace(0.0, 3.0, 13), np.array([0.0, 3.418])),
+}
+
+
+class TestPoleCorrection:
+    """The g2 average on its coarse lattice with the pole parts added, against
+    the fine trapezoid rule, which needs no correction."""
+
+    @pytest.mark.parametrize("case", POLE_CASES)
+    def test_matches_the_fine_trapezoid_rule(self, case):
+        sigma, own, t_resp, tau, delta = POLE_CASES[case]
+        for zeta in (own, 1.0, 1.0 + 1e-8, 1.0066, 1.5, 2.0 - 1e-6, 3.0, 41.0):
+            args = (tau, delta, zeta, 0.9, PHI15, sigma, t_resp)
+            want, d_want = fine_trapezoid(*args, jac=True)
+            got = averaging._average_g2(*args)
+            value, d = averaging._average_g2(*args, jac=True)
+            for v in (got, value):
+                assert np.max(np.abs(v - want) / np.abs(want)) <= 1e-11, zeta
+            # the weight derivatives alias like ALIAS^2 exp(-ALIAS^2/2)/sigma:
+            # below 1e-9 absolute, where the sigma partial itself shrinks
+            # like sigma
+            scale = np.max(np.abs(d_want), axis=(0, 1))
+            assert np.all(np.abs(d - d_want) <= 1e-9 * (scale + 1.0)), zeta
+
+    def test_fit_corner_on_the_criterion_7_delays(self, monkeypatch):
+        # sigma ~ 304 and zeta ~ 1: 21,870 nodes per detuning with a step
+        # set by zeta; the delays set it now
+        p = REF.replace(lifetime=2000.0, dephasing_time=1e7, sigma_wander=50.0)
+        m, tau = ModelCurves(p), np.arange(-600.0, 600.0 + 1e-9, 12.5)
+        calls = TestWorkCounts.spy(monkeypatch)
+        got = m.g2_trace([9.0, -9.0], tau)
+        assert len(calls) == 1 and calls[0][0] <= 250
+        half = slice(tau.size // 2, None, 3)          # every third |tau|, 0 to 600 ps
+        want = fine_trapezoid(tau[half] / (2.0 * p.lifetime),
+                              m._delta(np.array([9.0, -9.0])), m.zeta, p.beta, m.phi,
+                              m.sigma, m.t_resp)
+        assert np.allclose(got[:, half], want, rtol=1e-9, atol=0)
+        assert check_refinement(m._delta(np.array([9.0, -9.0])), m.zeta, p.beta,
+                                m.phi, m.sigma, m.t_resp) <= 1e-9
 
 
 class TestBlocks:
@@ -178,11 +259,11 @@ class TestBlocks:
         det, tau = np.array([-20.0, -9.0, 0.0, 0.5, 9.0]), np.arange(-600.0, 601.0, 25.0)
         m = ModelCurves(REF, jac=True)
         whole = m.g2_trace(det, tau), m.g2zero(det)
-        monkeypatch.setattr(averaging, "MAX_EVALUATIONS", 1000)
+        monkeypatch.setattr(averaging, "MAX_EVALUATIONS", 400)
         calls = self.spy(monkeypatch)
         blocks = m.g2_trace(det, tau), m.g2zero(det)
         assert len({d for _, _, d in calls}) > 1 and len({t for _, t, _ in calls}) > 1
-        assert all(n * (t + d) <= 1000 for n, t, d in calls)
+        assert all(n * (t + d) <= 400 for n, t, d in calls)
         for a, b in zip(whole, blocks):
             assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
 
@@ -261,15 +342,15 @@ class TestAvgG1:
 
     def test_refinement_converged(self):
         # the reference configuration's width: halving the step moves g2(0)
-        # by 1.0e-9
+        # by 3.4e-14
         delta = np.linspace(-10, 10, 21)
-        assert 1e-10 < check_refinement(delta, 1.0, 1.0, PHI15, 1.7852, 0.0) < 1e-8
+        assert 3e-15 < check_refinement(delta, 1.0, 1.0, PHI15, 1.7852, 0.0) < 3e-13
 
     def test_refinement_failure_reported(self):
-        # the 1.0e-9 change of the reference width, against a tighter rtol
-        with pytest.raises(RuntimeError, match=r"changed avg_g2 by 1\.0\d*e-09"):
+        # the 3.4e-14 change of the reference width, against a tighter rtol
+        with pytest.raises(RuntimeError, match=r"changed avg_g2 by 3\.3\d*e-14"):
             check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, 1.7852,
-                             0.0, rtol=1e-10)
+                             0.0, rtol=1e-14)
 
     def test_rejects_negative_widths(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -402,14 +483,16 @@ class TestConvolution:
     @pytest.mark.parametrize("t_resp", [0.136, 0.0])
     def test_repeated_delays_evaluated_once(self, t_resp, monkeypatch):
         # g2_trace evaluates a symmetric histogram once per distinct |tau|
-        # and expands; values and partials are those of each delay alone,
-        # up to the summation order of the node sum (a partial within 1e-14
-        # of its largest entry: some are sums that cancel)
+        # and expands; values and partials are those of each delay alone on
+        # the same lattice (the step depends on the largest |tau|, so each
+        # goes with the last delay), up to the summation order of the node
+        # sum (a partial within 1e-14 of its largest entry: some are sums
+        # that cancel)
         p = REF.replace(detector_resp=t_resp * 2.0 * REF.lifetime)
         tau = np.arange(-600.0, 600.0 + 1e-9, 12.5)
         for jac in (False, True):
             m = ModelCurves(p, jac=jac)
-            single = np.array([m.g2_trace(9.0, t) for t in tau])
+            single = np.array([m.g2_trace(9.0, [t, tau[-1]])[0] for t in tau])
             rows = []
             g2_sums = averaging._g2_sums
             spy = lambda tau, *args: rows.append(np.size(tau)) or g2_sums(tau, *args)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from analytic import g1_ideal, ideal_min_g2zero
-from fanostat import (g1_general, g2_coefficients, g2_tau_general,
-                      g2zero_ideal, phi_from_t0)
+from analytic import g1_ideal, g2_coefficients, ideal_min_g2zero
+from fanostat import g1_general, g2_tau_general, g2zero_ideal, phi_from_t0
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 COT15 = 1 / math.tan(PHI15)

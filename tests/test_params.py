@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from analytic import scattering_matrix
+from analytic import g2_coefficients, scattering_matrix
 from fanostat import (HBAR_UEV_PS, DimensionlessParams, PhysicalParams, avg_g1,
-                      avg_g2, detuning_to_delta, g1_general, g2_coefficients,
-                      g2_tau_general, g2_tau_parts, g2zero_ideal, hbar_gamma,
+                      avg_g2, detuning_to_delta, g1_general, g2_tau_general,
+                      g2_tau_parts, g2zero_ideal, hbar_gamma,
                       output_correlators, output_g1, phi_from_t0,
                       tau_to_dimensionless, to_dimensionless)
 
@@ -17,6 +17,32 @@ REF = PhysicalParams()   # defaults are the documented reference configuration
 def test_hbar_gamma_reference_lifetime():
     # 658.2119569 / 125
     assert hbar_gamma(125.0) == pytest.approx(5.2656956552, abs=1e-9)
+
+
+@pytest.mark.parametrize("lifetime", [math.nan, math.inf, 0.0, -125.0])
+def test_hbar_gamma_rejects_a_bad_lifetime(lifetime):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lifetime must be finite and positive"):
+            hbar_gamma(lifetime)
+
+
+@pytest.mark.parametrize("lifetime", [math.nan, math.inf, 0.0, -125.0])
+def test_tau_to_dimensionless_rejects_a_bad_lifetime(lifetime):
+    # a zero lifetime divided by zero with only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lifetime must be finite and positive"):
+            tau_to_dimensionless(1.0, lifetime)
+
+
+@pytest.mark.parametrize("lifetime", [math.nan, math.inf, 0.0, -125.0])
+def test_detuning_to_delta_rejects_a_bad_lifetime(lifetime):
+    # through hbar_gamma; NaN returned NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lifetime must be finite and positive"):
+            detuning_to_delta(1.0, lifetime)
 
 
 def test_reduced_detuning_example():
