@@ -207,8 +207,8 @@ class TestPoleCorrection:
             assert np.all(np.abs(d - d_want) <= 1e-9 * (scale + 1.0)), zeta
 
     def test_fit_corner_on_the_criterion_7_delays(self, monkeypatch):
-        # sigma ~ 304 and zeta ~ 1: 21,870 nodes per detuning with a step
-        # set by zeta; the delays set it now
+        # sigma ~ 304 and zeta ~ 1: the step comes from the delays and the
+        # detector width, so zeta does not multiply the nodes
         p = REF.replace(lifetime=2000.0, dephasing_time=1e7, sigma_wander=50.0)
         m, tau = ModelCurves(p), np.arange(-600.0, 600.0 + 1e-9, 12.5)
         calls = TestWorkCounts.spy(monkeypatch)
