@@ -10,7 +10,7 @@ from .params import (HBAR_UEV_PS, DimensionlessParams, FPBackground,
                      to_dimensionless)
 from .correlators import (CorrelatorDecomposition, g1_general, g2_tau_general,
                           g2_tau_parts, g2zero_ideal)
-from .averaging import ModelCurves, avg_g1, avg_g2, check_refinement
+from .averaging import ModelCurves, avg_g1, avg_g2
 from .bloch import (bloch_matrix, output_correlators, output_g1,
                     propagate_exact, steady_state)
 from .fitting import (FitResult, G2Histogram, MeasurementSet, fit_full_model,

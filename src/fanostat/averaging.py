@@ -7,18 +7,21 @@ directly; for g2 the numerator and the squared-transmission denominator are
 averaged separately and then divided, so the averaged g2 still approaches 1
 at long delay and stays finite on top of the (unaveraged) divergences.
 
-The averaged transmission is a Voigt profile in closed form (Faddeeva
-function). The g2 average is the trapezoid rule on one lattice per call,
+Both averages rest on the Gaussian average of a pole, in closed form: for
+Im p > 0, that of 1/(x - p) is i sqrt(pi/2) w((p - delta)/(sqrt(2) sigma))/sigma
+(Fried & Conte's plasma dispersion function, :func:`_pole_averages`), that
+of 1/(x - p)^2 its p-derivative, and the lower pole's is the mirror image.
+The transmission g1 is 1 plus the principal parts of its poles at
+delta = +-iG, so its average is that closed form alone, with no lattice
+(:func:`avg_g1`). The g2 average is the trapezoid rule on one lattice per call,
 x_k = (k + 1/2) h, shared by all its detunings; each weights the nodes
 within :data:`TAIL` widths of it by the Gaussian, so detunings farther
 apart than 2 TAIL sigma get separate windows. The numerator and the
 denominator g1^2 have their only poles at delta = +-i zeta (the detector
 factor is entire, and the collision poles +-i(zeta - 2) cancel), which
 would limit the rule's strip of analyticity to |Im delta| < zeta. Their
-principal parts are subtracted in closed form instead: the Gaussian average
-of 1/(x - p) is i sqrt(pi/2) w((p - delta)/(sqrt(2) sigma))/sigma (Fried &
-Conte's plasma dispersion function), that of 1/(x - p)^2 its p-derivative,
-and each correction is 2 Re[c (<f> - sum_k W_k f(x_k))], with the
+principal parts are subtracted by the same closed form instead: each
+correction is 2 Re[c (<f> - sum_k W_k f(x_k))], with the
 residues c of :func:`fanostat.correlators._pole_coefficients` and
 :func:`fanostat.correlators._residue_delays`. What remains is entire, and
 the integrand oscillates like exp(i x t) over the delays t that the
@@ -29,8 +32,7 @@ detector sees, |t| <= tau_max + 6 t_resp. So the step is
 with tau_max the largest |tau| of the call, independent of zeta: the error
 is the Gaussian's aliasing beyond those frequencies, about
 exp(-ALIAS^2/2) = 1.3e-14 (Trefethen & Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Rev. 56, 2014), and
-:func:`check_refinement` measures it by halving h. Each window then holds
+convergent trapezoidal rule", SIAM Rev. 56, 2014). Each window then holds
 9 sigma (tau_max + 6 t_resp)/pi + 23 nodes. h is continuous in sigma,
 t_resp and the delays, so only the window truncation jumps, by the weight of
 a dropped node (< 2.6e-18). The half-step anchor keeps every node off
@@ -53,7 +55,8 @@ The drive enters the averaged transmission through the reduced intensity
 curves of :class:`ModelCurves` refuse a finite drive with ``ValueError``.
 
 Each average can also return its exact partials in the reduced quantities:
-the Voigt profile through w'(z) = -2z w(z) + 2i/sqrt(pi); the g2 average
+the transmission from the pole averages' p-derivatives and the residue's
+complex step (see :func:`avg_g1`); the g2 average
 through the quotient rule from the partials of its numerator and
 denominator. Those in (zeta, beta, phi, tau, t_resp) are the node partials
 summed with the weights W; those in the detuning and in sigma are the node
@@ -72,8 +75,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import wofz
 
-from .correlators import (_g1_formula, _g2_sums, _pole_coefficients, _residue_delays,
-                          complex_step, g1_general)
+from .correlators import (_g1_formula, _g1_residue, _g2_sums, _pole_coefficients,
+                          _residue_delays, complex_step, g1_general)
 from .params import (HBAR_UEV_PS, PhysicalParams, check_reduced, detuning_to_delta,
                      tau_to_dimensionless, to_dimensionless)
 
@@ -99,11 +102,11 @@ def _one_node(delta, sigma):
     return ~(RESOLUTION * sigma > np.finfo(float).eps * (np.abs(delta) + TAIL * sigma))
 
 
-def _step(tau, sigma, t_resp, refine=1):
-    """The lattice step 2 pi/(tau_max + 6 t_resp + ALIAS/sigma), divided by
-    ``refine``, with tau_max the largest |tau| of the call."""
+def _step(tau, sigma, t_resp):
+    """The lattice step 2 pi/(tau_max + 6 t_resp + ALIAS/sigma), with
+    tau_max the largest |tau| of the call."""
     reach = np.max(np.abs(tau), initial=0.0) + 6.0 * t_resp
-    return 2.0 * np.pi / (reach + ALIAS / sigma) / refine
+    return 2.0 * np.pi / (reach + ALIAS / sigma)
 
 
 def _windows(delta, step, sigma):
@@ -174,10 +177,10 @@ def _blocks(delta, step, sigma, n_tau):
     return blocks
 
 
-def _pole_averages(p, delta, sigma):
-    """F_n = d^n/dp^n <1/(x - p)> for n = 0, 1, 2, stacked, over the Gaussian
-    of width sigma about each detuning, for Im p > 0 (Fried & Conte's plasma
-    dispersion function).
+def _pole_averages(p, delta, sigma, order=2):
+    """F_n = d^n/dp^n <1/(x - p)> for n = 0 to ``order`` (0 or 2), stacked,
+    over the Gaussian of width sigma about each detuning, for Im p > 0 (Fried
+    & Conte's plasma dispersion function). ``order = 0`` takes w alone.
 
     With z = (p - delta)/(sqrt(2) sigma), v = 1 + i sqrt(pi) z w(z) and
     u = 1 - v + 2 z^2 v: F_0 = i sqrt(pi/2) w(z)/sigma, F_1 = -v/sigma^2
@@ -187,10 +190,14 @@ def _pole_averages(p, delta, sigma):
     v = -sum_k (2k-1)!! q^k and u = -sum_k 2k (2k-1)!! q^k with
     q = 1/(2 z^2).
     """
-    z = (p - delta) / (np.sqrt(2.0) * sigma)
+    z = np.asarray((p - delta) / (np.sqrt(2.0) * sigma))
     w = wofz(z)
-    v = 1.0 + 1j * np.sqrt(np.pi) * z * w
-    u = 1.0 - v + 2.0 * z * z * v
+    F0 = 1j * np.sqrt(np.pi / 2.0) * w / sigma
+    if order == 0:
+        return F0[None]
+    # arrays, so that a 0-d z takes the series too
+    v = np.asarray(1.0 + 1j * np.sqrt(np.pi) * z * w)
+    u = np.asarray(1.0 - v + 2.0 * z * z * v)
     far = np.abs(z) > 10.0
     if np.any(far):
         q = 0.5 / z[far] ** 2
@@ -199,8 +206,7 @@ def _pole_averages(p, delta, sigma):
             term = term * (2 * k - 1) * q
             v[far] -= term
             u[far] -= 2 * k * term
-    return np.stack([1j * np.sqrt(np.pi / 2.0) * w / sigma, -v / sigma**2,
-                     u / (sigma**2 * (p - delta))])
+    return np.stack([F0, -v / sigma**2, u / (sigma**2 * (p - delta))])
 
 
 # the order of the pole each coefficient of correlators._pole_coefficients
@@ -242,18 +248,23 @@ def _pole_parts(delta, x, w, zeta, sigma, c, dc=None):
 def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
     """Transmission at reduced detuning averaged over a wandering of width sigma.
 
-    With ``g1 = 1 + (c0 + c1 delta)/(delta^2 + G^2)`` (see
-    :func:`fanostat.correlators.g1_general`), the Gaussian averages are
-    ``<1/(delta^2 + G^2)> = Re W/G`` and ``<delta/(delta^2 + G^2)> = Im W``
-    with ``W = sqrt(pi/2)/sigma * w((delta + iG)/(sqrt(2) sigma))`` and
-    ``w`` the Faddeeva function.
+    g1 = 1 + r/(delta - iG) + (its mirror at -iG), with G = sqrt(zeta^2 +
+    zeta alpha) and r the residue of
+    :func:`fanostat.correlators._g1_residue` (see
+    :func:`fanostat.correlators.g1_general`). Its Gaussian average is the
+    Voigt profile <g1> = 1 + 2 Re[r F_0(iG)], with F_n the pole averages of
+    :func:`_pole_averages`.
 
     With ``jac``, also returns the partials with respect to (delta, zeta,
-    beta, phi, alpha, sigma) along a new last axis. They reuse the value of
-    w through w'(z) = -2z w(z) + 2i/sqrt(pi) (Abramowitz & Stegun 7.1.20),
-    with G = sqrt(zeta^2 + zeta alpha). At ``sigma = 0`` they are those of
-    :func:`fanostat.correlators.g1_general` by the complex step, and the
-    sigma partial is zero (the average is even in sigma).
+    beta, phi, alpha, sigma) along a new last axis: in delta from
+    dF_0/ddelta = -F_1; in zeta and alpha through G, i dG F_1, and through
+    r; in beta and phi through r, whose partials are its complex step
+    (:func:`fanostat.correlators.complex_step`); in sigma from the heat
+    equation dF_0/dsigma = sigma F_2, which unlike the chain rule through
+    the argument of w has no cancellation far from the pole. At
+    ``sigma = 0`` the value is :func:`fanostat.correlators.g1_general`, the
+    partials are its complex step, and the sigma partial is zero (the
+    average is even in sigma).
     """
     delta = np.asarray(delta, dtype=float)
     check_reduced(zeta, beta, phi, alpha, sigma, delta=delta)
@@ -264,33 +275,19 @@ def avg_g1(delta, zeta, beta, phi, sigma, alpha=0.0, jac=False):
         d = complex_step(_g1_formula, delta, zeta, beta, phi, alpha)
         d = np.where(np.asarray(out)[..., None] > 0.0, d, 0.0)
         return out, np.concatenate([d, np.zeros_like(d[..., :1])], axis=-1)
-    gam = np.sqrt(zeta * zeta + zeta * alpha)
-    c0 = beta * beta * zeta / np.cos(phi) ** 2 - 2.0 * beta * zeta
-    c1 = 2.0 * beta * np.tan(phi)
-    z = (delta + 1j * gam) / (np.sqrt(2.0) * sigma)
-    w = wofz(z)
-    W = np.sqrt(np.pi / 2.0) / sigma * w
-    out = 1.0 + c0 * W.real / gam + c1 * W.imag
+    G = np.sqrt(zeta * zeta + zeta * alpha)
+    re, im = _g1_residue(zeta, beta, phi, alpha)
+    r = re + 1j * im
+    F = _pole_averages(1j * G, delta, sigma, 2 if jac else 0)
+    out = 1.0 + 2.0 * (r * F[0]).real
     if not jac:
         return float(out) if out.ndim == 0 else out
-    W_z = np.sqrt(np.pi / 2.0) / sigma * (2j / np.sqrt(np.pi) - 2.0 * z * w)
-    W_delta = W_z / (np.sqrt(2.0) * sigma)
-    gam_zeta, gam_alpha = (zeta + 0.5 * alpha) / gam, 0.5 * zeta / gam
-    sec2, tan = 1.0 / np.cos(phi) ** 2, np.tan(phi)
-
-    def partial(dc0=0.0, dc1=0.0, dW=0.0, dgam=0.0):
-        return (dc0 * W.real / gam + c0 * (np.real(dW) - W.real * dgam / gam) / gam
-                + dc1 * W.imag + c1 * np.imag(dW))
-
-    return out, np.stack([
-        partial(dW=W_delta),
-        partial(dc0=beta * beta * sec2 - 2.0 * beta,
-                dW=1j * W_delta * gam_zeta, dgam=gam_zeta),
-        partial(dc0=2.0 * beta * zeta * sec2 - 2.0 * zeta, dc1=2.0 * tan),
-        partial(dc0=2.0 * beta * beta * zeta * tan * sec2, dc1=2.0 * beta * sec2),
-        partial(dW=1j * W_delta * gam_alpha, dgam=gam_alpha),
-        partial(dW=-(W + z * W_z) / sigma),
-    ], axis=-1)
+    d_re, d_im = complex_step(_g1_residue, zeta, beta, phi, alpha)
+    d_G = np.array([zeta + 0.5 * alpha, 0.0, 0.0, 0.5 * zeta]) / G
+    rF1 = r * F[1][..., None]
+    return out, 2.0 * np.concatenate([
+        -rF1, (d_re + 1j * d_im) * F[0][..., None] + 1j * d_G * rF1,
+        r * sigma * F[2][..., None]], axis=-1).real
 
 
 def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
@@ -314,17 +311,13 @@ def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
     :func:`fanostat.correlators.g2_tau_parts`) by the quotient rule.
     """
     check_reduced(zeta, beta, phi, sigma=sigma, t_resp=t_resp, delta=delta, tau=tau)
-    return _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac)
-
-
-def _average_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False, refine=1):
     tau = np.asarray(tau, dtype=float)
     delta = np.asarray(delta, dtype=float)
     shape = delta.shape + tau.shape
     flat, taus = delta.ravel(), tau.ravel()
     out = np.empty((flat.size, taus.size))
     d = np.empty(out.shape + (7,)) if jac else None
-    step = _step(taus, sigma, t_resp, refine) if sigma > 0.0 else np.inf
+    step = _step(taus, sigma, t_resp) if sigma > 0.0 else np.inf
     poles = None
     for rows, chunk, lattice in _blocks(flat, step, sigma, taus.size):
         if lattice:
@@ -393,22 +386,6 @@ def _quotient(num, den, dnum=None, dden=None):
     return out, (dnum - out[..., None] * dden) / den[..., None]
 
 
-def check_refinement(delta, zeta, beta, phi, sigma, t_resp, rtol=1e-6):
-    """Relative change of the zero-delay avg_g2 when its lattice step is halved.
-
-    The g2 average is the one quadrature of the model. Raises
-    ``RuntimeError`` when halving the step moves the result by more than
-    ``rtol`` (non-convergent quadrature for these parameters).
-    """
-    a = avg_g2(0.0, delta, zeta, beta, phi, sigma, t_resp)
-    b = _average_g2(0.0, delta, zeta, beta, phi, sigma, t_resp, refine=2)
-    change = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
-    if change > rtol:
-        raise RuntimeError(
-            f"quadrature not converged: refinement changed avg_g2 by {change:.3e}")
-    return float(change)
-
-
 class ModelCurves:
     """Directly comparable model curves for a physical parameter set.
 
@@ -439,7 +416,9 @@ class ModelCurves:
         self.beta = p.beta
         self.jac = jac
 
-    def _delta(self, detuning_uev):
+    def delta(self, detuning_uev):
+        """Reduced detunings of the laser energies ``detuning_uev`` (ueV,
+        relative to the dataset reference) from the model's transition."""
         return detuning_to_delta(np.asarray(detuning_uev, dtype=float)
                                  - self.params.omega0, self.params.lifetime)
 
@@ -476,7 +455,7 @@ class ModelCurves:
 
     def transmission(self, detuning_uev):
         """Wandering-averaged normalized transmission at the model's drive."""
-        delta = self._delta(detuning_uev)
+        delta = self.delta(detuning_uev)
         out = avg_g1(delta, self.zeta, self.beta, self.phi, self.sigma,
                      self.alpha, self.jac)
         if not self.jac:
@@ -492,14 +471,14 @@ class ModelCurves:
         evaluated once (g2 and tau dg/dtau depend on |tau| only)."""
         tau = np.abs(tau_to_dimensionless(tau_ps, self.params.lifetime))
         distinct, inverse = np.unique(tau, return_inverse=True)
-        delta = self._delta(detuning_uev)
+        delta = self.delta(detuning_uev)
         out = self._g2(distinct, delta)
         return np.take(out, inverse.reshape(tau.shape), axis=delta.ndim)
 
     def g2zero(self, detuning_uev):
         """Weak-pump zero-delay g2 per detuning, averaged on one shared
         lattice and detected."""
-        return self._g2(0.0, self._delta(detuning_uev))
+        return self._g2(0.0, self.delta(detuning_uev))
 
     def _g2(self, tau, delta):
         self._weak_pump_only()

@@ -29,8 +29,7 @@ from .correlators import g1_general, g2_tau_general, g2zero_ideal
 from .fitting import fit_full_model, fit_report
 from .io import (DataFormatError, load_measurements, merge_measurements,
                  params_from_config, write_series)
-from .params import (FPBackground, PhysicalParams, detuning_to_delta,
-                     fp_background, phi_from_t0)
+from .params import FPBackground, PhysicalParams, fp_background, phi_from_t0
 
 SCAN_MODES = ("transmission", "g2zero", "g2trace", "decompose")
 
@@ -115,7 +114,7 @@ def run_scan(req: ScanRequest):
         return ("tau_ps", "g2", "flag"), rows, _metadata(p, extra, req.timestamp)
 
     # decompose: ideal zero-delay split (unit beta, no dephasing), set by t0
-    delta = detuning_to_delta(grid - p.omega0, p.lifetime)
+    delta = model.delta(grid)
     dec = g2zero_ideal(delta, model.phi)
     rows = [(g, dv, pr, b, i, t, "" if np.isfinite(t) else "divergent")
             for g, dv, pr, b, i, t in zip(grid, delta,

@@ -339,6 +339,18 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
     return num, den, np.stack(dnum, axis=-1), np.stack(dden, axis=-1)
 
 
+def _g1_residue(zeta, beta, phi, alpha=0.0):
+    """Real and imaginary part of the residue r of g1 at its pole delta = iG,
+    G = sqrt(zeta^2 + zeta alpha): g1 = 1 + r/(delta - iG) + (its mirror at
+    -iG), with r = beta tan(phi) + i beta (1 - beta sec^2(phi)/2) zeta/G.
+    zeta/G is written 1/sqrt(1 + alpha/zeta), which is exactly 1 at
+    alpha = 0. Real and analytic in every argument, for the complex step.
+    """
+    t = np.tan(phi)
+    return np.array([beta * t, beta * (1.0 - 0.5 * beta * (1.0 + t * t))
+                     / np.sqrt(1.0 + alpha / zeta)])
+
+
 def _pole_coefficients(zeta, beta, phi):
     """Coefficients of the principal parts of the weak-pump g2 at the pole
     delta = i zeta, as their real and imaginary parts (2, 7): the five c_j
@@ -350,7 +362,8 @@ def _pole_coefficients(zeta, beta, phi):
     [K D(zeta - i delta, tau) + K~ D(zeta + i delta, tau)]/2 with
     K~ = g2zero - g1^2 - A + iB. Near i zeta, D(zeta - i delta) tends to
     D(2 zeta) and D(zeta + i delta) to D(0) = 1. g1 = 1 + g/(delta - i zeta)
-    + (its mirror at -i zeta), so g1^2 has the double pole g^2, which K~
+    + (its mirror at -i zeta), with g the residue of :func:`_g1_residue` at
+    alpha = 0, so g1^2 has the double pole g^2, which K~
     doubles (its coefficient is -2 g^2) and K cancels, so that N's poles are
     simple. The residues of A and K carry 1/(zeta - 1), where the collision
     poles +-i(zeta - 2) of A and B meet +-i zeta; they pair into the
@@ -360,7 +373,7 @@ def _pole_coefficients(zeta, beta, phi):
     """
     t = np.tan(phi)
     sec2 = 1.0 + t * t
-    re, im = beta * t, beta * (1.0 - 0.5 * beta * sec2)      # g, the residue of g1
+    re, im = _g1_residue(zeta, beta, phi)                    # g, the residue of g1
     g1sq = 2.0 * im - (re * re + im * im) / zeta               # Im of g1^2's residue
     half = beta * (1.0 - beta * sec2) - 0.5 * g1sq              # Im of (g2zero's - g1sq)/2
     A = (0.5 * beta**3 * sec2 * t, -0.125 * (beta * beta * sec2) ** 2)

@@ -383,16 +383,17 @@ def _stderr_proxy(sol, params, n_res):
     A diagnostic, not a posterior: inverse Gauss-Newton curvature of the
     exact Jacobian, scaled by the residual variance over the ``n_res``
     finite residuals, pushed through the parameter transform. Where the
-    curvature is singular every field is ``None`` (strict JSON).
+    data do not fix every field, that is where the numerical rank of the
+    Jacobian (``np.linalg.matrix_rank``: singular values above
+    max(shape) eps s_max) is below the number of fields, the curvature is
+    singular and every field is ``None`` (strict JSON).
     """
     J = sol.jac
     n_par = J.shape[1]
-    dof = max(n_res - n_par, 1)
-    scale = 2.0 * sol.cost / dof
-    try:
-        cov_t = np.linalg.inv(J.T @ J) * scale
-    except np.linalg.LinAlgError:
+    if np.linalg.matrix_rank(J) < n_par:
         return dict.fromkeys(FIT_FIELDS)
+    dof = max(n_res - n_par, 1)
+    cov_t = np.linalg.inv(J.T @ J) * (2.0 * sol.cost / dof)
     err = (np.sqrt(np.maximum(np.diag(cov_t), 0.0))
            * np.abs(_packing_slopes(params)))
     return dict(zip(FIT_FIELDS, map(float, err)))

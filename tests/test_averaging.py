@@ -9,9 +9,8 @@ from scipy.integrate import quad
 
 from scipy.special import roots_hermite
 
-from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2,
-                      check_refinement, g1_general, g2_tau_general,
-                      hbar_gamma, phi_from_t0)
+from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2, g1_general,
+                      g2_tau_general, hbar_gamma, phi_from_t0)
 from fanostat import averaging
 from fanostat.averaging import _wandering_nodes
 from fanostat.cli import ScanRequest, run_scan
@@ -24,16 +23,15 @@ REF = PhysicalParams()
 
 class TestSpecValidation:
     def test_weights_sum_to_one(self):
-        # each detuning's weights, on the lattice and on the halved step of
-        # check_refinement; their delta and sigma derivatives sum to zero
+        # each detuning's weights on the lattice; their delta and sigma
+        # derivatives sum to zero
         delta = np.array([-30.0, -0.4, 0.0, 2.1, 2.2, 40.0])
-        for refine in (1, 2):
-            step = averaging._step(np.array([0.0, -2.4]), 2.3, 0.136, refine)
-            assert step == pytest.approx(2 * math.pi / (2.4 + 6 * 0.136 + 8 / 2.3) / refine)
-            x, w = _wandering_nodes(delta, step, 2.3, jac=True)
-            assert np.allclose(w[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            assert np.allclose(w[1:].sum(axis=2), 0.0, rtol=0, atol=1e-12)
-            assert np.allclose(x / step % 1.0, 0.5, rtol=0, atol=1e-9)
+        step = averaging._step(np.array([0.0, -2.4]), 2.3, 0.136)
+        assert step == pytest.approx(2 * math.pi / (2.4 + 6 * 0.136 + 8 / 2.3))
+        x, w = _wandering_nodes(delta, step, 2.3, jac=True)
+        assert np.allclose(w[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(w[1:].sum(axis=2), 0.0, rtol=0, atol=1e-12)
+        assert np.allclose(x / step % 1.0, 0.5, rtol=0, atol=1e-9)
         assert averaging._one_node(delta, 0.0).all()
 
 
@@ -115,7 +113,7 @@ class TestWorkCounts:
         det = np.linspace(-20.0, 20.0, 9)
         calls = self.spy(monkeypatch)
         m.g2zero(det)
-        want = self.nodes_within(m._delta(det), m.sigma, 0.0, m.t_resp)
+        want = self.nodes_within(m.delta(det), m.sigma, 0.0, m.t_resp)
         assert calls == [(want, 1)]
         assert 35 <= want <= 45             # not one rule per detuning (9 x 27)
 
@@ -128,7 +126,7 @@ class TestWorkCounts:
         calls = self.spy(monkeypatch)
         for jac in (False, True):
             obj.residuals(REF, jac=jac)
-        want = self.nodes_within(m._delta([9.0, -9.0]), m.sigma,
+        want = self.nodes_within(m.delta([9.0, -9.0]), m.sigma,
                                  tau / (2 * REF.lifetime), m.t_resp)
         assert calls == [(want, 49)] * 2
         assert 43 <= want <= 53             # not one rule per histogram (2 x 40)
@@ -139,14 +137,9 @@ class TestWorkCounts:
         calls = self.spy(monkeypatch)
         together = m.g2zero(det)
         apart = [m.g2zero(d) for d in det]
-        assert calls[0][0] == self.nodes_within(m._delta(det), m.sigma, 0.0, m.t_resp)
+        assert calls[0][0] == self.nodes_within(m.delta(det), m.sigma, 0.0, m.t_resp)
         assert calls[0][0] < sum(n for n, _ in calls[1:])
         assert np.allclose(together, apart, rtol=1e-14, atol=0)
-
-    @pytest.mark.parametrize("sigma", [6.0, 15.0])
-    def test_refinement_converged_at_large_width(self, sigma):
-        assert check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, sigma,
-                                0.0) < 1e-9
 
 
 def fine_trapezoid(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
@@ -171,8 +164,9 @@ def fine_trapezoid(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
 # (sigma, zeta, t_resp, delays, detunings) in reduced units: the reference
 # configuration's histograms and g2(0) scan, the fit-bound corner (lifetime
 # 2000 ps, dephasing_time 1e7 ps, sigma_wander 50 ueV) on two of its delays,
-# a wide and a narrow width, a width small enough that the closed-form
-# averages take w's asymptotic series, and a case near the rate collision
+# a wide, a wider and a narrow width, a width small enough that the
+# closed-form averages take w's asymptotic series, and a case near the rate
+# collision
 POLE_CASES = {
     "histograms": (1.7852, 1.0066, 0.136, np.arange(0.0, 2.41, 0.1),
                    np.array([-3.418, 3.418])),
@@ -180,6 +174,7 @@ POLE_CASES = {
     "corner": (303.9, 1.0004, 0.0085, np.array([0.0, 0.15]),
                np.array([-54.7, 54.7])),
     "wide": (6.0, 1.2, 0.136, np.linspace(0.0, 4.0, 9), np.array([-3.418, 3.418])),
+    "wider": (15.0, 1.0, 0.0, np.array([0.0]), np.linspace(-10.0, 10.0, 21)),
     "narrow": (0.4, 1.0066, 0.136, np.linspace(0.0, 2.4, 13), np.array([-1.0, 2.0])),
     "small": (0.0038, 1.0066, 0.136, np.linspace(0.0, 2.4, 13), np.array([0.3, 0.32])),
     "collision": (1.0, 2.001, 0.136, np.linspace(0.0, 3.0, 13), np.array([0.0, 3.418])),
@@ -196,8 +191,8 @@ class TestPoleCorrection:
         for zeta in (own, 1.0, 1.0 + 1e-8, 1.0066, 1.5, 2.0 - 1e-6, 3.0, 41.0):
             args = (tau, delta, zeta, 0.9, PHI15, sigma, t_resp)
             want, d_want = fine_trapezoid(*args, jac=True)
-            got = averaging._average_g2(*args)
-            value, d = averaging._average_g2(*args, jac=True)
+            got = avg_g2(*args)
+            value, d = avg_g2(*args, jac=True)
             for v in (got, value):
                 assert np.max(np.abs(v - want) / np.abs(want)) <= 1e-11, zeta
             # the weight derivatives alias like ALIAS^2 exp(-ALIAS^2/2)/sigma:
@@ -216,11 +211,9 @@ class TestPoleCorrection:
         assert len(calls) == 1 and calls[0][0] <= 250
         half = slice(tau.size // 2, None, 3)          # every third |tau|, 0 to 600 ps
         want = fine_trapezoid(tau[half] / (2.0 * p.lifetime),
-                              m._delta(np.array([9.0, -9.0])), m.zeta, p.beta, m.phi,
+                              m.delta(np.array([9.0, -9.0])), m.zeta, p.beta, m.phi,
                               m.sigma, m.t_resp)
         assert np.allclose(got[:, half], want, rtol=1e-9, atol=0)
-        assert check_refinement(m._delta(np.array([9.0, -9.0])), m.zeta, p.beta,
-                                m.phi, m.sigma, m.t_resp) <= 1e-9
 
 
 class TestBlocks:
@@ -340,26 +333,12 @@ class TestAvgG1:
             b = g1_general(delta[:, None] + x, zeta, beta, PHI15, alpha) @ w
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
-    def test_refinement_converged(self):
-        # the reference configuration's width: halving the step moves g2(0)
-        # by 3.4e-14
-        delta = np.linspace(-10, 10, 21)
-        assert 3e-15 < check_refinement(delta, 1.0, 1.0, PHI15, 1.7852, 0.0) < 3e-13
-
-    def test_refinement_failure_reported(self):
-        # the 3.4e-14 change of the reference width, against a tighter rtol
-        with pytest.raises(RuntimeError, match=r"changed avg_g2 by 3\.3\d*e-14"):
-            check_refinement(np.linspace(-10, 10, 21), 1.0, 1.0, PHI15, 1.7852,
-                             0.0, rtol=1e-14)
-
     def test_rejects_negative_widths(self):
         with pytest.raises(ValueError, match="sigma"):
             avg_g1(0.0, 1.0, 1.0, PHI15, -1.0)
         for sigma, t_resp in ((-1.0, 0.0), (1.0, -0.1)):
             with pytest.raises(ValueError, match="must be non-negative"):
                 avg_g2(0.0, 0.0, 1.0, 1.0, PHI15, sigma, t_resp)
-            with pytest.raises(ValueError, match="must be non-negative"):
-                check_refinement(np.array([0.0]), 1.0, 1.0, PHI15, sigma, t_resp)
 
     def test_linearity_of_the_weighting(self):
         # the average is a fixed linear functional of the curve samples
@@ -535,6 +514,25 @@ class TestPartials:
         want += [] if sigma else [np.zeros(13)]
         assert np.allclose(d, np.column_stack(want), rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("delta,sigma", [(30.0, 0.005), (3.0, 0.01)])
+    def test_transmission_width_partial_far_from_the_pole(self, delta, sigma):
+        # |z| ~ 4200 and ~ 220: d<g1>/dsigma = <n dg1/ddelta(delta + sigma n)>
+        # over a standard normal n, by adaptive quadrature of the unaveraged
+        # partial; a chain rule through w's argument would cancel like |z|^2
+        def integrand(n):
+            slope = avg_g1(delta + sigma * n, 1.0, 0.9, -0.5, 0.0, jac=True)[1][0]
+            return n * slope * math.exp(-0.5 * n * n) / math.sqrt(2.0 * math.pi)
+
+        want, _ = quad(integrand, -np.inf, np.inf, epsabs=0, epsrel=1e-10)
+        if delta == 30.0:
+            assert want == pytest.approx(-3.8939131831e-7, rel=1e-10)
+        value, d = avg_g1(np.array([delta]), 1.0, 0.9, -0.5, sigma, jac=True)
+        assert d[0, -1] == pytest.approx(want, rel=1e-9)
+        # a 0-d detuning takes w's asymptotic series as the 1-d one does
+        scalar = avg_g1(delta, 1.0, 0.9, -0.5, sigma, jac=True)
+        assert np.shape(scalar[0]) == () and scalar[1].shape == (6,)
+        assert scalar[0] == value[0] and np.array_equal(scalar[1], d[0])
+
     @pytest.mark.parametrize("sigma", [0.0, 1.7852])
     def test_g2(self, sigma):
         def g2(delta, zeta, beta, phi, tau, t_resp, sig):
@@ -653,10 +651,10 @@ def _finite_or_explained(m, curve, det, values):
         value = row if not m.jac else row.reshape(-1, 7)[:, 0]
         if np.all(np.isfinite(row)):
             continue
-        one_node = averaging._one_node(m._delta(d), m.sigma)
+        one_node = averaging._one_node(m.delta(d), m.sigma)
         if one_node and t == 0.0 and np.all(value == np.inf):
             continue
-        if one_node and m.zeta == 2.0 and m._delta(d) == 0.0:
+        if one_node and m.zeta == 2.0 and m.delta(d) == 0.0:
             continue
         return False
     return True
