@@ -14,9 +14,9 @@ to the packed vector x, computed alongside the residuals by the curves of
 a :class:`~fanostat.averaging.ModelCurves` built with ``jac=True`` and
 chained through the packing maps (d lifetime/dx1 = -lifetime,
 d dephasing_time/dx2 = -dephasing_time, d sigma/dx3 = sigma,
-d t0/dx4 = t0 (1 - t0), d beta/dx5 = beta (1 - beta)). A histogram's tail
-normalization enters through the quotient rule. Rows of non-finite
-residuals are zeroed like the residuals.
+d t0/dx4 = t0 (1 - t0), d beta/dx5 = beta (1 - beta)). Each histogram's
+count scale is projected out in closed form (variable projection; Golub &
+Pereyra, 2003). Rows of non-finite residuals are zeroed like the residuals.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ DEFAULT_BOUNDS = {
 
 @dataclass(frozen=True)
 class G2Histogram:
-    """Raw coincidence histogram at one detuning: tau grid (ps) and counts."""
+    """Raw coincidence histogram at one detuning: tau grid (ps) and counts,
+    on any scale. The ``uncertainty`` defaults to sqrt(max(counts, 1))."""
 
     detuning: float
     tau_ps: np.ndarray
@@ -58,38 +59,19 @@ class G2Histogram:
             raise ValueError("histogram detuning and tau_ps must be finite")
         if not np.all((cnt >= 0) & (cnt < np.inf)):
             raise ValueError("histogram counts must be finite and non-negative")
-        unc = self.uncertainty
-        if unc is not None:
-            unc = np.asarray(unc, dtype=float)
+        if not np.any(cnt > 0):
+            raise ValueError("histogram has no positive count, so it fixes no scale")
+        if self.uncertainty is None:
+            unc = np.sqrt(np.maximum(cnt, 1.0))
+        else:
+            unc = np.asarray(self.uncertainty, dtype=float)
             if unc.shape != cnt.shape or not np.all((unc > 0) & (unc < np.inf)):
                 raise ValueError("uncertainty must be positive, finite and match counts")
-            unc.setflags(write=False)
-        tau.setflags(write=False)
-        cnt.setflags(write=False)
+        for arr in (tau, cnt, unc):
+            arr.setflags(write=False)
         object.__setattr__(self, "tau_ps", tau)
         object.__setattr__(self, "counts", cnt)
         object.__setattr__(self, "uncertainty", unc)
-
-    def tail_mask(self):
-        """Bins counted as "long delay": the top fifth of |tau|."""
-        atau = np.abs(self.tau_ps)
-        return atau >= np.quantile(atau, 0.8)
-
-    def normalized(self):
-        """g2 values and sigmas, normalized to the long-delay level.
-
-        Model curves compared against these values must be normalized by
-        their own mean over the same bins (see ``tail_mask``), which removes
-        the shared scale even when the grid does not quite reach the
-        asymptote.
-        """
-        norm = float(np.mean(self.counts[self.tail_mask()]))
-        if norm <= 0:
-            raise ValueError("histogram tail level is zero; cannot normalize")
-        unc = self.uncertainty
-        if unc is None:
-            unc = np.sqrt(np.maximum(self.counts, 1.0))
-        return self.counts / norm, unc / norm
 
 
 @dataclass(frozen=True)
@@ -112,8 +94,8 @@ class MeasurementSet:
                 arr = arr.reshape(0, 3)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must be an (n, 3) array")
-            if not np.all(np.isfinite(arr[:, 0])):
-                raise ValueError(f"{name} detunings must be finite")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} detunings, values and uncertainties must be finite")
             if np.any(arr[:, 2] <= 0):
                 raise ValueError(f"{name} uncertainties must be positive")
             arr.setflags(write=False)
@@ -179,8 +161,8 @@ class _Objective:
     """Weighted residuals of the model against a measurement set.
 
     Each dataset compares one model curve with measured values, scaled by
-    ``weight / sigma``. The measured side, including each histogram's tail
-    normalization, is fixed and prepared once.
+    ``weight / sigma``. A histogram's model curve is first multiplied by the
+    count scale that fits it best to the counts, one scale per histogram.
     """
 
     def __init__(self, data: MeasurementSet, template: PhysicalParams,
@@ -188,49 +170,53 @@ class _Objective:
         if not (math.isfinite(g2_weight) and g2_weight >= 0.0):
             raise ValueError(f"g2_weight must be finite and non-negative, got {g2_weight!r}")
         self.template = template
-        # (keys, ModelCurves method, its arguments, measured, sigma, weight,
-        # tail bins), one key per row of the curve; histograms on one delay
-        # grid share a term, so their detunings share one model call
+        # (keys, ModelCurves method, its arguments, measured, sigma, weight),
+        # one key per row of the curve; histograms on one delay grid share a
+        # term, so their detunings share one model call
         self.terms = []
         if "transmission" in datasets and data.transmission.shape[0]:
             det, val, unc = data.transmission.T
             self.terms.append((("transmission",), "transmission", (det,),
-                               val, unc, 1.0, None))
+                               val, unc, 1.0))
         if "g2" in datasets:
             if data.g2zero.shape[0]:
                 det, val, unc = data.g2zero.T
                 self.terms.append((("g2zero",), "g2zero", (det,),
-                                   val, unc, g2_weight, None))
+                                   val, unc, g2_weight))
             grids = {}
             for i, hist in enumerate(data.g2_histograms):
                 grids.setdefault(hist.tau_ps.tobytes(), []).append(i)
             for rows in grids.values():
                 hists = [data.g2_histograms[i] for i in rows]
-                meas, sig = zip(*(h.normalized() for h in hists))
                 self.terms.append((tuple(f"g2_histogram_{i}" for i in rows), "g2_trace",
                                    (np.array([h.detuning for h in hists]), hists[0].tau_ps),
-                                   np.array(meas), np.array(sig), g2_weight,
-                                   hists[0].tail_mask()))
+                                   np.array([h.counts for h in hists]),
+                                   np.array([h.uncertainty for h in hists]), g2_weight))
 
     def residuals(self, params: PhysicalParams, jac=False) -> dict:
         """Residuals by dataset; with ``jac``, pairs of (residuals, partials
         along FIT_FIELDS on a last axis) from curves that carry them.
 
-        A histogram's model curve is divided by its own mean over the tail
-        bins, so its partials follow the quotient rule.
+        A histogram's residuals are weight (s m - c) / sigma, with the scale
+        s = sum(m c / sigma^2) / sum(m^2 / sigma^2) of its model curve m to
+        its counts c, and partials weight (s dm + m ds) / sigma, where
+        ds = sum((c - 2 s m) dm / sigma^2) / sum(m^2 / sigma^2). A non-finite
+        model value gives its whole histogram a NaN scale.
         """
         mdl = ModelCurves(params, jac=jac)
         out = {}
-        for keys, method, args, val, sig, weight, tail in self.terms:
+        for keys, method, args, val, sig, weight in self.terms:
             model = getattr(mdl, method)(*args)
             if jac:
                 model, d = model[..., 0], model[..., 1:]
-            if tail is not None:
-                level = np.mean(model[..., tail], axis=-1, keepdims=True)
-                model = model / level
+            if method == "g2_trace":     # histograms: fit each row's count scale
+                m, c = model / sig, val / sig
+                mm = np.sum(m * m, axis=-1, keepdims=True)
+                s = np.sum(m * c, axis=-1, keepdims=True) / mm
                 if jac:
-                    d = (d - model[..., None] * np.mean(d[..., tail, :], axis=-2,
-                                                        keepdims=True)) / level[..., None]
+                    ds = np.einsum("...i,...ij->...j", (c - 2.0 * s * m) / sig, d) / mm
+                    d = s[..., None] * d + model[..., None] * ds[..., None, :]
+                model = s * model
             r = (weight * (model - val) / sig).reshape(len(keys), -1)
             if jac:
                 d = (weight * d / sig[..., None]).reshape(len(keys), -1, len(FIT_FIELDS))
@@ -368,7 +354,9 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     hit = (np.abs(best.x - lo) <= atol) | (np.abs(best.x - hi) <= atol)
     bounds_hit = dict(zip(FIT_FIELDS, map(bool, hit)))
 
-    stderr = _stderr_proxy(best, params, vec.size - n_excluded)
+    # one degree of freedom per histogram whose fitted count scale is finite
+    n_scales = sum(np.isfinite(v).all() for k, v in residuals.items() if "histogram" in k)
+    stderr = _stderr_proxy(best, params, vec.size - n_excluded - n_scales)
 
     return FitResult(params=params, objective=objective, residuals=residuals,
                      n_eval=int(best.nfev), converged=bool(best.status > 0),
@@ -381,8 +369,9 @@ def _stderr_proxy(sol, params, n_res):
     """Curvature-based parameter uncertainties in physical units.
 
     A diagnostic, not a posterior: inverse Gauss-Newton curvature of the
-    exact Jacobian, scaled by the residual variance over the ``n_res``
-    finite residuals, pushed through the parameter transform. Where the
+    exact Jacobian, scaled by the residual variance over ``n_res`` (the
+    finite residuals less one per projected histogram scale) less the
+    fitted fields, pushed through the parameter transform. Where the
     data do not fix every field, that is where the numerical rank of the
     Jacobian (``np.linalg.matrix_rank``: singular values above
     max(shape) eps s_max) is below the number of fields, the curvature is
@@ -432,6 +421,7 @@ def fit_report(result: FitResult, data: MeasurementSet) -> dict:
             "frequency": "ordinary (E = h * nu); omega0 stored in ueV",
             "reduced_time": "tau_t = tau * gamma / 2",
             "detector_width": "t_resp_t = detector_resp * gamma / 2",
-            "g2_normalization": "model curves normalized to long-delay value",
+            "g2_normalization": ("each histogram is compared at its own fitted "
+                                 "count scale (least squares, one per histogram)"),
         },
     }

@@ -10,7 +10,8 @@ Expected columns:
 
 * transmission: ``detuning_uev, transmission, uncertainty``
 * g2zero:       ``detuning_uev, g2zero, uncertainty``
-* g2_histogram: ``tau_ps, counts[, uncertainty]`` plus ``# detuning_uev: X``
+* g2_histogram: ``tau_ps, counts[, uncertainty]`` plus ``# detuning_uev: X``;
+  counts on any scale; without uncertainties they are taken as Poisson
 
 Series output (CSV or JSON) round-trips floats exactly (repr formatting)
 and carries a metadata block; no timestamps unless explicitly requested.
@@ -121,7 +122,9 @@ def load_measurements(path, kind) -> LoadReport:
     """Load one measurement table into a MeasurementSet.
 
     Malformed data rows are skipped and reported in ``rejected``; missing
-    columns or an empty file raise :class:`DataFormatError`.
+    columns, an empty file or values that the measurement types refuse (an
+    uncertainty that is not positive, a negative count) raise
+    :class:`DataFormatError`.
     """
     if kind not in _KIND_COLUMNS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -155,18 +158,19 @@ def load_measurements(path, kind) -> LoadReport:
         raise DataFormatError("no usable data rows", path)
     arr = np.asarray(parsed, dtype=float)
 
-    if kind == "transmission":
-        data = MeasurementSet(transmission=arr)
-    elif kind == "g2zero":
-        data = MeasurementSet(g2zero=arr)
-    else:
-        if "detuning_uev" not in metadata:
-            raise DataFormatError(
-                "histogram file needs a '# detuning_uev: X' metadata line", path)
-        unc = arr[:, 2] if arr.shape[1] > 2 else None
-        hist = G2Histogram(detuning=float(metadata["detuning_uev"]),
-                           tau_ps=arr[:, 0], counts=arr[:, 1], uncertainty=unc)
-        data = MeasurementSet(g2_histograms=(hist,))
+    if kind == "g2_histogram" and "detuning_uev" not in metadata:
+        raise DataFormatError(
+            "histogram file needs a '# detuning_uev: X' metadata line", path)
+    try:
+        if kind != "g2_histogram":
+            data = MeasurementSet(**{kind: arr})
+        else:
+            unc = arr[:, 2] if arr.shape[1] > 2 else None
+            hist = G2Histogram(detuning=float(metadata["detuning_uev"]),
+                               tau_ps=arr[:, 0], counts=arr[:, 1], uncertainty=unc)
+            data = MeasurementSet(g2_histograms=(hist,))
+    except ValueError as err:
+        raise DataFormatError(str(err), path) from err
     return LoadReport(data=data, rejected=tuple(rejected))
 
 

@@ -106,10 +106,23 @@ def assert_exact_jacobian(obj, x):
     assert np.all(err < 1e-6), dict(zip(FIT_FIELDS, err))
 
 
+def scaled_counts(data, factor):
+    """``data`` with every histogram's counts and uncertainties times ``factor``."""
+    return MeasurementSet(
+        transmission=data.transmission, g2zero=data.g2zero,
+        g2_histograms=tuple(
+            G2Histogram(detuning=h.detuning, tau_ps=h.tau_ps, counts=factor * h.counts,
+                        uncertainty=factor * h.uncertainty) for h in data.g2_histograms))
+
+
 class TestModelObjective:
     def test_zero_at_generator(self):
         data = synthetic_data(noise=0.0, histograms=False)
         assert objective(REF, data) < 1e-10
+        # histograms of coincidence counts, not of g2: the fitted count
+        # scale absorbs the factor
+        hists = MeasurementSet(g2_histograms=synthetic_data(noise=0.0).g2_histograms)
+        assert objective(REF, scaled_counts(hists, 1000.0)) < 1e-10
 
     def test_perturbing_t0_increases(self):
         data = synthetic_data(noise=0.0, histograms=False)
@@ -297,6 +310,34 @@ class TestFitFullModel:
         # the solve saw the NaN too: its cost leaves the residual out
         assert 2.0 * sol.cost == pytest.approx(res.objective, rel=1e-12)
 
+    def test_non_finite_histogram_value_excludes_its_histogram(self, monkeypatch):
+        # one NaN model value gives its histogram a NaN count scale: all its
+        # residuals are excluded, and only the other histogram's scale
+        # takes a degree of freedom from the stderr
+        data = synthetic_data(noise=0.02, seed=5)
+        g2_trace = ModelCurves.g2_trace
+
+        def one_nan(self, detuning_uev, tau_ps):
+            out = np.array(g2_trace(self, detuning_uev, tau_ps), dtype=float)
+            out[(0, 5, 0) if self.jac else (0, 5)] = np.nan
+            return out
+
+        seen = {}
+        stderr_proxy = fitting._stderr_proxy
+
+        def spy(sol, params, n_res):
+            seen["n_res"] = n_res
+            return stderr_proxy(sol, params, n_res)
+
+        monkeypatch.setattr(ModelCurves, "g2_trace", one_nan)
+        monkeypatch.setattr(fitting, "_stderr_proxy", spy)
+        res = fit_full_model(data, REF)
+        n_bins = data.g2_histograms[0].tau_ps.size
+        assert np.all(np.isnan(res.residuals["g2_histogram_0"]))
+        assert np.all(np.isfinite(res.residuals["g2_histogram_1"]))
+        assert res.n_excluded == n_bins
+        assert seen["n_res"] == data.n_points - n_bins - 1
+
     def test_non_finite_model_values_zeroed_in_the_solve(self, monkeypatch):
         # a NaN value and a NaN partial on the Jacobian path: the row of the
         # NaN value is zero, so is the NaN partial, and the rest is kept
@@ -390,19 +431,27 @@ class TestJacobian:
 
 
 class TestHistogramNormalization:
-    def test_normalized_tail(self):
-        tau = np.linspace(-500, 500, 201)
-        counts = 1000.0 * (1 + np.exp(-np.abs(tau) / 60.0))
-        h = G2Histogram(detuning=9.0, tau_ps=tau, counts=counts)
-        vals, sig = h.normalized()
-        assert vals[len(vals) // 2] == pytest.approx(2.0, abs=0.01)
-        assert np.all(sig > 0)
+    def test_count_scale_leaves_the_fit_unchanged(self):
+        data, start = criterion7_trial(0)
+        res = fit_full_model(data, start)
+        scaled = fit_full_model(scaled_counts(data, 1000.0), start)
+        for name in FIT_FIELDS:
+            assert getattr(scaled.params, name) == pytest.approx(
+                getattr(res.params, name), rel=1e-10), name
+        assert scaled.objective == pytest.approx(res.objective, rel=1e-10)
 
     def test_poisson_default(self):
         tau = np.linspace(-100, 100, 11)
-        h = G2Histogram(detuning=0.0, tau_ps=tau, counts=np.full(11, 400.0))
-        vals, sig = h.normalized()
-        assert sig[0] == pytest.approx(20.0 / 400.0)
+        h = G2Histogram(detuning=0.0, tau_ps=tau, counts=np.array([0.0] + [400.0] * 10))
+        assert h.uncertainty[0] == 1.0
+        assert np.all(h.uncertainty[1:] == 20.0)
+
+    def test_rejects_no_positive_count(self):
+        # a histogram with no positive count fixes no scale, and its
+        # projected residuals would all be zero
+        with pytest.raises(ValueError, match="no positive count"):
+            G2Histogram(detuning=9.0, tau_ps=np.array([-50.0, 0.0, 50.0]),
+                        counts=np.zeros(3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -422,3 +471,34 @@ class TestHistogramNormalization:
             bad = np.where([False, False, True], bad, valid[field])
         with pytest.raises(ValueError, match="finite"):
             G2Histogram(**{**valid, field: bad})
+
+
+class TestMeasurementSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("table", ["transmission", "g2zero"])
+    def test_rejects_non_finite(self, table, column, bad):
+        # an infinite uncertainty would zero its point's weight silently
+        valid = np.array([[-9.0, 0.8, 0.03], [0.0, 0.5, 0.03], [9.0, 0.9, 0.03]])
+        MeasurementSet(**{table: valid})
+        arr = valid.copy()
+        arr[2, column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSet(**{table: arr})
+
+
+def test_stderr_covers_the_truth():
+    # the criterion-7 datasets: the true value lies within +-1.96 stderr in
+    # at least 0.9 of the fits for every field but the dephasing time, whose
+    # fits end on its arbitrary bound in about a quarter of the trials
+    # (50 fits, about 3.4 s)
+    fields = ("omega0", "lifetime", "sigma_wander", "t0", "beta")
+    covered = dict.fromkeys(fields, 0)
+    for seed in range(50):
+        data, start = criterion7_trial(seed)
+        res = fit_full_model(data, start)
+        for name in fields:
+            err = abs(getattr(res.params, name) - getattr(REF, name))
+            covered[name] += err <= 1.96 * res.stderr[name]
+    fraction = {name: n / 50 for name, n in covered.items()}
+    assert min(fraction.values()) >= 0.9, fraction

@@ -561,6 +561,24 @@ class TestCLI:
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("flag,text", [
+        ("--transmission", "detuning_uev,transmission,uncertainty\n"
+                           "-9.0,1.2,0.03\n0.0,0.8,0.0\n9.0,0.45,0.03\n"),
+        ("--histogram", "# detuning_uev: 9.0\ntau_ps,counts,uncertainty\n"
+                        "-100,50,7\n0,120,0\n100,50,7\n"),
+        ("--histogram", "# detuning_uev: 9.0\ntau_ps,counts\n-100,50\n0,-1\n100,50\n"),
+        ("--histogram", "# detuning_uev: 9.0\ntau_ps,counts\n-100,0\n0,0\n100,0\n"),
+    ], ids=["zero-transmission-uncertainty", "zero-histogram-uncertainty",
+            "negative-count", "no-positive-count"])
+    def test_bad_values_in_a_data_file_exit_code(self, tmp_path, capsys, flag, text):
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        code = main(["fit", flag, str(f), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {f}: ") and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("t0 = 2.0\n")
