@@ -17,6 +17,10 @@ d dephasing_time/dx2 = -dephasing_time, d sigma/dx3 = sigma,
 d t0/dx4 = t0 (1 - t0), d beta/dx5 = beta (1 - beta)). Each histogram's
 count scale is projected out in closed form (variable projection; Golub &
 Pereyra, 2003). Rows of non-finite residuals are zeroed like the residuals.
+Every g2 curve of an evaluation, g2(0) and the histograms on each of their
+delay grids, comes from one :meth:`~fanostat.averaging.ModelCurves.g2_curves`
+call, which averages them on one shared lattice wherever that costs less
+than one average per grid.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ class G2Histogram:
     uncertainty: np.ndarray | None = None
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_ps, dtype=float)
-        cnt = np.asarray(self.counts, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        tau = np.array(self.tau_ps, dtype=float)
+        cnt = np.array(self.counts, dtype=float)
         if tau.ndim != 1 or tau.shape != cnt.shape:
             raise ValueError("tau_ps and counts must be matching 1-d arrays")
         if not (math.isfinite(self.detuning) and np.all(np.isfinite(tau))):
@@ -64,7 +69,7 @@ class G2Histogram:
         if self.uncertainty is None:
             unc = np.sqrt(np.maximum(cnt, 1.0))
         else:
-            unc = np.asarray(self.uncertainty, dtype=float)
+            unc = np.array(self.uncertainty, dtype=float)
             if unc.shape != cnt.shape or not np.all((unc > 0) & (unc < np.inf)):
                 raise ValueError("uncertainty must be positive, finite and match counts")
         for arr in (tau, cnt, unc):
@@ -89,7 +94,7 @@ class MeasurementSet:
 
     def __post_init__(self):
         for name in ("transmission", "g2zero"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)     # a copy to freeze
             if arr.size == 0:
                 arr = arr.reshape(0, 3)
             if arr.ndim != 2 or arr.shape[1] != 3:
@@ -163,6 +168,9 @@ class _Objective:
     Each dataset compares one model curve with measured values, scaled by
     ``weight / sigma``. A histogram's model curve is first multiplied by the
     count scale that fits it best to the counts, one scale per histogram.
+    The g2 curves are one request per delay grid, g2(0) at tau = 0 and each
+    group of histograms that share their delays, all passed to one
+    :meth:`~fanostat.averaging.ModelCurves.g2_curves` call per evaluation.
     """
 
     def __init__(self, data: MeasurementSet, template: PhysicalParams,
@@ -170,25 +178,23 @@ class _Objective:
         if not (math.isfinite(g2_weight) and g2_weight >= 0.0):
             raise ValueError(f"g2_weight must be finite and non-negative, got {g2_weight!r}")
         self.template = template
-        # (keys, ModelCurves method, its arguments, measured, sigma, weight),
-        # one key per row of the curve; histograms on one delay grid share a
-        # term, so their detunings share one model call
+        # (keys, kind, its model arguments, measured, sigma, weight), one key
+        # per row of the curve; a g2 term's arguments are its g2_curves request
         self.terms = []
         if "transmission" in datasets and data.transmission.shape[0]:
             det, val, unc = data.transmission.T
-            self.terms.append((("transmission",), "transmission", (det,),
-                               val, unc, 1.0))
+            self.terms.append((("transmission",), "transmission", det, val, unc, 1.0))
         if "g2" in datasets:
             if data.g2zero.shape[0]:
                 det, val, unc = data.g2zero.T
-                self.terms.append((("g2zero",), "g2zero", (det,),
+                self.terms.append((("g2zero",), "g2zero", (det, 0.0),
                                    val, unc, g2_weight))
             grids = {}
             for i, hist in enumerate(data.g2_histograms):
                 grids.setdefault(hist.tau_ps.tobytes(), []).append(i)
             for rows in grids.values():
                 hists = [data.g2_histograms[i] for i in rows]
-                self.terms.append((tuple(f"g2_histogram_{i}" for i in rows), "g2_trace",
+                self.terms.append((tuple(f"g2_histogram_{i}" for i in rows), "histograms",
                                    (np.array([h.detuning for h in hists]), hists[0].tau_ps),
                                    np.array([h.counts for h in hists]),
                                    np.array([h.uncertainty for h in hists]), g2_weight))
@@ -204,12 +210,14 @@ class _Objective:
         model value gives its whole histogram a NaN scale.
         """
         mdl = ModelCurves(params, jac=jac)
+        g2 = [args for _, kind, args, *_ in self.terms if kind != "transmission"]
+        curves = iter(mdl.g2_curves(g2))
         out = {}
-        for keys, method, args, val, sig, weight in self.terms:
-            model = getattr(mdl, method)(*args)
+        for keys, kind, args, val, sig, weight in self.terms:
+            model = mdl.transmission(args) if kind == "transmission" else next(curves)
             if jac:
                 model, d = model[..., 0], model[..., 1:]
-            if method == "g2_trace":     # histograms: fit each row's count scale
+            if kind == "histograms":     # fit each row's count scale
                 m, c = model / sig, val / sig
                 mm = np.sum(m * m, axis=-1, keepdims=True)
                 s = np.sum(m * c, axis=-1, keepdims=True) / mm

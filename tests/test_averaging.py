@@ -119,17 +119,38 @@ class TestWorkCounts:
 
     def test_criterion_7_histograms_share_one_lattice(self, monkeypatch):
         tau = np.arange(-600.0, 600.0 + 1e-9, 12.5)
+        det_g = np.linspace(-20.0, 20.0, 9)
         m = ModelCurves(REF)
         hists = tuple(G2Histogram(detuning=d, tau_ps=tau, counts=m.g2_trace(d, tau))
                       for d in (9.0, -9.0))
-        obj = _Objective(MeasurementSet(g2_histograms=hists), REF)
+        g2zero = np.column_stack([det_g, m.g2zero(det_g), np.full(9, 0.01)])
         calls = self.spy(monkeypatch)
+        obj = _Objective(MeasurementSet(g2_histograms=hists), REF)
         for jac in (False, True):
             obj.residuals(REF, jac=jac)
         want = self.nodes_within(m.delta([9.0, -9.0]), m.sigma,
                                  tau / (2 * REF.lifetime), m.t_resp)
         assert calls == [(want, 49)] * 2
         assert 43 <= want <= 53             # not one rule per histogram (2 x 40)
+        # with the g2(0) scan too: one lattice per evaluation at REF, two at
+        # sigma_wander 0.2 ueV
+        obj = _Objective(MeasurementSet(g2zero=g2zero, g2_histograms=hists), REF)
+        for p, merged in ((REF, True), (REF.replace(sigma_wander=0.2), False)):
+            m = ModelCurves(p)
+            both = np.concatenate([m.delta(det_g), m.delta([9.0, -9.0])])
+            shared = self.nodes_within(both, m.sigma, tau / (2 * p.lifetime), m.t_resp)
+            apart = [(self.nodes_within(m.delta(det_g), m.sigma, 0.0, m.t_resp), 1),
+                     (self.nodes_within(m.delta([9.0, -9.0]), m.sigma,
+                                        tau / (2 * p.lifetime), m.t_resp), 49)]
+            extra = 49 * shared - sum(n * k for n, k in apart)
+            calls.clear()
+            for jac in (False, True):
+                obj.residuals(p, jac=jac)
+            # one lattice per evaluation where the g2(0) detunings cost at
+            # most one call's fixed cost more on the histograms' step: a few
+            # hundred node evaluations at REF, over 8000 at 0.2 ueV
+            assert calls == ([(shared, 49)] if merged else apart) * 2
+            assert (0 < extra <= averaging.CALL) == merged
 
     def test_sparse_detunings_keep_separate_windows(self, monkeypatch):
         m = ModelCurves(REF)
@@ -140,6 +161,52 @@ class TestWorkCounts:
         assert calls[0][0] == self.nodes_within(m.delta(det), m.sigma, 0.0, m.t_resp)
         assert calls[0][0] < sum(n for n, _ in calls[1:])
         assert np.allclose(together, apart, rtol=1e-14, atol=0)
+
+
+class TestG2Curves:
+    """ModelCurves.g2_curves against one g2zero or g2_trace call per request."""
+
+    TAU = np.arange(-600.0, 600.0 + 1e-9, 12.5)
+    HISTS = ([9.0, -9.0], TAU)
+
+    # (sigma_wander ueV, requests, one shared average): the criterion-7
+    # g2(0) scan and histograms at REF and at the lower fit bound, histograms
+    # on two grids (one without its tau = 0 bin, one at a scalar detuning),
+    # and a g2(0) scan that holds both histogram detunings
+    CASES = {
+        "criterion-7": (REF.sigma_wander, [(np.linspace(-20.0, 20.0, 9), 0.0), HISTS], True),
+        "narrow": (0.2, [(np.linspace(-20.0, 20.0, 9), 0.0), HISTS], False),
+        "two-grids": (REF.sigma_wander, [(np.linspace(-20.0, 20.0, 9), 0.0),
+                                         ([-9.0], np.delete(TAU, 48)), (9.0, TAU)], True),
+        "same-detuning": (REF.sigma_wander, [(np.linspace(-18.0, 18.0, 9), 0.0), HISTS],
+                          True),
+    }
+
+    @pytest.mark.parametrize("jac", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_separate_calls(self, monkeypatch, case, jac):
+        width, requests, shared = self.CASES[case]
+        m = ModelCurves(REF.replace(sigma_wander=width), jac=jac)
+        calls = []
+        avg_g2 = averaging.avg_g2
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return avg_g2(*args, **kwargs)
+        monkeypatch.setattr(averaging, "avg_g2", counted)
+        got = m.g2_curves(requests)
+        assert len(calls) == (1 if shared else len(requests))
+        for curve, (det, tau) in zip(got, requests):
+            want = m.g2zero(det) if np.ndim(tau) == 0 else m.g2_trace(det, tau)
+            assert curve.shape == want.shape
+            if not jac:
+                curve, want = curve[..., None], want[..., None]
+            # each value within 1e-12 relative, each partial within 1e-12 of
+            # its largest magnitude
+            err = np.abs(curve - want)
+            assert np.all(err[..., 0] <= 1e-12 * want[..., 0])
+            scale = np.abs(want[..., 1:]).max(axis=tuple(range(want.ndim - 1)))
+            assert np.all(err[..., 1:] <= 1e-12 * scale)
 
 
 def fine_trapezoid(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):

@@ -216,14 +216,14 @@ class TestFitFullModel:
 
     def test_excluded_residuals_counted_once_at_solution(self, monkeypatch):
         data = synthetic_data(noise=0.0, histograms=False)
-        g2zero = ModelCurves.g2zero
+        g2_curves = ModelCurves.g2_curves
 
-        def one_nan(self, detuning_uev):
-            out = np.array(g2zero(self, detuning_uev), dtype=float)
-            out[0] = np.nan
+        def one_nan(self, requests):
+            out = [np.array(c, dtype=float) for c in g2_curves(self, requests)]
+            out[0][0] = np.nan      # the first g2(0) point
             return out
 
-        monkeypatch.setattr(ModelCurves, "g2zero", one_nan)
+        monkeypatch.setattr(ModelCurves, "g2_curves", one_nan)
         res = fit_full_model(data, REF)
         assert res.n_excluded == 1
         assert res.objective == pytest.approx(objective(res.params, data), rel=1e-12)
@@ -281,11 +281,11 @@ class TestFitFullModel:
     def test_stderr_counts_only_finite_residuals(self, monkeypatch):
         # one excluded residual leaves n - 1 - 6 degrees of freedom
         data = synthetic_data(noise=0.02, seed=5, histograms=False)
-        g2zero = ModelCurves.g2zero
+        g2_curves = ModelCurves.g2_curves
 
-        def one_nan(self, detuning_uev):
-            out = np.array(g2zero(self, detuning_uev), dtype=float)
-            out[0] = np.nan
+        def one_nan(self, requests):
+            out = [np.array(c, dtype=float) for c in g2_curves(self, requests)]
+            out[0][0] = np.nan      # the first g2(0) point
             return out
 
         seen = {}
@@ -295,7 +295,7 @@ class TestFitFullModel:
             seen["sol"] = sol
             return stderr_proxy(sol, params, n_res)
 
-        monkeypatch.setattr(ModelCurves, "g2zero", one_nan)
+        monkeypatch.setattr(ModelCurves, "g2_curves", one_nan)
         monkeypatch.setattr(fitting, "_stderr_proxy", spy)
         res = fit_full_model(data, REF)
         assert res.n_excluded == 1
@@ -315,11 +315,12 @@ class TestFitFullModel:
         # residuals are excluded, and only the other histogram's scale
         # takes a degree of freedom from the stderr
         data = synthetic_data(noise=0.02, seed=5)
-        g2_trace = ModelCurves.g2_trace
+        g2_curves = ModelCurves.g2_curves
 
-        def one_nan(self, detuning_uev, tau_ps):
-            out = np.array(g2_trace(self, detuning_uev, tau_ps), dtype=float)
-            out[(0, 5, 0) if self.jac else (0, 5)] = np.nan
+        def one_nan(self, requests):
+            out = [np.array(c, dtype=float) for c in g2_curves(self, requests)]
+            # the histograms share one delay grid, whose request comes last
+            out[-1][(0, 5, 0) if self.jac else (0, 5)] = np.nan
             return out
 
         seen = {}
@@ -329,7 +330,7 @@ class TestFitFullModel:
             seen["n_res"] = n_res
             return stderr_proxy(sol, params, n_res)
 
-        monkeypatch.setattr(ModelCurves, "g2_trace", one_nan)
+        monkeypatch.setattr(ModelCurves, "g2_curves", one_nan)
         monkeypatch.setattr(fitting, "_stderr_proxy", spy)
         res = fit_full_model(data, REF)
         n_bins = data.g2_histograms[0].tau_ps.size
@@ -342,21 +343,21 @@ class TestFitFullModel:
         # a NaN value and a NaN partial on the Jacobian path: the row of the
         # NaN value is zero, so is the NaN partial, and the rest is kept
         data = synthetic_data(noise=0.0, histograms=False)
-        g2zero = ModelCurves.g2zero
+        g2_curves = ModelCurves.g2_curves
 
-        def poisoned(self, detuning_uev):
-            out = np.array(g2zero(self, detuning_uev), dtype=float)
+        def poisoned(self, requests):
+            out = [np.array(c, dtype=float) for c in g2_curves(self, requests)]
             if self.jac:
-                out[0, 0] = np.nan      # the value of the first point
-                out[1, 3] = np.nan      # its dephasing_time partial, second point
+                out[0][0, 0] = np.nan   # the value of the first g2(0) point
+                out[0][1, 3] = np.nan   # its dephasing_time partial, second point
             else:
-                out[0] = np.nan
+                out[0][0] = np.nan
             return out
 
         obj = _Objective(data, REF)
         x = pack_params(REF.replace(lifetime=150.0, t0=0.5))
         clean_vec, clean_J = obj.vector_and_jacobian(x)
-        monkeypatch.setattr(ModelCurves, "g2zero", poisoned)
+        monkeypatch.setattr(ModelCurves, "g2_curves", poisoned)
         vec, J = obj.vector_and_jacobian(x)
         assert np.all(np.isfinite(vec)) and np.all(np.isfinite(J))
         # g2zero rows come first (datasets in key order)
@@ -453,6 +454,20 @@ class TestHistogramNormalization:
             G2Histogram(detuning=9.0, tau_ps=np.array([-50.0, 0.0, 50.0]),
                         counts=np.zeros(3))
 
+    def test_caller_arrays_stay_writeable(self):
+        # the record freezes copies: the caller may reuse its arrays, and
+        # writing to them leaves the record as it was built
+        tau, cnt, unc = np.array([-50.0, 0.0, 50.0]), np.array([100.0, 60.0, 100.0]), \
+            np.array([10.0, 8.0, 10.0])
+        h = G2Histogram(detuning=9.0, tau_ps=tau, counts=cnt, uncertainty=unc)
+        for arr in (tau, cnt, unc):
+            assert arr.flags.writeable
+            arr[0] = 7.0
+        assert h.tau_ps.tolist() == [-50.0, 0.0, 50.0]
+        assert h.counts.tolist() == [100.0, 60.0, 100.0]
+        assert h.uncertainty.tolist() == [10.0, 8.0, 10.0]
+        assert not any(a.flags.writeable for a in (h.tau_ps, h.counts, h.uncertainty))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             G2Histogram(detuning=0.0, tau_ps=np.array([0.0, 1.0]),
@@ -485,6 +500,15 @@ class TestMeasurementSet:
         arr[2, column] = bad
         with pytest.raises(ValueError, match="finite"):
             MeasurementSet(**{table: arr})
+
+    @pytest.mark.parametrize("table", ["transmission", "g2zero"])
+    def test_caller_arrays_stay_writeable(self, table):
+        arr = np.array([[-9.0, 0.8, 0.03], [0.0, 0.5, 0.03], [9.0, 0.9, 0.03]])
+        data = MeasurementSet(**{table: arr})
+        assert arr.flags.writeable
+        arr[1, 1] = 7.0
+        assert getattr(data, table)[1, 1] == 0.5
+        assert not getattr(data, table).flags.writeable
 
 
 def test_stderr_covers_the_truth():

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanostat import (DataFormatError, FPBackground, MeasurementSet,
                       ModelCurves, PhysicalParams, detuning_to_delta,
@@ -591,3 +596,66 @@ class TestCLI:
                      "--fsr-nm", "2.0", "--grid", "910:920:11",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+# one measurement file: its kind, the detunings (ueV, on a 0.5 ueV grid)
+# and, for a histogram, its delays (ps), plus the defect of one row: none,
+# dropped or rejected
+_DETUNING = st.integers(-80, 80).map(lambda k: 0.5 * k)
+_DETUNINGS = st.lists(_DETUNING, min_size=1, max_size=12, unique=True)
+_DEFECTS = st.sampled_from(["none", "dropped", "non-numeric", "nan", "short"])
+
+
+@st.composite
+def _fit_files(draw):
+    files = [("transmission", draw(_DETUNINGS), None, draw(_DEFECTS))]
+    if draw(st.booleans()):
+        files.append(("g2zero", draw(_DETUNINGS), None, draw(_DEFECTS)))
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 40))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        tau = sign * 25.0 * (np.arange(n) - draw(st.integers(0, n - 1)))
+        files.append(("g2_histogram", [draw(_DETUNING)], tau, draw(_DEFECTS)))
+    return files
+
+
+def _write_fit_file(path, kind, det, tau, defect, model):
+    if kind == "g2_histogram":
+        lines = [f"# detuning_uev: {det[0]:.17g}", "tau_ps,counts,uncertainty"]
+        counts = 1000.0 * model.g2_trace(det[0], tau)
+        lines += [f"{t:.17g},{c:.17g},{0.03 * c:.17g}" for t, c in zip(tau, counts)]
+    else:
+        curve = np.atleast_1d(getattr(model, kind)(det))
+        lines = [f"detuning_uev,{kind},uncertainty"]
+        lines += [f"{d:.17g},{v:.17g},{0.03 * abs(v):.17g}" for d, v in zip(det, curve)]
+    if defect == "dropped":
+        del lines[-1]
+    elif defect != "none":
+        lines.append({"non-numeric": "1.0,many,0.1", "nan": "1.0,nan,0.1",
+                      "short": "1.0,0.5"}[defect])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(_fit_files())
+def test_fit_on_well_formed_files_exits_cleanly(files):
+    # any well-formed set of files, with a dropped or rejected row, fits,
+    # or is refused as a config (2) or data (3) error; never a traceback
+    model = ModelCurves(PhysicalParams())
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["fit", "--set", "t0=0.55", "--out", str(Path(tmp) / "r.json")]
+        for i, (kind, det, tau, defect) in enumerate(files):
+            path = Path(tmp) / f"{i}.csv"
+            _write_fit_file(path, kind, det, tau, defect, model)
+            argv += [{"g2_histogram": "--histogram"}.get(kind, f"--{kind}"), str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:       # and the report is strict JSON
+            json.loads((Path(tmp) / "r.json").read_text(), parse_constant=_refuse)
+
+
+def _refuse(name):
+    raise ValueError(f"non-finite constant {name} in the report")
