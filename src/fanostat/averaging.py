@@ -44,12 +44,11 @@ O(sigma^2 g2'')). One loop evaluates every call block by block: the
 one-node detunings form blocks of their own, the others blocks of
 neighbours on their merged windows, and the delays are split so that no
 product exceeds :data:`MAX_EVALUATIONS` node evaluations, which bounds the
-memory. A call's fixed cost is about :data:`CALL` node evaluations, so
-curves on several delay grids (a fit's g2(0) scan and its histograms) share
-one call, on the step of their largest |tau|, where that adds at most CALL
-node evaluations per call saved (:meth:`ModelCurves.g2_curves`). Only a
-single detuning's window too wide for it raises
-``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4. The
+memory. Curves on several delay grids (a fit's g2(0) scan and its
+histograms) share one call on the union of their delays
+(:meth:`ModelCurves.g2_curves`), on the step of their largest |tau|, which
+saves a call's fixed cost. Only a single detuning's window too wide for it
+raises ``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4. The
 detector's Gaussian response of width ``t_resp`` is applied in closed form
 to every decay component before averaging (see
 :func:`fanostat.correlators.g2_tau_parts`).
@@ -98,10 +97,6 @@ RESOLUTION = 1e-9
 # product with the weights; larger calls are split into blocks of detunings
 # and of delays. One block peaks near 70 MB with partials
 MAX_EVALUATIONS = 2**19
-# one call's fixed cost in node evaluations, as a fit's calls (with
-# partials) take it: about 1.0 ms, at 0.5 us per node evaluation, on a
-# shared 2-core machine (without partials 0.9 ms at 0.26 us, about 3400)
-CALL = 2**11
 
 
 def _one_node(delta, sigma):
@@ -122,30 +117,6 @@ def _windows(delta, step, sigma):
     (k + 1/2) step within TAIL sigma of it."""
     reach = TAIL * sigma
     return np.ceil((delta - reach) / step - 0.5), np.floor((delta + reach) / step - 0.5)
-
-
-def _window_nodes(delta, step, sigma):
-    """For the sorted 1-d detunings ``delta``, each one's window size in
-    nodes, and the nodes of the merged windows of the first i + 1 of them
-    for each i."""
-    lo, hi = _windows(delta, step, sigma)
-    size = hi - lo + 1.0
-    # the windows of sorted detunings j..i span size[j] nodes and the new
-    # ones of each later detuning, whose last node never comes earlier
-    new = size.copy()
-    np.minimum(size[1:], hi[1:] - hi[:-1], out=new[1:])
-    return size, new.cumsum()
-
-
-def _evaluations(delta, tau, sigma, t_resp):
-    """Nodes x delays of one g2 average on the 1-d detunings and delays,
-    a one-node detuning counting one node."""
-    fine = delta[~_one_node(delta, sigma)]
-    nodes = delta.size - fine.size
-    if fine.size:
-        fine.sort()
-        nodes += _window_nodes(fine, _step(tau, sigma, t_resp), sigma)[1][-1]
-    return nodes * max(tau.size, 1)
 
 
 def _wandering_nodes(delta, step, sigma, jac=False):
@@ -193,7 +164,11 @@ def _blocks(delta, step, sigma, n_tau):
     if fine.size * most * (n_tau + fine.size) <= MAX_EVALUATIONS:
         return blocks + [(fine, n_tau, True)]
     order = fine[np.argsort(delta[fine])]
-    size, total = _window_nodes(delta[order], step, sigma)
+    lo, hi = _windows(delta[order], step, sigma)
+    size = hi - lo + 1.0
+    # the windows of sorted detunings j..i span size[j] nodes and the new
+    # ones of each later detuning, whose last node never comes earlier
+    total = np.cumsum(np.r_[size[0], np.minimum(size[1:], hi[1:] - hi[:-1])])
     j = 0
     while j < order.size:
         nodes = total[j:] - total[j] + size[j]
@@ -502,34 +477,29 @@ class ModelCurves:
 
     def g2_curves(self, requests):
         """:meth:`g2_trace` for each (detuning_uev, tau_ps) of ``requests``,
-        in one average where that costs less than one per request.
+        all from one average.
 
         Returns one array per request, shaped as :meth:`g2_trace` shapes it
-        (a scalar ``tau_ps = 0`` gives :meth:`g2zero`'s shape). The shared
-        average runs on every detuning and the union of the distinct |tau|,
-        and each request takes its own columns. It is used where its nodes
-        x delays exceed the sum over one average per request by at most
-        :data:`CALL` per average saved, nodes counted as :func:`avg_g2`
-        lays them out (:func:`_evaluations`); otherwise each request is its
-        own average, as in :meth:`g2_trace`. Either way the curves agree to
-        the lattice's aliasing error: the shared lattice takes the step of
-        the largest |tau|, no coarser than any request's own.
+        (a scalar ``tau_ps = 0`` gives :meth:`g2zero`'s shape). The average
+        runs on every detuning and the union of the distinct |tau|, and each
+        request takes its own columns. The curves agree with one
+        :meth:`g2_trace` per request to the lattice's aliasing error: the
+        shared lattice takes the step of the largest |tau|, no coarser than
+        any request's own. Every detuning is evaluated at every delay, so
+        where many detunings meet long delay grids the one call does more
+        node evaluations than one call per request would.
         """
+        if not requests:
+            return []
         reduced = [self._reduced(*request) for request in requests]
-        if len(reduced) > 1:
-            delta = np.concatenate([d.ravel() for d, _, _ in reduced])
-            tau = np.unique(np.concatenate([t for _, t, _ in reduced]))
-            apart = sum(_evaluations(d.ravel(), t, self.sigma, self.t_resp)
-                        for d, t, _ in reduced)
-            if (_evaluations(delta, tau, self.sigma, self.t_resp)
-                    <= apart + CALL * (len(reduced) - 1)):
-                out, start, curves = self._g2(tau, delta), 0, []
-                for d, t, index in reduced:
-                    rows = out[start:start + d.size].reshape(d.shape + out.shape[1:])
-                    curves.append(rows.take(tau.searchsorted(t)[index], axis=d.ndim))
-                    start += d.size
-                return curves
-        return [self._g2(t, d).take(index, axis=d.ndim) for d, t, index in reduced]
+        tau = np.unique(np.concatenate([t for _, t, _ in reduced]))
+        out = self._g2(tau, np.concatenate([d.ravel() for d, _, _ in reduced]))
+        curves, start = [], 0
+        for d, t, index in reduced:
+            rows = out[start:start + d.size].reshape(d.shape + out.shape[1:])
+            curves.append(rows.take(tau.searchsorted(t)[index], axis=d.ndim))
+            start += d.size
+        return curves
 
     def _reduced(self, detuning_uev, tau_ps):
         """The reduced detunings, the distinct reduced |tau| and, shaped as

@@ -19,8 +19,7 @@ count scale is projected out in closed form (variable projection; Golub &
 Pereyra, 2003). Rows of non-finite residuals are zeroed like the residuals.
 Every g2 curve of an evaluation, g2(0) and the histograms on each of their
 delay grids, comes from one :meth:`~fanostat.averaging.ModelCurves.g2_curves`
-call, which averages them on one shared lattice wherever that costs less
-than one average per grid.
+call, which averages them on one shared lattice.
 """
 
 from __future__ import annotations

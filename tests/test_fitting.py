@@ -372,6 +372,30 @@ class TestFitFullModel:
         assert np.array_equal(J[kept], clean_J[kept])
         assert fit_full_model(data, REF).n_excluded == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "open fault, ROADMAP item 7: on data that fix fewer than the six "
+        "fields the trust-region solver walks the Jacobian's null space, "
+        "here for 2093 evaluations, before its gradient test passes"))
+    def test_underdetermined_fit_stops_early(self, monkeypatch):
+        # seven transmission points, four of them at delta ~ 0, and a
+        # one-bin histogram; the solver is capped at 200 evaluations (a
+        # criterion-7 fit takes about 12) so that the failure is quick
+        m = ModelCurves(PhysicalParams())
+        det = np.array([4.7625842175658736e-214, -6.103515625e-05, -16.498763148790886,
+                        40.0, 6.3467005555115747, -2.2250738585072014e-308, 0.0])
+        trans = m.transmission(det)
+        tau = np.array([-0.0])
+        counts = 1000.0 * m.g2_trace(0.0, tau)
+        data = MeasurementSet(
+            transmission=np.column_stack([det, trans, 0.03 * trans]),
+            g2_histograms=(G2Histogram(detuning=0.0, tau_ps=tau, counts=counts,
+                                       uncertainty=0.03 * counts),))
+
+        def capped(*args, **kwargs):
+            return least_squares(*args, **{**kwargs, "max_nfev": 200})
+        monkeypatch.setattr(fitting, "least_squares", capped)
+        assert fit_full_model(data, PhysicalParams(t0=0.55)).n_eval < 200
+
     def test_report_counts_jacobian_evaluations(self):
         data = synthetic_data(noise=0.02, seed=4, histograms=False)
         res = fit_full_model(data, REF)
