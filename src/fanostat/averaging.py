@@ -48,8 +48,8 @@ memory. Curves on several delay grids (a fit's g2(0) scan and its
 histograms) share one call on the union of their delays
 (:meth:`ModelCurves.g2_curves`), on the step of their largest |tau|, which
 saves a call's fixed cost. Only a single detuning's window too wide for it
-raises ``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4. The
-detector's Gaussian response of width ``t_resp`` is applied in closed form
+raises ``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4.
+The detector's Gaussian response of width ``t_resp`` is applied in closed form
 to every decay component before averaging (see
 :func:`fanostat.correlators.g2_tau_parts`).
 
@@ -472,8 +472,11 @@ class ModelCurves:
         several that share the delays: shape ``detuning.shape + tau.shape``.
         All detunings share one lattice, and each distinct |tau| is
         evaluated once (g2 and tau dg/dtau depend on |tau| only)."""
-        delta, tau, index = self._reduced(detuning_uev, tau_ps)
-        return np.take(self._g2(tau, delta), index, axis=delta.ndim)
+        tau = np.abs(tau_to_dimensionless(tau_ps, self.params.lifetime))
+        distinct, inverse = np.unique(tau, return_inverse=True)
+        delta = self.delta(detuning_uev)
+        out = self._g2(distinct, delta)
+        return np.take(out, inverse.reshape(tau.shape), axis=delta.ndim)
 
     def g2_curves(self, requests):
         """:meth:`g2_trace` for each (detuning_uev, tau_ps) of ``requests``,
@@ -491,22 +494,16 @@ class ModelCurves:
         """
         if not requests:
             return []
-        reduced = [self._reduced(*request) for request in requests]
-        tau = np.unique(np.concatenate([t for _, t, _ in reduced]))
-        out = self._g2(tau, np.concatenate([d.ravel() for d, _, _ in reduced]))
+        reduced = [(self.delta(det), np.abs(tau_to_dimensionless(tau, self.params.lifetime)))
+                   for det, tau in requests]
+        distinct = np.unique(np.concatenate([np.ravel(t) for _, t in reduced]))
+        out = self._g2(distinct, np.concatenate([d.ravel() for d, _ in reduced]))
         curves, start = [], 0
-        for d, t, index in reduced:
+        for d, t in reduced:
             rows = out[start:start + d.size].reshape(d.shape + out.shape[1:])
-            curves.append(rows.take(tau.searchsorted(t)[index], axis=d.ndim))
+            curves.append(rows.take(distinct.searchsorted(t), axis=d.ndim))
             start += d.size
         return curves
-
-    def _reduced(self, detuning_uev, tau_ps):
-        """The reduced detunings, the distinct reduced |tau| and, shaped as
-        ``tau_ps``, the index of each delay's among them."""
-        tau = np.abs(tau_to_dimensionless(tau_ps, self.params.lifetime))
-        distinct, inverse = np.unique(tau, return_inverse=True)
-        return self.delta(detuning_uev), distinct, inverse.reshape(tau.shape)
 
     def g2zero(self, detuning_uev):
         """Weak-pump zero-delay g2 per detuning, averaged on one shared
