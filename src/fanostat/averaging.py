@@ -35,7 +35,12 @@ exp(-ALIAS^2/2) = 1.3e-14 (Trefethen & Weideman, "The exponentially
 convergent trapezoidal rule", SIAM Rev. 56, 2014). Each window then holds
 9 sigma (tau_max + 6 t_resp)/pi + 23 nodes. h is continuous in sigma,
 t_resp and the delays, so only the window truncation jumps, by the weight of
-a dropped node (< 2.6e-18). The half-step anchor keeps every node off
+a dropped node (< 2.6e-18). The pole correction is made only where
+ALIAS sigma >= zeta. Beyond, the poles lie past the lattice's reach: the
+uncorrected rule misses them by about exp(-2 pi zeta/h) < exp(-ALIAS
+zeta/sigma) < exp(-ALIAS^2), and the correction, whose true value is
+smaller still, would add only its rounding, which the residue's delay
+functions multiply by up to t_resp. The half-step anchor keeps every node off
 delta = 0, where the bare closed form is singular at zeta = 2. Where the
 rounding of the nodes, eps |x|, exceeds :data:`RESOLUTION` sigma, the
 lattice cannot resolve the Gaussian and each detuning is its own node (the
@@ -300,7 +305,8 @@ def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
     detuning. Numerator and denominator of the normalized correlator are
     averaged over the same Gaussian before dividing, on the lattice of the
     module docstring shared by all the detunings, with the principal parts
-    of their poles at delta = +-i zeta added in closed form; the numerator
+    of their poles at delta = +-i zeta added in closed form where
+    8 sigma >= zeta (beyond, the lattice misses them by less); the numerator
     carries the detector response of width ``t_resp``. The step
     h = 2 pi/(tau_max + 6 t_resp + 8/sigma) resolves the delays' oscillation
     with a Gaussian aliasing error near 1e-14, whatever zeta is; a window
@@ -321,23 +327,25 @@ def avg_g2(tau, delta, zeta, beta, phi, sigma, t_resp, jac=False):
     out = np.empty((flat.size, taus.size))
     d = np.empty(out.shape + (7,)) if jac else None
     step = _step(taus, sigma, t_resp) if sigma > 0.0 else np.inf
-    poles = None
+    # the poles lie beyond the lattice's reach where ALIAS sigma < zeta
+    correct, poles = ALIAS * sigma >= zeta, None
     for rows, chunk, lattice in _blocks(flat, step, sigma, taus.size):
         if lattice:
             x, w = _wandering_nodes(flat[rows], step, sigma, jac)
+        else:
+            x, w = flat[rows], None         # one node per detuning
+        if lattice and correct:
             if poles is None:       # the residues, once per call
                 poles = _pole_terms(taus, zeta, beta, phi, t_resp, jac)
             parts = _pole_parts(flat[rows], x, w, zeta, sigma, *poles[0])
-        else:
-            x, w = flat[rows], None         # one node per detuning
         for start in range(0, taus.size, chunk):
             cols = slice(start, start + chunk)
             num, den, *partials = _g2_sums(taus[cols], x[:, None], zeta, beta, phi,
                                            t_resp, jac, w)
-            if lattice:
+            if lattice and correct:
                 num, den, partials = _corrected(num, den, partials, parts,
                                                 *(v[..., cols] for v in poles[1:]))
-            elif jac:       # no sigma partials: the average is even in sigma
+            elif not lattice and jac:   # no sigma partials: even in sigma
                 partials = [np.insert(partials[0], 6, 0.0, axis=-1),
                             np.insert(partials[1], 4, 0.0, axis=-1)]
             out[rows, cols], partial = _quotient(num, den, *partials)

@@ -55,6 +55,8 @@ class ScanRequest:
             raise ValueError(f"unknown scan mode {self.mode!r}")
         if self.grid_count < 2:
             raise ValueError("grid count must be >= 2")
+        if not _finite_span(self.grid_start, self.grid_stop):
+            raise ValueError("grid start, stop and their span must be finite")
         if not self.grid_start < self.grid_stop:
             raise ValueError("grid start must be below stop")
         if self.out_format not in ("csv", "json"):
@@ -82,13 +84,20 @@ def _metadata(p: PhysicalParams, extra=None, timestamp=False):
     return meta
 
 
+def _flags(values):
+    """A row flag per value: ``"divergent"`` where it is not finite."""
+    return ["" if ok else "divergent" for ok in np.isfinite(values).tolist()]
+
+
 def run_scan(req: ScanRequest):
     """Evaluate the requested scan; returns (columns, rows, metadata).
 
-    Every curve comes from one :class:`ModelCurves`. ``average=off`` is its
-    zero-width limit ``sigma_wander = detector_resp = 0``: the bare closed
-    forms, with no wandering and no detector. ``convolve=off`` sets only
-    ``detector_resp = 0``. The metadata keep the requested parameters.
+    The rows are tuples of Python floats, with a flag string in the last
+    column of the g2 modes. Every curve comes from one :class:`ModelCurves`.
+    ``average=off`` is its zero-width limit ``sigma_wander = detector_resp
+    = 0``: the bare closed forms, with no wandering and no detector.
+    ``convolve=off`` sets only ``detector_resp = 0``. The metadata keep the
+    requested parameters.
     """
     p = req.params
     grid = req.grid()
@@ -98,29 +107,27 @@ def run_scan(req: ScanRequest):
     extra = {"mode": req.mode, "average": req.average, "convolve": req.convolve}
 
     if req.mode == "transmission":
-        rows = list(zip(grid, model.transmission(grid)))
+        rows = list(zip(grid.tolist(), model.transmission(grid).tolist()))
         return ("detuning_uev", "transmission"), rows, _metadata(p, extra, req.timestamp)
 
     if req.mode == "g2zero":
-        rows = [(g, v, "" if np.isfinite(v) else "divergent")
-                for g, v in zip(grid, model.g2zero(grid))]
+        values = model.g2zero(grid)
+        rows = list(zip(grid.tolist(), values.tolist(), _flags(values)))
         return ("detuning_uev", "g2zero", "flag"), rows, _metadata(p, extra, req.timestamp)
 
     if req.mode == "g2trace":
         det = float(req.detuning)
         extra["detuning_uev"] = det
-        rows = [(g, v, "" if np.isfinite(v) else "divergent")
-                for g, v in zip(grid, model.g2_trace(det, grid))]
+        values = model.g2_trace(det, grid)
+        rows = list(zip(grid.tolist(), values.tolist(), _flags(values)))
         return ("tau_ps", "g2", "flag"), rows, _metadata(p, extra, req.timestamp)
 
     # decompose: ideal zero-delay split (unit beta, no dephasing), set by t0
     delta = model.delta(grid)
     dec = g2zero_ideal(delta, model.phi)
-    rows = [(g, dv, pr, b, i, t, "" if np.isfinite(t) else "divergent")
-            for g, dv, pr, b, i, t in zip(grid, delta,
-                                          np.broadcast_to(dec.product_term, delta.shape),
-                                          dec.bound_term, dec.interference_term,
-                                          dec.total)]
+    rows = list(zip(grid.tolist(), delta.tolist(), dec.product_term.tolist(),
+                    dec.bound_term.tolist(), dec.interference_term.tolist(),
+                    dec.total.tolist(), _flags(dec.total)))
     return (("detuning_uev", "delta", "product", "bound", "interference",
              "total", "flag"), rows, _metadata(p, extra, req.timestamp))
 
@@ -177,14 +184,22 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
 # argument handling
 
 
+def _finite_span(start, stop):
+    # the span is finite only if start and stop are too
+    return math.isfinite(stop - start)
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:count")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
+    if not _finite_span(start, stop):
+        raise argparse.ArgumentTypeError("grid start, stop and their span must be finite")
+    return start, stop, count
 
 
 def _parse_set(pairs):
@@ -353,7 +368,8 @@ def _cmd_fp(args):
             "reflectivity": fp.reflectivity,
             "roundtrip_nm": fp.roundtrip_nm}
     write_series(("wavelength_nm", "t0", "transmission"),
-                 list(zip(lam, t0, T)), args.out, args.format, meta)
+                 list(zip(lam.tolist(), t0.tolist(), T.tolist())), args.out,
+                 args.format, meta)
     print(f"wrote {len(lam)} rows to {args.out}")
     return 0
 

@@ -15,6 +15,8 @@ Expected columns:
 
 Series output (CSV or JSON) round-trips floats exactly (repr formatting)
 and carries a metadata block; no timestamps unless explicitly requested.
+It is formatted a column at a time, one repr per float, and written with
+one call per file; the bytes are those of formatting it cell by cell.
 """
 
 from __future__ import annotations
@@ -200,6 +202,35 @@ def _strict(v):
     return _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
+# a non-finite float's repr as strict JSON writes it: CSV's token, quoted
+_QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def _column(cells, fmt):
+    """The text of each cell of one column. A column of floats is converted
+    once and each value's repr taken; any other column is formatted cell by
+    cell, numbers as floats in JSON and the rest as strings."""
+    if all(issubclass(t, (float, np.floating)) for t in set(map(type, cells))):
+        text = list(map(repr, np.asarray(cells, dtype=float).tolist()))
+        return text if fmt == "csv" else [_QUOTED.get(t, t) for t in text]
+    if fmt == "csv":
+        return list(map(_fmt, cells))
+    return [json.dumps(_strict(float(v)) if isinstance(v, (float, np.floating, int,
+                                                           np.integer)) else str(v))
+            for v in cells]
+
+
+def _json_rows(cells):
+    """The array of rows of encoded ``cells`` as ``json.dump`` writes it
+    with ``indent=1``, as the value of a top-level key."""
+    if not cells:
+        return "[]"
+    if not cells[0]:        # rows of no columns
+        return "[\n  " + ",\n  ".join(["[]"] * len(cells)) + "\n ]"
+    return ("[\n  [\n   " + "\n  ],\n  [\n   ".join(map(",\n   ".join, cells))
+            + "\n  ]\n ]")
+
+
 def write_series(columns, rows, path, fmt="csv", metadata=None):
     """Write a columnar series with a metadata block.
 
@@ -209,33 +240,37 @@ def write_series(columns, rows, path, fmt="csv", metadata=None):
     writes for it (``"inf"``, ``"-inf"`` or ``"nan"``). Floats are written
     in full round-trip precision. Output is deterministic for identical
     inputs (metadata keys sorted, no timestamps).
+
+    The cells are formatted a column at a time, a column of floats with one
+    conversion and one repr per value, and the whole text is written at
+    once; the bytes are those of formatting cell by cell and of
+    ``json.dump(doc, fh, indent=1, sort_keys=True)``. A row of the wrong
+    width or an unknown ``fmt`` raises ``ValueError`` before any file is
+    opened; a file that cannot be written raises :class:`DataFormatError`.
     """
     path = Path(path)
-    rows = [tuple(r) for r in rows]
-    for r in rows:
-        if len(r) != len(columns):
-            raise ValueError("row width does not match columns")
+    rows = list(map(tuple, rows))
+    if any(len(r) != len(columns) for r in rows):
+        raise ValueError("row width does not match columns")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
     meta = dict(metadata or {})
+    cols = [_column(c, fmt) for c in zip(*rows)]
+    cells = list(zip(*cols)) if cols else [()] * len(rows)
+    if fmt == "csv":
+        lines = [f"# {k}: {meta[k]}" for k in sorted(meta)]
+        lines.append(",".join(columns))
+        lines += map(",".join, cells)
+        text = "\n".join(lines) + "\n"
+    else:
+        # everything but the rows, whose key sorts last, then the rows
+        head = json.dumps({"metadata": {k: _strict(meta[k]) for k in sorted(meta)},
+                           "columns": list(columns), "rows": []},
+                          indent=1, sort_keys=True, allow_nan=False)
+        text = head[:-len("[]\n}")] + _json_rows(cells) + "\n}\n"
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                for k in sorted(meta):
-                    fh.write(f"# {k}: {meta[k]}\n")
-                fh.write(",".join(columns) + "\n")
-                for r in rows:
-                    fh.write(",".join(_fmt(v) for v in r) + "\n")
-        elif fmt == "json":
-            doc = {
-                "metadata": {k: _strict(meta[k]) for k in sorted(meta)},
-                "columns": list(columns),
-                "rows": [[(_strict(float(v)) if isinstance(v, (float, np.floating, int,
-                                                               np.integer)) else str(v))
-                          for v in r] for r in rows],
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        with open(path, "w", newline="" if fmt == "csv" else None,
+                  encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as err:
         raise DataFormatError(f"cannot write series: {err}", path) from err

@@ -215,6 +215,8 @@ class FPBackground:
 
     Either a free spectral range (nm, at the reference wavelength) or a
     physical length plus group index fixes the round-trip optical path.
+    The reference wavelength, every length given and the round-trip path
+    must be finite and positive.
     """
 
     reflectivity: float
@@ -228,8 +230,16 @@ class FPBackground:
             raise ValueError("reflectivity must lie in [0, 1)")
         if self.fsr_nm is None and (self.length_um is None or self.group_index is None):
             raise ValueError("need fsr_nm, or length_um plus group_index")
-        if self.fsr_nm is not None and self.fsr_nm <= 0:
-            raise ValueError("fsr_nm must be positive")
+        for name in ("wavelength_ref_nm", "fsr_nm", "length_um", "group_index"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        try:
+            finite = math.isfinite(self.roundtrip_nm)
+        except OverflowError:       # the square of the reference wavelength
+            finite = False
+        if not finite:
+            raise ValueError("the round-trip optical path must be finite")
 
     @property
     def roundtrip_nm(self):
@@ -243,12 +253,18 @@ def fp_background(fp: FPBackground, wavelengths_nm):
 
     Airy transmission of a lossless symmetric resonator: unity on resonance
     for any mirror reflectivity, with adjacent maxima spaced by the free
-    spectral range. Returns ``(t0, T)`` arrays.
+    spectral range. Returns ``(t0, T)`` arrays. The wavelengths must be
+    finite and positive, and large enough that the round-trip phase stays
+    finite; ``ValueError`` otherwise.
     """
     lam = np.asarray(wavelengths_nm, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("wavelengths must be positive")
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ValueError("wavelengths must be finite and positive")
+    with np.errstate(over="ignore"):
+        phase = np.pi * fp.roundtrip_nm / lam
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("wavelengths too small: the round-trip phase overflows")
     R = fp.reflectivity
     F = 4.0 * R / (1.0 - R) ** 2
-    T = 1.0 / (1.0 + F * np.sin(np.pi * fp.roundtrip_nm / lam) ** 2)
+    T = 1.0 / (1.0 + F * np.sin(phase) ** 2)
     return np.sqrt(T), T

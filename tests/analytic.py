@@ -2,15 +2,20 @@
 
 They are written apart from ``fanostat`` so that a test of the program does
 not check it against itself; :func:`g2_coefficients` is the one view of the
-program's internals that only the tests read.
+program's internals that only the tests read. :func:`reference_write_series`
+is the series writer as it was before it formatted a column at a time: the
+bytes the program must still write.
 """
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from fanostat.correlators import _clamped_coefficients
+from fanostat.io import DataFormatError
 from fanostat.params import check_reduced
 
 
@@ -65,3 +70,52 @@ def g2_coefficients(delta, zeta, beta, phi) -> G2Coefficients:
     check_reduced(zeta, beta, phi, delta=delta)
     c = _clamped_coefficients(delta, zeta, beta, phi)
     return G2Coefficients(*(map(float, c) if delta.ndim == 0 else c))
+
+
+def _fmt(x):
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _strict(v):
+    # strict JSON has no NaN or infinity: such a float becomes CSV's token
+    return _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def reference_write_series(columns, rows, path, fmt="csv", metadata=None):
+    """The cell-by-cell series writer: one format call per cell, one write
+    per CSV line and ``json.dump`` of the whole document."""
+    path = Path(path)
+    rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != len(columns):
+            raise ValueError("row width does not match columns")
+    meta = dict(metadata or {})
+    try:
+        if fmt == "csv":
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                for k in sorted(meta):
+                    fh.write(f"# {k}: {meta[k]}\n")
+                fh.write(",".join(columns) + "\n")
+                for r in rows:
+                    fh.write(",".join(_fmt(v) for v in r) + "\n")
+        elif fmt == "json":
+            doc = {
+                "metadata": {k: _strict(meta[k]) for k in sorted(meta)},
+                "columns": list(columns),
+                "rows": [[(_strict(float(v)) if isinstance(v, (float, np.floating, int,
+                                                               np.integer)) else str(v))
+                          for v in r] for r in rows],
+            }
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+    except OSError as err:
+        raise DataFormatError(f"cannot write series: {err}", path) from err

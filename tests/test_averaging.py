@@ -294,6 +294,16 @@ class TestPoleCorrection:
         assert np.allclose(got[:, half], want, rtol=1e-9, atol=0)
 
 
+    def test_narrow_width_adds_no_rounding(self):
+        # sigma = 0.006 is far below zeta/ALIAS, where the poles lie past the
+        # lattice's reach; a correction there would add only its rounding
+        # (2.6e-10 relative near the dip at delta ~ 2.2)
+        args = (np.array([0.0]), np.linspace(-5.0, 5.0, 201), 1.0066, 0.9, PHI15,
+                0.006, 0.136)
+        want = fine_trapezoid(*args)
+        assert np.max(np.abs(avg_g2(*args) / want - 1.0)) <= 1e-12
+
+
 class TestBlocks:
     """Calls over the node-evaluation budget, split into blocks of
     detunings and of delays."""
@@ -715,6 +725,19 @@ class TestModelCurves:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="detunings"):
                 getattr(ModelCurves(p), curve)([1.0])
+
+
+@pytest.mark.parametrize("lifetime", [1e-3, 1e-10, 1e-20, 1e-40, 1e-100, 1e-160, 1e-200,
+                                      1e-300])
+def test_small_lifetime_is_the_zero_width_limit(lifetime):
+    # a lifetime of L ps makes sigma ~ 0.014 L and t_resp = 17/L, far below
+    # and far above the lattice's scales: the average is its sigma = 0 limit
+    p = PhysicalParams(lifetime=lifetime)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ModelCurves(p).g2zero([0.0, 0.5])
+        want = ModelCurves(p.replace(sigma_wander=0.0)).g2zero([0.0, 0.5])
+    assert np.allclose(got, want, rtol=1e-9, atol=0)
 
 
 def _finite_or_explained(m, curve, det, values):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from fanostat import (DataFormatError, FPBackground, MeasurementSet,
                       load_measurements, merge_measurements, params_from_config,
                       read_config, tau_to_dimensionless, to_dimensionless,
                       write_series)
-from fanostat.cli import ScanRequest, main, oracle_check, run_scan
+from fanostat.cli import SCAN_MODES, ScanRequest, main, oracle_check, run_scan
+
+from analytic import reference_write_series
 
 
 class TestConfig:
@@ -158,6 +161,36 @@ class TestWriteSeries:
     def test_width_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
             write_series(("x",), [(1.0, 2.0)], tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format"):
+            write_series(("x",), [(1.0,)], tmp_path / "x.txt", "txt")
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_path_is_a_data_error(self, tmp_path, fmt):
+        with pytest.raises(DataFormatError, match="cannot write series"):
+            write_series(("x",), [(1.0,)], tmp_path / "missing" / f"x.{fmt}", fmt)
+
+    @pytest.mark.parametrize("average", [True, False], ids=["REF", "average-off"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    def test_scan_file_is_the_cell_by_cell_file(self, tmp_path, mode, fmt, average):
+        # run_scan's rows of Python floats give the file that the
+        # cell-by-cell writer gives on the same rows of NumPy scalars
+        start, stop = (-600.0, 600.0) if mode == "g2trace" else (-40.0, 40.0)
+        req = ScanRequest(mode=mode, params=PhysicalParams(), grid_start=start,
+                          grid_stop=stop, grid_count=81, out_path=str(tmp_path / "got"),
+                          out_format=fmt, average=average,
+                          detuning=9.0 if mode == "g2trace" else None)
+        columns, rows, meta = run_scan(req)
+        assert {type(v) for r in rows for v in r} <= {float, str}
+        write_series(columns, rows, req.out_path, fmt, meta)
+        scalars = [tuple(np.float64(v) if isinstance(v, float) else v for v in r)
+                   for r in rows]
+        reference_write_series(columns, scalars, tmp_path / "want", fmt, meta)
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 class TestMerge:
@@ -301,6 +334,14 @@ class TestRunScan:
                         grid_start=0.0, grid_stop=1.0, grid_count=5,
                         out_path="x")
 
+    @pytest.mark.parametrize("start,stop", [(0.0, math.inf), (-math.inf, 0.0),
+                                            (math.nan, 1.0), (-1e308, 1e308)],
+                             ids=["inf-stop", "inf-start", "nan-start", "span-overflow"])
+    def test_non_finite_grid(self, start, stop):
+        with pytest.raises(ValueError, match="finite"):
+            ScanRequest(mode="transmission", params=PhysicalParams(), grid_start=start,
+                        grid_stop=stop, grid_count=3, out_path="x")
+
 
 class TestFPBackground:
     def test_no_mirrors_full_transmission(self):
@@ -335,6 +376,26 @@ class TestFPBackground:
             FPBackground(reflectivity=1.0, fsr_nm=2.0)
         with pytest.raises(ValueError):
             FPBackground(reflectivity=0.5)
+
+    @pytest.mark.parametrize("fields", [
+        {"fsr_nm": math.nan}, {"fsr_nm": math.inf}, {"fsr_nm": -2.0},
+        {"length_um": -1.0, "group_index": 3.0},
+        {"length_um": math.inf, "group_index": 3.0},
+        {"length_um": 100.0, "group_index": 0.0},
+        {"length_um": 100.0, "group_index": math.nan},
+        {"fsr_nm": 2.0, "wavelength_ref_nm": -915.0},
+        {"fsr_nm": 2.0, "wavelength_ref_nm": math.inf},
+        {"fsr_nm": 1e-300, "wavelength_ref_nm": 1e200},
+        {"length_um": 1e300, "group_index": 1e10}])
+    def test_non_finite_or_non_positive_field(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            FPBackground(reflectivity=0.4, **fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e-310])
+    def test_non_finite_or_non_positive_wavelength(self, bad):
+        # 1e-310 nm is positive, but the round-trip phase overflows there
+        with pytest.raises(ValueError, match="finite and positive|overflows"):
+            fp_background(FPBackground(reflectivity=0.4, fsr_nm=2.0), [910.0, bad])
 
 
 class TestCLI:
@@ -584,6 +645,43 @@ class TestCLI:
         assert err.startswith(f"error: data: {f}: ") and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_scan_into_a_missing_directory_exit_code(self, tmp_path, capsys):
+        code = main(["scan", "--mode", "transmission", "--grid=-1:1:5",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "cannot write series" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fp-background", "--fsr-nm", "nan"],
+        ["fp-background", "--fsr-nm", "inf"],
+        ["fp-background", "--length-um", "-1", "--group-index", "3"],
+        ["fp-background", "--length-um", "100", "--group-index", "0"],
+        ["fp-background", "--fsr-nm", "2", "--wavelength-ref-nm=-915"],
+        ["fp-background", "--fsr-nm", "2", "--grid", "900:inf:3"],
+        ["fp-background", "--fsr-nm", "2", "--grid", "1e-310:1e-300:3"],
+        ["scan", "--mode", "g2zero", "--grid", "0:inf:3"],
+        ["scan", "--mode", "g2zero", "--grid=-1e308:1e308:3"],
+    ], ids=["fsr-nan", "fsr-inf", "negative-length", "zero-group-index",
+            "negative-reference-wavelength", "fp-infinite-grid", "fp-subnormal-grid",
+            "scan-infinite-grid",
+            "scan-overflowing-span"])
+    def test_non_finite_input_exit_code(self, tmp_path, argv):
+        # refused as a usage or config error (2), with no file and no
+        # warning, not written as NaN rows or raised as a traceback
+        if argv[0] == "fp-background":
+            argv = argv[:1] + ["--reflectivity", "0.4"] + argv[1:]
+            argv += [] if "--grid" in argv else ["--grid", "910:920:3"]
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as exc:       # refused by the argument parser
+                code = exc.code
+        assert code == 2
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("t0 = 2.0\n")
@@ -660,3 +758,37 @@ def test_fit_on_well_formed_files_exits_cleanly(files):
 
 def _refuse(name):
     raise ValueError(f"non-finite constant {name} in the report")
+
+
+# series cells: floats of every kind, including the edges of repr, and the
+# other types a series may hold, in columns of floats only or of anything
+_FLOAT = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0,
+                                                 5e-324, 1.7976931348623157e308]))
+_FLOAT_CELL = st.one_of(_FLOAT, _FLOAT.map(np.float64),
+                        st.floats(width=32).map(np.float32))
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+_ANY_CELL = st.one_of(_FLOAT_CELL, st.integers(-2**64, 2**64),
+                      st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+                      st.booleans().map(np.bool_),
+                      st.sampled_from(["", "divergent", "é€"]), _TEXT)
+_META = st.dictionaries(_TEXT, st.one_of(_FLOAT, _TEXT, st.integers(-2**64, 2**64)),
+                        max_size=4)
+
+
+@st.composite
+def _series(draw):
+    kinds = draw(st.lists(st.sampled_from([_FLOAT_CELL, _ANY_CELL]), max_size=4))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=30))
+    return tuple(draw(_TEXT) for _ in kinds), rows, draw(_META)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_series())
+def test_series_bytes_are_the_cell_by_cell_bytes(series):
+    columns, rows, meta = series
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            got, want = Path(tmp) / f"got.{fmt}", Path(tmp) / f"want.{fmt}"
+            write_series(columns, rows, got, fmt, meta)
+            reference_write_series(columns, rows, want, fmt, meta)
+            assert got.read_bytes() == want.read_bytes(), fmt
