@@ -12,15 +12,24 @@ transmitted-field correlators from the input-output relation
 ``c_out = t0*c_in + d*sigma_minus``.
 
 Every function works on a detuning sweep: a 1-d array of n detunings at
-one (zeta, alpha, phi, beta). The n Bloch matrices are stacked into an
-(n, 3, 3) array, their stationary states come from one batched solve, and
-the propagation runs over a leading point axis; only the Schur form is
-taken one matrix at a time. Each point is computed with the same
-elementwise operations as it would be alone, so a sweep equals its points
-solved one by one, bit for bit. :func:`output_correlators` returns g1 and
-g2 of a sweep from one stationary solve per point; :func:`output_g1` is the
-stationary part alone. Both take the domain of the closed forms they are
-compared against (:func:`fanostat.params.check_reduced`).
+one (zeta, alpha). The n Bloch matrices are stacked into an (n, 3, 3)
+array, their stationary states come from one batched solve, and the
+propagation runs over a leading point axis; only the Schur form is taken
+one matrix at a time. Each point is computed with the same elementwise
+operations as it would be alone, so a sweep equals its points solved one by
+one, bit for bit.
+
+The background (phi, beta) changes no emitter dynamics: the scaled system
+below is free of both, which enter only the input-output assembly through
+the field ratio c. So one sweep serves k background fields at once: given
+phi and beta as equal-length 1-d arrays, :func:`output_correlators` and
+:func:`output_g1` solve and propagate each detuning once and assemble every
+field from the same moments, each with its own scalars c, |c|^2, c^2 and
+|c|^4, so a field of a sweep equals that field alone, bit for bit.
+:func:`output_correlators` returns g1 and g2 of a sweep from one stationary
+solve per point; :func:`output_g1` is the stationary part alone. Both take
+the domain of the closed forms they are compared against
+(:func:`fanostat.params.check_reduced`).
 
 Reduced units as elsewhere: time in 2/gamma, so the population decays at
 rate 2 and the coherence at rate zeta; the drive amplitude is
@@ -216,47 +225,72 @@ def propagate_exact(initials, identities, tau, M, b):
     return vinf[..., None] + v.transpose(0, 1, 3, 2)
 
 
-def _stationary(deltas, zeta, alpha, phi, beta):
-    """Bloch systems (M, b), scaled steady states v = (x, y, m), the field
-    ratio c = kappa*g and g1 of each detuning.
+def _fields(phi, beta):
+    """The background fields (phi, beta) as two lists of k Python floats,
+    and whether they were given as scalars."""
+    phi, beta = np.asarray(phi, dtype=float), np.asarray(beta, dtype=float)
+    if phi.shape != beta.shape or phi.ndim > 1:
+        raise ValueError("phi and beta must be two scalars or two 1-d arrays "
+                         f"of equal length; got shapes {phi.shape} and {beta.shape}")
+    return phi.ndim == 0, phi.ravel().tolist(), beta.ravel().tolist()
 
-    g1 = 1 + 2*Re(c*x) + |c|^2*m is an intensity ratio, clamped at zero like
-    the closed form: on the ideal Fano zero at alpha = 0 rounding can leave
-    it a few ulp below.
+
+def _stationary(deltas, zeta, alpha, phi, beta):
+    """Bloch systems (M, b) and scaled steady states v = (x, y, m) of each
+    detuning, the field ratios c = kappa*g and |c|^2 of each background
+    field, g1 of each field and detuning, shape (k, n), and whether the
+    fields were given as scalars.
+
+    M and v depend on (zeta, alpha) alone, so they are solved once for every
+    field. g1 = 1 + 2*Re(c*x) + |c|^2*m is an intensity ratio, clamped at
+    zero like the closed form: on the ideal Fano zero at alpha = 0 rounding
+    can leave it a few ulp below.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("deltas must be a non-empty 1-d array of detunings")
-    check_reduced(zeta, beta, phi, alpha, delta=deltas)
+    scalar, phis, betas = _fields(phi, beta)
+    check_reduced(zeta, alpha=alpha, delta=deltas)
+    for p, bt in zip(phis, betas):
+        check_reduced(beta=bt, phi=p)
     M, b = bloch_matrix(deltas, zeta, alpha)
     v = steady_state(M, b)
-    c = -np.exp(1j * phi) * beta / math.cos(phi)
-    g1 = np.maximum(1.0 + 2.0 * np.real(c * v[:, 0]) + abs(c) ** 2 * np.real(v[:, 2]),
-                    0.0)
-    return M, b, v, c, g1
+    # each field's scalars are taken one at a time: abs(c)**2 and c**2 of
+    # an array may round differently from those of its elements
+    c = [-np.exp(1j * p) * bt / math.cos(p) for p, bt in zip(phis, betas)]
+    c2 = [abs(ck) ** 2 for ck in c]
+    g1 = np.maximum(1.0 + 2.0 * np.real(np.array(c)[:, None] * v[:, 0])
+                    + np.array(c2)[:, None] * np.real(v[:, 2]), 0.0)
+    return M, b, v, c, c2, g1, scalar
 
 
 def output_g1(deltas, zeta, alpha, phi, beta):
-    """Stationary normalized transmission of each detuning, shape (n,),
-    assembled from the steady-state moments."""
-    return _stationary(deltas, zeta, alpha, phi, beta)[4]
+    """Stationary normalized transmission of each detuning, assembled from
+    the steady-state moments: shape (n,) for scalar ``phi`` and ``beta``,
+    (k, n) for k fields given as 1-d arrays, which share one stationary
+    solve per detuning."""
+    *_, g1, scalar = _stationary(deltas, zeta, alpha, phi, beta)
+    return g1[0] if scalar else g1
 
 
 def output_correlators(tau, deltas, zeta, alpha, phi, beta):
     """Normalized transmission and two-time intensity correlator of the
     transmitted field over a detuning sweep: (g1, g2), shapes (n,) and
-    (n, len(tau)).
+    (n, len(tau)) for scalar ``phi`` and ``beta``, or (k, n) and
+    (k, n, len(tau)) for k background fields given as 1-d arrays.
 
     Solves each stationary state once, propagates the two regression vectors
     of every point exactly over ``tau`` (reduced units, non-negative) and
     assembles the normally ordered four-point correlator; g2 is normalized
     by the squared stationary intensity so it approaches 1 at long delay.
-    The propagation adds only rounding, so at alpha = 0 this is the
-    weak-drive limit itself, and at finite alpha the difference from the
-    closed form is the physical finite-drive term. Where the transmission
-    vanishes g2 is inf, as in the closed form.
+    The stationary solve and the propagation are free of phi and beta, so
+    the k fields share them and differ only in the assembly. The
+    propagation adds only rounding, so at alpha = 0 this is the weak-drive
+    limit itself, and at finite alpha the difference from the closed form
+    is the physical finite-drive term. Where the transmission vanishes g2 is
+    inf, as in the closed form.
     """
-    M, b, v, c, g1 = _stationary(deltas, zeta, alpha, phi, beta)
+    M, b, v, c, c2, g1, scalar = _stationary(deltas, zeta, alpha, phi, beta)
     x, m = v[:, 0], v[:, 2]
     # u = <sigma_l(t+tau) sigma_-(t)> / (g D_l) starts at (0, m, 0) with
     # identity <sigma_->/g = x; v = <sigma_+ sigma_l(t+tau) sigma_-> /
@@ -266,22 +300,24 @@ def output_correlators(tau, deltas, zeta, alpha, phi, beta):
     (um, up, un), (vm, _vp, vn) = propagate_exact(
         initials, np.stack([x, m], axis=-1), tau, M, b).transpose(1, 2, 0, 3)
 
+    # field scalars on a leading field axis, broadcast over (point, delay)
     x, m = x[:, None], np.real(m)[:, None]
-    c2 = abs(c) ** 2
+    c, c2, csq, c4 = (np.array(s)[:, None, None] for s in
+                      (c, c2, [ck**2 for ck in c], [a**2 for a in c2]))
     G = (1.0
          + 4.0 * np.real(c * x)
          + 2.0 * c2 * m
-         + 2.0 * np.real(c**2 * um)
+         + 2.0 * np.real(csq * um)
          + 2.0 * c2 * np.real(up)
          + 2.0 * c2 * np.real(c * un)
          + 2.0 * c2 * np.real(c * vm)
-         + c2**2 * np.real(vn))
+         + c4 * np.real(vn))
     imag_defect = float(np.max(np.abs(np.imag(vn))))
     if imag_defect > 1e-8:
         raise RuntimeError(f"sandwich correlator not real: {imag_defect:.2e}")
 
     with np.errstate(divide="ignore"):
-        g2 = G / g1[:, None] ** 2
+        g2 = G / g1[..., None] ** 2
     if np.any(g2 < -1e-8):
         raise RuntimeError("negative correlator beyond tolerance: propagation fault")
-    return g1, g2
+    return (g1[0], g2[0]) if scalar else (g1, g2)

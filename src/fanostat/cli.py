@@ -53,12 +53,7 @@ class ScanRequest:
     def __post_init__(self):
         if self.mode not in SCAN_MODES:
             raise ValueError(f"unknown scan mode {self.mode!r}")
-        if self.grid_count < 2:
-            raise ValueError("grid count must be >= 2")
-        if not _finite_span(self.grid_start, self.grid_stop):
-            raise ValueError("grid start, stop and their span must be finite")
-        if not self.grid_start < self.grid_stop:
-            raise ValueError("grid start must be below stop")
+        _check_grid(self.grid_start, self.grid_stop, self.grid_count)
         if self.out_format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.mode == "g2trace" and self.detuning is None:
@@ -66,6 +61,19 @@ class ScanRequest:
 
     def grid(self):
         return np.linspace(self.grid_start, self.grid_stop, self.grid_count)
+
+
+def _check_grid(start, stop, count):
+    """Raise ``ValueError`` unless start:stop:count is a grid of at least two
+    points with a finite span and start below stop: the rule of every
+    ``--grid``."""
+    # the span is finite only if start and stop are too
+    if not math.isfinite(stop - start):
+        raise ValueError("grid start, stop and their span must be finite")
+    if count < 2:
+        raise ValueError("grid count must be >= 2")
+    if not start < stop:
+        raise ValueError("grid start must be below stop")
 
 
 def _metadata(p: PhysicalParams, extra=None, timestamp=False):
@@ -145,9 +153,12 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
 
     Returns (rows, summary), one row (T0, zeta, beta, delta, g1 error, g2
     error, flag) per point, in the order of ``itertools.product(t0s, zetas,
-    betas, deltas)``. Each (T0, zeta, beta) block is one detuning sweep of
-    the solver: g1 and g2 from one stationary solve per detuning at
-    ``alpha``, and g1 alone at ``G1_DRIVE``. The g1 error is the absolute
+    betas, deltas)``. The background (T0, beta) changes no emitter
+    dynamics, only the input-output assembly, so each zeta is one detuning
+    sweep of the solver over every (T0, beta) field: g1 and g2 from one
+    stationary solve and one propagation per detuning at ``alpha``, and g1
+    alone from one more solve at ``G1_DRIVE``. The closed forms stay one
+    call per (T0, zeta, beta) block. The g1 error is the absolute
     difference from ``g1_general``, the larger of those at the two drives.
     The g2 error is max over tau of |solver - closed| / max(1, |closed|)
     against the weak-drive closed form; it is NaN, flagged ``"divergent"``,
@@ -157,18 +168,22 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
     """
     tau = np.linspace(0.0, tau_max, tau_points)
     deltas = np.array(deltas, dtype=float)
+    phis = [phi_from_t0(t0) for t0 in t0s]
+    # field f = i*len(betas) + j is (t0s[i], betas[j]), taken by position
+    fields = (np.repeat(phis, len(betas)), np.tile(betas, len(t0s)))
+    sweeps = [(*output_correlators(tau, deltas, zeta, alpha, *fields),
+               output_g1(deltas, zeta, G1_DRIVE, *fields)) for zeta in zetas]
     rows = []
-    for t0, zeta, beta in itertools.product(t0s, zetas, betas):
-        phi = phi_from_t0(t0)
+    for (i, t0), (zeta, (g1, g2, g1_drive)), (j, beta) in itertools.product(
+            enumerate(t0s), zip(zetas, sweeps), enumerate(betas)):
+        f, phi = i * len(betas) + j, phis[i]
         closed = g2_tau_general(tau, deltas[:, None], zeta, beta, phi)
-        g1, g2 = output_correlators(tau, deltas, zeta, alpha, phi, beta)
         e1 = np.maximum(
-            np.abs(g1 - g1_general(deltas, zeta, beta, phi, alpha)),
-            np.abs(output_g1(deltas, zeta, G1_DRIVE, phi, beta)
-                   - g1_general(deltas, zeta, beta, phi, G1_DRIVE)))
+            np.abs(g1[f] - g1_general(deltas, zeta, beta, phi, alpha)),
+            np.abs(g1_drive[f] - g1_general(deltas, zeta, beta, phi, G1_DRIVE)))
         finite = np.all(np.isfinite(closed), axis=1)
         e2 = np.full(deltas.shape, math.nan)
-        e2[finite] = np.max(np.abs(g2[finite] - closed[finite])
+        e2[finite] = np.max(np.abs(g2[f][finite] - closed[finite])
                             / np.maximum(1.0, np.abs(closed[finite])), axis=1)
         rows += [(t0 * t0, zeta, beta, dl, err1, err2, "" if ok else "divergent")
                  for dl, err1, err2, ok in zip(deltas.tolist(), e1.tolist(),
@@ -184,21 +199,15 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
 # argument handling
 
 
-def _finite_span(start, stop):
-    # the span is finite only if start and stop are too
-    return math.isfinite(stop - start)
-
-
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:count")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        _check_grid(start, stop, count)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
-    if not _finite_span(start, stop):
-        raise argparse.ArgumentTypeError("grid start, stop and their span must be finite")
     return start, stop, count
 
 

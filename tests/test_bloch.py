@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from analytic import g1_ideal
 import fanostat.bloch
@@ -16,7 +16,7 @@ from fanostat import (DimensionlessParams, bloch_matrix, g1_general,
                       g2_tau_general, output_correlators, output_g1,
                       phi_from_t0, propagate_exact, steady_state)
 from fanostat.bloch import _exp_triangular
-from fanostat.cli import main, oracle_check
+from fanostat.cli import G1_DRIVE, main, oracle_check
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
 
@@ -489,16 +489,108 @@ class TestSweep:
             output_correlators(np.linspace(0, 8, 17), [0.0], 1e160, 0.0, -0.5, 0.9)
 
     def test_one_stationary_solve_per_point_and_drive(self, monkeypatch):
-        # the default grid: g1 and g2 at alpha from one solve, g1 at G1_DRIVE
-        # from another, so 2 x 156 (the per-point code made 466)
-        solved = []
+        # the default grid: each zeta is one sweep over the 6 (t0, beta)
+        # fields, g1 and g2 at alpha from one solve, g1 at G1_DRIVE from
+        # another, so 2 zeta x 13 detunings x 2 drives, and one Schur form per
+        # detuning of the g2 sweep (one sweep per (t0, zeta, beta) block made
+        # 312 solves and 156 Schur forms, the per-point code 466 solves)
+        solved, factored = [], []
 
         def counted(M, b):
             solved.append(len(M))
             return steady_state(M, b)
+
+        def counted_schur(m, **kwargs):
+            factored.append(1)
+            return schur(m, **kwargs)
         monkeypatch.setattr(fanostat.bloch, "steady_state", counted)
+        monkeypatch.setattr(fanostat.bloch, "schur", counted_schur)
         rows, _ = oracle_check(tau_points=2)
-        assert len(rows) == 156 and sum(solved) == 312
+        assert len(rows) == 156 and sum(solved) == 52 and len(factored) == 26
+
+    @pytest.mark.parametrize("corner", CORNERS)
+    def test_each_field_equals_it_alone(self, corner):
+        # the corner's background among others, one of them twice and one
+        # with no emitter field (beta = 0); on the ideal Fano zero g2 is inf
+        p = CORNERS[corner]
+        phis = [-0.5, p["phi"], -1.2, p["phi"], 0.0]
+        betas = [0.9, p["beta"], 0.3, p["beta"], 0.0]
+        tau = np.linspace(0, 8, 17)
+        deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
+        rest = (p["zeta"], p["alpha"], phis, betas)
+        g1, g2 = output_correlators(tau, deltas, *rest)
+        assert g1.shape == (5, 4) and g2.shape == (5, 4, 17)
+        assert np.array_equal(output_g1(deltas, *rest), g1)
+        for f, (phi, beta) in enumerate(zip(phis, betas)):
+            alone = (tau, deltas, p["zeta"], p["alpha"], phi, beta)
+            alone_g1, alone_g2 = output_correlators(*alone)
+            assert np.array_equal(g1[f], alone_g1)
+            assert np.array_equal(g2[f], alone_g2)
+            assert np.array_equal(output_g1(*alone[1:]), alone_g1)
+            [one_g1], [one_g2] = output_correlators(tau, deltas, p["zeta"],
+                                                    p["alpha"], [phi], [beta])
+            assert np.array_equal(one_g1, alone_g1)
+            assert np.array_equal(one_g2, alone_g2)
+
+    @pytest.mark.parametrize("phi,beta", [
+        ([-0.5, -0.2], [0.9, 0.8, 0.7]),
+        ([[-0.5, -0.2]], [[0.9, 0.8]]),
+        (-0.5, [0.9, 0.8]),
+    ], ids=["different-lengths", "two-dimensional", "scalar-and-array"])
+    def test_fields_must_be_matching_vectors(self, phi, beta):
+        with pytest.raises(ValueError, match="phi and beta"):
+            output_g1([0.0, 1.0], 1.2, 1e-3, phi, beta)
+        with pytest.raises(ValueError, match="phi and beta"):
+            output_correlators(np.linspace(0, 8, 17), [0.0, 1.0], 1.2, 1e-3, phi, beta)
+
+    @pytest.mark.parametrize("phi,beta,name", [
+        ([-0.5, -0.2, -0.1], [0.9, 1.5, 0.7], "beta"),
+        ([-0.5, -math.pi / 2, -0.1], [0.9, 0.8, 0.7], "phi"),
+    ], ids=["beta", "phi"])
+    def test_one_field_out_of_domain(self, phi, beta, name):
+        with pytest.raises(ValueError, match=name):
+            output_g1([0.0, 1.0], 1.2, 1e-3, phi, beta)
+        with pytest.raises(ValueError, match=name):
+            output_correlators(np.linspace(0, 8, 17), [0.0, 1.0], 1.2, 1e-3, phi, beta)
+
+    @pytest.mark.parametrize("flag", ["--betas=0.9,1.5,1.0", "--t0s=0.5,1.5",
+                                      "--t0s=0.5,0"],
+                             ids=["beta", "t0-above-one", "t0-zero"])
+    def test_oracle_check_field_out_of_domain_exit_code(self, flag):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["oracle-check", "--deltas=0,1", flag]) == 2
+
+    def test_oracle_check_rows_are_its_blocks_in_order(self):
+        # unsorted axes and a repeated zeta: the rows are the (t0, zeta,
+        # beta) blocks in product order, each evaluated alone with scalar
+        # phi and beta, bit for bit; t0 = zeta = beta = 1 holds the ideal
+        # Fano zero at delta = 0, a divergent row
+        grid = {"deltas": (2.0, -1.0, 0.0), "t0s": (1.0, math.sqrt(0.15), 0.7),
+                "zetas": (1.2, 1.0, 1.2), "betas": (1.0, 0.9)}
+        alpha, tau = 1e-3, np.linspace(0.0, 8.0, 33)
+        rows, summary = oracle_check(alpha=alpha, tau_points=33, **grid)
+        deltas = np.array(grid["deltas"])
+        want = []
+        for t0, zeta, beta in itertools.product(grid["t0s"], grid["zetas"],
+                                                grid["betas"]):
+            phi = phi_from_t0(t0)
+            closed = g2_tau_general(tau, deltas[:, None], zeta, beta, phi)
+            g1, g2 = output_correlators(tau, deltas, zeta, alpha, phi, beta)
+            e1 = np.maximum(
+                np.abs(g1 - g1_general(deltas, zeta, beta, phi, alpha)),
+                np.abs(output_g1(deltas, zeta, G1_DRIVE, phi, beta)
+                       - g1_general(deltas, zeta, beta, phi, G1_DRIVE)))
+            finite = np.all(np.isfinite(closed), axis=1)
+            e2 = np.full(deltas.shape, math.nan)
+            e2[finite] = np.max(np.abs(g2[finite] - closed[finite])
+                                / np.maximum(1.0, np.abs(closed[finite])), axis=1)
+            want += [(t0 * t0, zeta, beta, dl, err1, err2, "" if ok else "divergent")
+                     for dl, err1, err2, ok in zip(deltas.tolist(), e1.tolist(),
+                                                   e2.tolist(), finite.tolist())]
+        # repr is exact for floats, and shows nan equal to nan
+        assert repr(rows) == repr(want)
+        assert summary["n_points"] == 54 and summary["n_divergent"] == 1
 
 
 def test_bloch_matrix_structure():

@@ -682,6 +682,23 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["910:920:0", "910:920:1", "920:910:5",
+                                      "915:915:5", "910:920:-3"],
+                             ids=["count-0", "count-1", "descending", "empty-span",
+                                  "negative-count"])
+    @pytest.mark.parametrize("command", ["fp-background", "scan"])
+    def test_degenerate_grid_exit_code(self, tmp_path, capsys, command, grid):
+        # one grid rule for both commands: at least two points, start < stop
+        argv = {"fp-background": ["fp-background", "--reflectivity", "0.4",
+                                  "--fsr-nm", "2"],
+                "scan": ["scan", "--mode", "transmission"]}[command]
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid", grid, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("t0 = 2.0\n")
