@@ -5,9 +5,12 @@ linear rotating-frame equations of motion for the emitter averages exactly:
 the Bloch matrix is brought to complex Schur form once, and the exponential
 of its 3x3 triangular factor is closed form, with divided differences of
 exp(lambda*tau) off the diagonal (a short series where all three eigenvalues
-meet). It then applies the regression rule (two-time correlators obey the
-same linear system, with the inhomogeneous term scaled by the equal-time
-expectation of the sandwich operators) and assembles the
+meet). That exponential is never built as a matrix: it is applied to each
+regression vector by back substitution over its three components, from the
+three diagonal exponentials, each taken once, and the three entries above
+the diagonal. It then applies the regression rule (two-time correlators
+obey the same linear system, with the inhomogeneous term scaled by the
+equal-time expectation of the sandwich operators) and assembles the
 transmitted-field correlators from the input-output relation
 ``c_out = t0*c_in + d*sigma_minus``.
 
@@ -101,9 +104,10 @@ def steady_state(M, b):
     return v
 
 
-def _divided_difference(la, lb, tau):
+def _divided_difference(la, lb, ea, eb, tau):
     """f[la, lb] of exp(lambda*tau) for each point and delay, shape
-    (n, len(tau)), exact where la meets lb.
+    (n, len(tau)), exact where la meets lb, from the exponentials
+    ``ea`` = exp(la*tau) and ``eb`` = exp(lb*tau), shape (n, len(tau)).
 
     The factor taken out is the exponential with the larger real part, so
     exp(z) stays bounded by one. expm1(z)/z = 1 + z/2 + ... rounds to 1 for
@@ -115,7 +119,7 @@ def _divided_difference(la, lb, tau):
     z = (la - lb)[:, None] * tau
     ratio = np.divide(np.expm1(z), z, out=np.ones_like(z),
                       where=np.abs(z) > np.finfo(float).eps)
-    return np.exp(lb[:, None] * tau) * tau * ratio
+    return np.where(swap[:, None], ea, eb) * tau * ratio
 
 
 def _second_divided_difference(lam, tau, dd):
@@ -160,20 +164,29 @@ def _second_divided_difference(lam, tau, dd):
     return f
 
 
-def _exp_triangular(T, tau):
-    """exp(T*tau) of each upper-triangular 3x3 T[p], shape (n, len(tau), 3, 3)."""
+def _apply_exp_triangular(T, tau, w):
+    """exp(T*tau) w for each upper-triangular 3x3 T[p] and each of its k
+    vectors w[p], shape (n, k, 3), as its three components (y0, y1, y2),
+    each of shape (n, k, len(tau)).
+
+    exp(T*tau) is upper triangular: exp(lambda_i*tau) on the diagonal and
+    divided differences above it. Each exp(lambda_i*tau) is taken once, and
+    the product is the back substitution y2 = E2 w2, y1 = E1 w1 + F12 w2,
+    y0 = E0 w0 + F01 w1 + F02 w2, the terms of the full matrix-vector
+    product in the same order, less its exact zeros.
+    """
     lam = np.diagonal(T, axis1=1, axis2=2)
-    dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], tau)
+    E = np.exp(lam[:, :, None] * tau)
+    dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], E[:, i], E[:, j], tau)
           for i, j in ((0, 1), (1, 2), (0, 2))}
-    F = np.zeros((len(T), tau.size, 3, 3), dtype=complex)
-    for i in range(3):
-        F[:, :, i, i] = np.exp(lam[:, i, None] * tau)
-    F[:, :, 0, 1] = T[:, 0, 1, None] * dd[0, 1]
-    F[:, :, 1, 2] = T[:, 1, 2, None] * dd[1, 2]
-    F[:, :, 0, 2] = (T[:, 0, 2, None] * dd[0, 2]
-                     + (T[:, 0, 1] * T[:, 1, 2])[:, None]
-                     * _second_divided_difference(lam, tau, dd))
-    return F
+    F01 = T[:, 0, 1, None] * dd[0, 1]
+    F12 = T[:, 1, 2, None] * dd[1, 2]
+    F02 = (T[:, 0, 2, None] * dd[0, 2] + (T[:, 0, 1] * T[:, 1, 2])[:, None]
+           * _second_divided_difference(lam, tau, dd))
+    E, F01, F12, F02 = E[:, None], F01[:, None], F12[:, None], F02[:, None]
+    w0, w1, w2 = (w[:, :, i, None] for i in range(3))
+    return (E[:, :, 0] * w0 + F01 * w1 + F02 * w2, E[:, :, 1] * w1 + F12 * w2,
+            E[:, :, 2] * w2)
 
 
 def _matvec(A, x):
@@ -197,7 +210,12 @@ def propagate_exact(initials, identities, tau, M, b):
     on its diagonal and divided differences of exp(lambda tau) above it,
     with a series for the second one where all three eigenvalues meet; the
     unitary Q keeps this exact at exceptional points, where M has no
-    eigenbasis. Returns an array of shape (n, k, 3, len(tau)).
+    eigenbasis. exp(T tau) is applied to w = Q^H (v0 - v_inf) by back
+    substitution, y2 = E2 w2, y1 = E1 w1 + F12 w2 and y0 = E0 w0 + F01 w1 +
+    F02 w2, and v(tau) - v_inf = Q y over the three components: the
+    products of the full matrix-vector products, in their order, less the
+    exact zeros below the diagonal, so the (n, len(tau), 3, 3) matrix is
+    never formed. Returns an array of shape (n, k, 3, len(tau)).
 
     Where the drive is so strong that the propagation overflows, it raises
     ``ValueError``.
@@ -217,12 +235,13 @@ def propagate_exact(initials, identities, tau, M, b):
     T, Q = map(np.array, zip(*[schur(m, output="complex") for m in M]))
     with np.errstate(over="ignore", invalid="ignore"):
         w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)  # Q^H (v0 - v_inf)
-        v = _matvec(Q[:, None, None],
-                    _matvec(_exp_triangular(T, tau)[:, None], w[:, :, None]))
+        y0, y1, y2 = (y[:, :, None] for y in _apply_exp_triangular(T, tau, w))
+        Q = Q[:, None, :, :, None]
+        v = Q[..., 0, :] * y0 + Q[..., 1, :] * y1 + Q[..., 2, :] * y2     # Q y
     if not np.all(np.isfinite(v)):
         raise ValueError("regression propagation overflowed: the drive is "
                          "too strong for double precision")
-    return vinf[..., None] + v.transpose(0, 1, 3, 2)
+    return vinf[..., None] + v
 
 
 def _fields(phi, beta):
@@ -250,9 +269,7 @@ def _stationary(deltas, zeta, alpha, phi, beta):
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("deltas must be a non-empty 1-d array of detunings")
     scalar, phis, betas = _fields(phi, beta)
-    check_reduced(zeta, alpha=alpha, delta=deltas)
-    for p, bt in zip(phis, betas):
-        check_reduced(beta=bt, phi=p)
+    check_reduced(zeta, np.array(betas), np.array(phis), alpha, delta=deltas)
     M, b = bloch_matrix(deltas, zeta, alpha)
     v = steady_state(M, b)
     # each field's scalars are taken one at a time: abs(c)**2 and c**2 of

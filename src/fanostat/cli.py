@@ -155,39 +155,46 @@ def oracle_check(alpha=0.0, deltas=tuple(np.linspace(-6, 6, 13)),
     error, flag) per point, in the order of ``itertools.product(t0s, zetas,
     betas, deltas)``. The background (T0, beta) changes no emitter
     dynamics, only the input-output assembly, so each zeta is one detuning
-    sweep of the solver over every (T0, beta) field: g1 and g2 from one
-    stationary solve and one propagation per detuning at ``alpha``, and g1
-    alone from one more solve at ``G1_DRIVE``. The closed forms stay one
-    call per (T0, zeta, beta) block. The g1 error is the absolute
-    difference from ``g1_general``, the larger of those at the two drives.
-    The g2 error is max over tau of |solver - closed| / max(1, |closed|)
-    against the weak-drive closed form; it is NaN, flagged ``"divergent"``,
-    where that form is infinite (the ideal Fano zero). At the default
-    alpha = 0 it is rounding alone; at a finite drive it also holds the
-    physical O(alpha) term.
+    sweep over every (T0, beta) field, for the solver and the closed forms
+    alike: g1 and g2 from one stationary solve and one propagation per
+    detuning at ``alpha``, g1 alone from one more solve at ``G1_DRIVE``, and
+    one call of each closed form, whose delay functions every field shares.
+    The g1 error is the absolute difference from ``g1_general``, the larger
+    of those at the two drives. The g2 error is max over tau of |solver -
+    closed| / max(1, |closed|) against the weak-drive closed form. Where
+    that form is not finite the g2 error is NaN and the row is flagged
+    ``"divergent"``: it is infinite on the ideal Fano zero, and NaN at the
+    decay-rate collision zeta = 2, delta = 0, where the closed form divides
+    zero by zero (see ``test_bare_closed_form_at_the_rate_collision``). At
+    the default alpha = 0 the error is rounding alone; at a finite drive it
+    also holds the physical O(alpha) term.
     """
     tau = np.linspace(0.0, tau_max, tau_points)
     deltas = np.array(deltas, dtype=float)
-    phis = [phi_from_t0(t0) for t0 in t0s]
     # field f = i*len(betas) + j is (t0s[i], betas[j]), taken by position
-    fields = (np.repeat(phis, len(betas)), np.tile(betas, len(t0s)))
-    sweeps = [(*output_correlators(tau, deltas, zeta, alpha, *fields),
-               output_g1(deltas, zeta, G1_DRIVE, *fields)) for zeta in zetas]
-    rows = []
-    for (i, t0), (zeta, (g1, g2, g1_drive)), (j, beta) in itertools.product(
-            enumerate(t0s), zip(zetas, sweeps), enumerate(betas)):
-        f, phi = i * len(betas) + j, phis[i]
-        closed = g2_tau_general(tau, deltas[:, None], zeta, beta, phi)
-        e1 = np.maximum(
-            np.abs(g1[f] - g1_general(deltas, zeta, beta, phi, alpha)),
-            np.abs(g1_drive[f] - g1_general(deltas, zeta, beta, phi, G1_DRIVE)))
-        finite = np.all(np.isfinite(closed), axis=1)
-        e2 = np.full(deltas.shape, math.nan)
-        e2[finite] = np.max(np.abs(g2[f][finite] - closed[finite])
-                            / np.maximum(1.0, np.abs(closed[finite])), axis=1)
-        rows += [(t0 * t0, zeta, beta, dl, err1, err2, "" if ok else "divergent")
-                 for dl, err1, err2, ok in zip(deltas.tolist(), e1.tolist(),
-                                               e2.tolist(), finite.tolist())]
+    fields = (np.repeat([phi_from_t0(t0) for t0 in t0s], len(betas)),
+              np.tile(betas, len(t0s)))
+    phi, beta = (f[:, None] for f in fields)        # field axis first
+    shape = (len(zetas), len(t0s), len(betas), len(deltas))
+    e1, e2, finite = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    for z, zeta in enumerate(zetas):
+        g1, g2 = output_correlators(tau, deltas, zeta, alpha, *fields)
+        closed = g2_tau_general(tau, deltas[:, None], zeta, beta[..., None],
+                                phi[..., None])
+        err1 = np.maximum(
+            np.abs(g1 - g1_general(deltas, zeta, beta, phi, alpha)),
+            np.abs(output_g1(deltas, zeta, G1_DRIVE, *fields)
+                   - g1_general(deltas, zeta, beta, phi, G1_DRIVE)))
+        ok = np.all(np.isfinite(closed), axis=-1)
+        err2 = np.full(ok.shape, math.nan)
+        err2[ok] = np.max(np.abs(g2[ok] - closed[ok])
+                          / np.maximum(1.0, np.abs(closed[ok])), axis=-1)
+        e1[z], e2[z], finite[z] = (v.reshape(shape[1:]) for v in (err1, err2, ok))
+    # (zeta, t0, beta, delta) to the rows' (t0, zeta, beta, delta)
+    e1, e2, finite = (v.transpose(1, 0, 2, 3).ravel().tolist() for v in (e1, e2, finite))
+    rows = [(t0 * t0, zeta, beta, dl, err1, err2, "" if ok else "divergent")
+            for (t0, zeta, beta, dl), err1, err2, ok in zip(
+                itertools.product(t0s, zetas, betas, deltas.tolist()), e1, e2, finite)]
     compared = [r for r in rows if not r[6]]
     summary = {"max_g1_error": max((r[4] for r in rows), default=0.0),
                "max_g2_error": max((r[5] for r in compared), default=0.0),

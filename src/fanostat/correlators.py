@@ -98,10 +98,13 @@ def g1_general(delta, zeta, beta, phi, alpha=0.0):
         Reduced laser-transition detuning.
     zeta : float
         Dephasing measure ``1 + 2*gamma_de/gamma`` (>= 1).
-    beta : float
+    beta : float or array
         Guided-mode coupling probability in [0, 1].
-    phi : float
-        Background phase, cos(phi) = t0.
+    phi : float or array
+        Background phase, cos(phi) = t0. Arrays of ``beta`` and ``phi``
+        are background fields that broadcast against ``delta``, the field
+        axis first (``beta[:, None]`` for a sweep of detunings); each field
+        equals the scalar call at that field, bit for bit.
     alpha : float, optional
         Reduced drive intensity; 0 is the weak-drive limit.
 
@@ -130,7 +133,17 @@ def _g1_formula(delta, zeta, beta, phi, alpha=0.0):
     # _coefficients also evaluates it at doubled beta
     D = zeta * alpha + zeta * zeta + delta * delta
     return (1.0 - 2.0 * beta * (zeta - delta * np.tan(phi)) / D
-            + beta * beta * zeta / (np.cos(phi) ** 2 * D))
+            + beta * beta * zeta / (_power(np.cos(phi), 2) * D))
+
+
+def _power(x, n):
+    """x**n, of a real array one element at a time: numpy's vectorized
+    power can round differently from the pow a scalar takes, and each field
+    of an array must equal that field alone, bit for bit. Complex arrays
+    (the complex step) and scalars take x**n as they are."""
+    if isinstance(x, np.ndarray) and x.dtype == float:
+        return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**n
 
 
 def complex_step(f, *args):
@@ -159,11 +172,11 @@ def _coefficients(delta, zeta, beta, phi):
     """
     d2, z = delta * delta, zeta
     P = d2 + (z - 2.0) ** 2
-    cos4 = np.cos(phi) ** 4
-    A = ((beta**4 * z * (2.0 - z)
-          - 2.0 * beta**3 * delta * (z - 1.0) * np.sin(2.0 * phi))
+    cos4 = _power(np.cos(phi), 4)
+    A = ((_power(beta, 4) * z * (2.0 - z)
+          - 2.0 * _power(beta, 3) * delta * (z - 1.0) * np.sin(2.0 * phi))
          / (cos4 * (z * z + d2) * P))
-    const = -delta * z * (4.0 * beta**2 * (z - 1.0) + (2.0 * beta - 1.0) * P)
+    const = -delta * z * (4.0 * _power(beta, 2) * (z - 1.0) + (2.0 * beta - 1.0) * P)
     c2 = -2.0 * delta * z * (beta - 1.0) * P
     s2 = (2.0 * beta * (z * z * (z - 2.0) - d2 * (3.0 * z - 2.0))
           + z * z * (z - 2.0) ** 2 + 4.0 * d2 * (z - 1.0) - d2 * d2)
@@ -171,7 +184,7 @@ def _coefficients(delta, zeta, beta, phi):
     s4 = (z * z - d2) * P / 2.0
     num = (const + c2 * np.cos(2.0 * phi) + s2 * np.sin(2.0 * phi)
            + c4 * np.cos(4.0 * phi) + s4 * np.sin(4.0 * phi))
-    B = beta**2 * num / (cos4 * (z * z + d2) ** 2 * P)
+    B = _power(beta, 2) * num / (cos4 * (z * z + d2) ** 2 * P)
     return np.stack([A, B, _g1_formula(delta, zeta, 2.0 * beta, phi),
                      _g1_formula(delta, zeta, beta, phi)], axis=-1)
 
@@ -437,7 +450,12 @@ def g2_tau_general(tau, delta, zeta, beta, phi):
     """Weak-pump g2 at reduced delay ``tau`` (symmetric in tau -> -tau).
 
     Normalized so g2 -> 1 at long delay. Where the weak-drive transmission
-    vanishes (the Fano zero) the normalized value is ``inf``.
+    vanishes (the Fano zero) the normalized value is ``inf``. ``tau``
+    broadcasts against ``delta``; ``beta`` and ``phi`` may be arrays of
+    background fields, as in :func:`g1_general`, the field axis first
+    (``beta[:, None, None]`` against ``delta[:, None]`` and a 1-d ``tau``),
+    which share the delay functions D(2, tau) and D(zeta - i delta, tau);
+    each field equals the scalar call at that field, bit for bit.
     """
     num, g1sq = g2_tau_parts(tau, delta, zeta, beta, phi)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -209,15 +209,19 @@ _QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 def _column(cells, fmt):
     """The text of each cell of one column. A column of floats is converted
     once and each value's repr taken; any other column is formatted cell by
-    cell, numbers as floats in JSON and the rest as strings."""
-    if all(issubclass(t, (float, np.floating)) for t in set(map(type, cells))):
+    cell in CSV. In JSON its numbers are written as floats, as a column of
+    floats writes them, and the rest as strings, each distinct string
+    encoded once."""
+    kinds = set(map(type, cells))
+    if all(issubclass(t, (float, np.floating)) for t in kinds):
         text = list(map(repr, np.asarray(cells, dtype=float).tolist()))
         return text if fmt == "csv" else [_QUOTED.get(t, t) for t in text]
     if fmt == "csv":
         return list(map(_fmt, cells))
-    return [json.dumps(_strict(float(v)) if isinstance(v, (float, np.floating, int,
-                                                           np.integer)) else str(v))
-            for v in cells]
+    numbers = {t for t in kinds if issubclass(t, (float, np.floating, int, np.integer))}
+    floats = iter(_column([float(v) for v in cells if type(v) in numbers], fmt))
+    encoded = {s: json.dumps(s) for s in {str(v) for v in cells if type(v) not in numbers}}
+    return [next(floats) if type(v) in numbers else encoded[str(v)] for v in cells]
 
 
 def _json_rows(cells):

@@ -172,7 +172,14 @@ def check_reduced(zeta=1.0, beta=0.0, phi=0.0, alpha=0.0, sigma=0.0, t_resp=0.0,
     beta in [0, 1], phi in (-pi/2, 0], alpha, sigma and t_resp >= 0, sigma
     and the detunings ``delta`` at most REDUCED_MAX in size; ``tau`` holds
     the delays. The defaults are valid, so each caller passes what it takes.
+    ``beta`` and ``phi`` may also be arrays of background fields, which
+    broadcast against each other; each field is checked as a scalar call
+    checks it, and the first offender is named.
     """
+    if isinstance(beta, np.ndarray) or isinstance(phi, np.ndarray):
+        for b, p in zip(*(v.ravel().tolist() for v in np.broadcast_arrays(beta, phi))):
+            check_reduced(beta=b, phi=p)
+        beta = phi = 0.0
     for name, value, ok, rule in (
             ("zeta", zeta, 1.0 <= zeta <= REDUCED_MAX,
              "must lie in [1, {cap:g}], beyond which the closed forms overflow"),

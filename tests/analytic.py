@@ -4,7 +4,10 @@ They are written apart from ``fanostat`` so that a test of the program does
 not check it against itself; :func:`g2_coefficients` is the one view of the
 program's internals that only the tests read. :func:`reference_write_series`
 is the series writer as it was before it formatted a column at a time: the
-bytes the program must still write.
+bytes the program must still write. :func:`reference_propagate_exact` is
+the exact propagation as it was before it applied exp(T tau) by back
+substitution, through the full matrix: the values the program must still
+give.
 """
 
 import json
@@ -13,7 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import schur
 
+from fanostat.bloch import _second_divided_difference
 from fanostat.correlators import _clamped_coefficients
 from fanostat.io import DataFormatError
 from fanostat.params import check_reduced
@@ -119,3 +124,43 @@ def reference_write_series(columns, rows, path, fmt="csv", metadata=None):
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as err:
         raise DataFormatError(f"cannot write series: {err}", path) from err
+
+
+def _matvec(A, x):
+    return A[..., 0] * x[..., :1] + A[..., 1] * x[..., 1:2] + A[..., 2] * x[..., 2:]
+
+
+def _divided_difference(la, lb, tau):
+    # f[la, lb] of exp(lambda*tau), taking its own exp(lb*tau)
+    swap = la.real > lb.real
+    la, lb = np.where(swap, lb, la), np.where(swap, la, lb)
+    z = (la - lb)[:, None] * tau
+    ratio = np.divide(np.expm1(z), z, out=np.ones_like(z),
+                      where=np.abs(z) > np.finfo(float).eps)
+    return np.exp(lb[:, None] * tau) * tau * ratio
+
+
+def reference_propagate_exact(initials, identities, tau, M, b):
+    """:func:`fanostat.propagate_exact` through the full exp(T tau): the
+    (n, len(tau), 3, 3) matrix F, zeros included, multiplied into
+    Q^H (v0 - v_inf) and then by Q, each as a full matrix-vector product."""
+    tau = np.asarray(tau, dtype=float)
+    v0 = np.asarray(initials, dtype=complex)
+    ident = np.asarray(identities, dtype=complex)
+    vinf = np.linalg.solve(M, -b[:, None] * ident[:, None, :]).transpose(0, 2, 1)
+    T, Q = map(np.array, zip(*[schur(m, output="complex") for m in M]))
+    lam = np.diagonal(T, axis1=1, axis2=2)
+    dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], tau)
+          for i, j in ((0, 1), (1, 2), (0, 2))}
+    F = np.zeros((len(T), tau.size, 3, 3), dtype=complex)
+    for i in range(3):
+        F[:, :, i, i] = np.exp(lam[:, i, None] * tau)
+    F[:, :, 0, 1] = T[:, 0, 1, None] * dd[0, 1]
+    F[:, :, 1, 2] = T[:, 1, 2, None] * dd[1, 2]
+    F[:, :, 0, 2] = (T[:, 0, 2, None] * dd[0, 2]
+                     + (T[:, 0, 1] * T[:, 1, 2])[:, None]
+                     * _second_divided_difference(lam, tau, dd))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)
+        v = _matvec(Q[:, None, None], _matvec(F[:, None], w[:, :, None]))
+    return vinf[..., None] + v.transpose(0, 1, 3, 2)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, schur
 
-from analytic import g1_ideal
+from analytic import g1_ideal, reference_propagate_exact
 import fanostat.bloch
+import fanostat.correlators
 from fanostat import (DimensionlessParams, bloch_matrix, g1_general,
                       g2_tau_general, output_correlators, output_g1,
                       phi_from_t0, propagate_exact, steady_state)
-from fanostat.bloch import _exp_triangular
+from fanostat.bloch import _apply_exp_triangular
+from fanostat.correlators import detected_decay
 from fanostat.cli import G1_DRIVE, main, oracle_check
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
@@ -276,7 +279,10 @@ class TestPropagateExact:
             want = [mpmath.expm(mpmath.matrix(T.tolist()) * mpmath.mpf(t)).tolist()
                     for t in tau]
         want = np.array(want, dtype=complex)
-        assert np.max(np.abs(_exp_triangular(T[None], tau)[0] - want)) < 1e-15
+        # column j of exp(T tau) is its product with the unit vector e_j
+        y = np.stack(_apply_exp_triangular(T[None], tau, np.eye(3, dtype=complex)[None]),
+                     axis=-1)[0]
+        assert np.max(np.abs(y.transpose(1, 2, 0) - want)) < 1e-15
 
     def test_matches_scipy_expm_over_grid(self):
         tau = np.linspace(0, 8, 41)
@@ -493,8 +499,10 @@ class TestSweep:
         # fields, g1 and g2 at alpha from one solve, g1 at G1_DRIVE from
         # another, so 2 zeta x 13 detunings x 2 drives, and one Schur form per
         # detuning of the g2 sweep (one sweep per (t0, zeta, beta) block made
-        # 312 solves and 156 Schur forms, the per-point code 466 solves)
-        solved, factored = [], []
+        # 312 solves and 156 Schur forms, the per-point code 466 solves); the
+        # closed form g2 takes D(2, tau) and D(zeta - i delta, tau) once per
+        # zeta for every field (once per block made 24 calls)
+        solved, factored, decays = [], [], []
 
         def counted(M, b):
             solved.append(len(M))
@@ -503,10 +511,16 @@ class TestSweep:
         def counted_schur(m, **kwargs):
             factored.append(1)
             return schur(m, **kwargs)
+
+        def counted_decay(*args, **kwargs):
+            decays.append(1)
+            return detected_decay(*args, **kwargs)
         monkeypatch.setattr(fanostat.bloch, "steady_state", counted)
         monkeypatch.setattr(fanostat.bloch, "schur", counted_schur)
+        monkeypatch.setattr(fanostat.correlators, "detected_decay", counted_decay)
         rows, _ = oracle_check(tau_points=2)
         assert len(rows) == 156 and sum(solved) == 52 and len(factored) == 26
+        assert len(decays) == 4
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_each_field_equals_it_alone(self, corner):
@@ -543,15 +557,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="phi and beta"):
             output_correlators(np.linspace(0, 8, 17), [0.0, 1.0], 1.2, 1e-3, phi, beta)
 
-    @pytest.mark.parametrize("phi,beta,name", [
-        ([-0.5, -0.2, -0.1], [0.9, 1.5, 0.7], "beta"),
-        ([-0.5, -math.pi / 2, -0.1], [0.9, 0.8, 0.7], "phi"),
+    @pytest.mark.parametrize("phi,beta,name,value", [
+        ([-0.5, -0.2, -0.1], [0.9, 1.5, 0.7], "beta", "1.5"),
+        ([-0.5, -math.pi / 2, -0.1], [0.9, 0.8, 0.7], "phi", repr(-math.pi / 2)),
     ], ids=["beta", "phi"])
-    def test_one_field_out_of_domain(self, phi, beta, name):
+    def test_one_field_out_of_domain(self, phi, beta, name, value):
         with pytest.raises(ValueError, match=name):
             output_g1([0.0, 1.0], 1.2, 1e-3, phi, beta)
         with pytest.raises(ValueError, match=name):
             output_correlators(np.linspace(0, 8, 17), [0.0, 1.0], 1.2, 1e-3, phi, beta)
+        # the closed forms over the same fields name the value as well
+        phi, beta = np.array(phi)[:, None], np.array(beta)[:, None]
+        pattern = rf"^{name} must .*; got {re.escape(value)}$"
+        with pytest.raises(ValueError, match=pattern):
+            g1_general([0.0, 1.0], 1.2, beta, phi)
+        with pytest.raises(ValueError, match=pattern):
+            g2_tau_general(np.linspace(0, 8, 17), np.array([[0.0], [1.0]]), 1.2,
+                           beta[..., None], phi[..., None])
 
     @pytest.mark.parametrize("flag", ["--betas=0.9,1.5,1.0", "--t0s=0.5,1.5",
                                       "--t0s=0.5,0"],
@@ -591,6 +613,55 @@ class TestSweep:
         # repr is exact for floats, and shows nan equal to nan
         assert repr(rows) == repr(want)
         assert summary["n_points"] == 54 and summary["n_divergent"] == 1
+
+    @pytest.mark.parametrize("corner", CORNERS)
+    def test_propagation_is_the_full_matrix_product(self, corner):
+        # the back substitution drops only the exact zeros of exp(T tau), so
+        # it gives the bits of the full matrix-vector products
+        p = CORNERS[corner]
+        deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
+        M, b = bloch_matrix(deltas, p["zeta"], p["alpha"])
+        v = steady_state(M, b)
+        initials = np.zeros((4, 2, 3), dtype=complex)
+        initials[:, 0, 1] = v[:, 2]
+        initials[:, 1] = [0.2 - 0.1j, 0.2 + 0.1j, 0.3]
+        args = (initials, np.stack([v[:, 0], v[:, 2]], axis=-1),
+                np.linspace(0, 8, 161), M, b)
+        assert propagate_exact(*args).tobytes() == reference_propagate_exact(*args).tobytes()
+
+    @pytest.mark.parametrize("corner", CORNERS)
+    def test_closed_forms_over_fields_equal_each_field_alone(self, corner):
+        # the corner's background among others, one of them twice and one
+        # with no emitter field (beta = 0): g2 is inf on the ideal Fano zero
+        # and NaN at the rate collision (zeta = 2, delta = 0), in the arrays
+        # as alone
+        p = CORNERS[corner]
+        phis = np.array([-0.5, p["phi"], -1.2, p["phi"], 0.0])
+        betas = np.array([0.9, p["beta"], 0.3, p["beta"], 0.0])
+        tau = np.linspace(0, 8, 17)
+        deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
+        zeta, alpha = p["zeta"], p["alpha"]
+        g2 = g2_tau_general(tau, deltas[:, None], zeta, betas[:, None, None],
+                            phis[:, None, None])
+        g1 = g1_general(deltas, zeta, betas[:, None], phis[:, None], alpha)
+        assert g2.shape == (5, 4, 17) and g1.shape == (5, 4)
+        for f, (phi, beta) in enumerate(zip(phis.tolist(), betas.tolist())):
+            alone = g2_tau_general(tau, deltas[:, None], zeta, beta, phi)
+            assert g2[f].tobytes() == alone.tobytes()
+            assert g1[f].tobytes() == g1_general(deltas, zeta, beta, phi, alpha).tobytes()
+        if corner == "ideal Fano zero":
+            assert np.all(g2[1, 1] == np.inf)
+        if corner == "rate collision":
+            assert np.all(np.isnan(g2[1, 1]))
+
+    def test_oracle_check_flags_the_rate_collision(self):
+        # at zeta = 2, delta = 0 the closed form is NaN, not infinite; the
+        # row is flagged and left out of the g2 error like the Fano zero
+        rows, summary = oracle_check(deltas=(0.0,), zetas=(2.0,), t0s=(0.7,),
+                                     betas=(0.9,))
+        [(_, _, _, _, e1, e2, flag)] = rows
+        assert math.isnan(e2) and flag == "divergent" and e1 < 1e-12
+        assert summary["n_divergent"] == 1 and summary["max_g2_error"] == 0.0
 
 
 def test_bloch_matrix_structure():

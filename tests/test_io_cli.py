@@ -173,6 +173,24 @@ class TestWriteSeries:
         with pytest.raises(DataFormatError, match="cannot write series"):
             write_series(("x",), [(1.0,)], tmp_path / "missing" / f"x.{fmt}", fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_column_is_the_cell_by_cell_column(self, tmp_path, fmt):
+        # keys that are equal but write differently: -0.0 and 0.0, and
+        # np.True_ (a string) beside 1, 1.0 and True (the float 1.0 in JSON)
+        cells = ["divergent", "", -0.0, 0.0, math.nan, np.float64("nan"), 1, 1.0,
+                 True, np.True_, np.int64(-3), "divergent", "-0.0", math.inf,
+                 np.float32(0.5), -0.0, ""]
+        rows = [(c, i) for i, c in enumerate(cells)]
+        write_series(("mixed", "i"), rows, tmp_path / "got", fmt)
+        reference_write_series(("mixed", "i"), rows, tmp_path / "want", fmt)
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+        if fmt == "json":
+            got = [r[0] for r in json.loads((tmp_path / "got").read_text())["rows"]]
+            assert list(map(repr, got)) == [
+                "'divergent'", "''", "-0.0", "0.0", "'nan'", "'nan'", "1.0", "1.0",
+                "1.0", "'True'", "-3.0", "'divergent'", "'-0.0'", "'inf'", "0.5",
+                "-0.0", "''"]
+
     @pytest.mark.parametrize("average", [True, False], ids=["REF", "average-off"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("mode", SCAN_MODES)
