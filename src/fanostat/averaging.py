@@ -49,11 +49,11 @@ O(sigma^2 g2'')). One loop evaluates every call block by block: the
 one-node detunings form blocks of their own, the others blocks of
 neighbours on their merged windows, and the delays are split so that no
 product exceeds :data:`MAX_EVALUATIONS` node evaluations, which bounds the
-memory. Curves on several delay grids (a fit's g2(0) scan and its
-histograms) share one call on the union of their delays
-(:meth:`ModelCurves.g2_curves`), on the step of their largest |tau|, which
-saves a call's fixed cost. Only a single detuning's window too wide for it
-raises ``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4.
+memory. Every model g2 curve comes from :meth:`ModelCurves.g2_curves`: curves
+on several delay grids (a fit's g2(0) scan and its histograms) share one call
+on the union of their delays, on the step of their largest |tau|, which saves
+a call's fixed cost. Only a single detuning's window too wide for it raises
+``ValueError``: where sigma (tau_max + 6 t_resp) passes about 9.1e4.
 The detector's Gaussian response of width ``t_resp`` is applied in closed form
 to every decay component before averaging (see
 :func:`fanostat.correlators.g2_tau_parts`).
@@ -407,8 +407,8 @@ class ModelCurves:
     Both widths are those of ``p``: ``detector_resp = 0`` means an ideal
     detector, and ``sigma_wander = detector_resp = 0`` gives the bare closed
     forms. The drive enters the transmission through the reduced intensity
-    ``alpha``. The g2 closed form is weak-pump only, so
-    :meth:`g2zero` and :meth:`g2_trace` refuse a finite drive.
+    ``alpha``. Every g2 curve comes from :meth:`g2_curves`, which refuses a
+    finite drive: the g2 closed form is weak-pump only.
 
     With ``jac``, every curve also carries its partials with respect to
     :data:`FIT_FIELDS`: the result gains a last axis of length 7 holding the
@@ -433,13 +433,6 @@ class ModelCurves:
         return detuning_to_delta(np.asarray(detuning_uev, dtype=float)
                                  - self.params.omega0, self.params.lifetime)
 
-    def _weak_pump_only(self):
-        if self.alpha > 0:
-            raise ValueError(
-                f"g2 is modelled in the weak-pump limit only; got drive_amp = "
-                f"{self.params.drive_amp:g} (alpha = {self.alpha:.3g}), "
-                f"set drive_amp = 0")
-
     def _with_fields(self, value, delta, d_delta, d_zeta, d_beta, d_phi,
                      d_sigma, d_alpha=0.0, tau=0.0, d_tau=0.0, d_tresp=0.0):
         """The value followed by its partials along FIT_FIELDS, from those
@@ -453,12 +446,16 @@ class ModelCurves:
         p = self.params
         L, T2 = p.lifetime, p.dephasing_time
         scale = 2.0 * L / HBAR_UEV_PS
+        try:
+            dzeta_dT2 = -2.0 * L / T2**2
+        except OverflowError:       # T2^2 overflows; the partial is below 1.2e-308 L
+            dzeta_dT2 = -2.0 * L / T2 / T2
         return np.stack([
             value,
             -scale * d_delta,
             (delta * d_delta + self.sigma * d_sigma + self.alpha * d_alpha
              - tau * d_tau - self.t_resp * d_tresp) / L + 2.0 / T2 * d_zeta,
-            -2.0 * L / T2**2 * d_zeta,
+            dzeta_dT2 * d_zeta,
             scale * d_sigma,
             d_phi / np.sqrt(1.0 - p.t0 * p.t0),
             d_beta + 4.0 * p.drive_amp**2 * L * d_alpha,
@@ -478,54 +475,50 @@ class ModelCurves:
     def g2_trace(self, detuning_uev, tau_ps):
         """Weak-pump g2(tau), averaged and detected, at one detuning or at
         several that share the delays: shape ``detuning.shape + tau.shape``.
-        All detunings share one lattice, and each distinct |tau| is
-        evaluated once (g2 and tau dg/dtau depend on |tau| only)."""
-        tau = np.abs(tau_to_dimensionless(tau_ps, self.params.lifetime))
-        distinct, inverse = np.unique(tau, return_inverse=True)
-        delta = self.delta(detuning_uev)
-        out = self._g2(distinct, delta)
-        return np.take(out, inverse.reshape(tau.shape), axis=delta.ndim)
+        One request of :meth:`g2_curves`."""
+        return self.g2_curves([(detuning_uev, tau_ps)])[0]
+
+    def g2zero(self, detuning_uev):
+        """Weak-pump zero-delay g2 per detuning, averaged on one shared
+        lattice and detected. One request of :meth:`g2_curves`."""
+        return self.g2_curves([(detuning_uev, 0.0)])[0]
 
     def g2_curves(self, requests):
-        """:meth:`g2_trace` for each (detuning_uev, tau_ps) of ``requests``,
-        all from one average.
+        """Weak-pump g2(tau), averaged and detected, for each
+        (detuning_uev, tau_ps) of ``requests``, all from one average.
 
-        Returns one array per request, shaped as :meth:`g2_trace` shapes it
-        (a scalar ``tau_ps = 0`` gives :meth:`g2zero`'s shape). The average
-        runs on every detuning and the union of the distinct |tau|, and each
-        request takes its own columns. The curves agree with one
-        :meth:`g2_trace` per request to the lattice's aliasing error: the
-        shared lattice takes the step of the largest |tau|, no coarser than
-        any request's own. Every detuning is evaluated at every delay, so
-        where many detunings meet long delay grids the one call does more
-        node evaluations than one call per request would.
+        Returns one array per request, shaped ``detuning.shape +
+        tau.shape``, and a float where both are scalars. The average runs on
+        every detuning and the union of the distinct |tau| (g2 and tau
+        dg/dtau depend on |tau| only), and each request takes its own
+        columns. The curves agree with each request averaged alone to the
+        lattice's aliasing error: the shared lattice takes the step of the
+        largest |tau|, no coarser than any request's own. Every detuning is
+        evaluated at every delay, so where many detunings meet long delay
+        grids the one call does more node evaluations than one call per
+        request would. A finite drive raises ``ValueError``.
         """
         if not requests:
             return []
         reduced = [(self.delta(det), np.abs(tau_to_dimensionless(tau, self.params.lifetime)))
                    for det, tau in requests]
-        distinct = np.unique(np.concatenate([np.ravel(t) for _, t in reduced]))
-        out = self._g2(distinct, np.concatenate([d.ravel() for d, _ in reduced]))
+        if self.alpha > 0:
+            raise ValueError(f"g2 is modelled in the weak-pump limit only; got drive_amp = "
+                             f"{self.params.drive_amp:g} (alpha = {self.alpha:.3g}), "
+                             f"set drive_amp = 0")
+        tau = np.unique(np.concatenate([np.ravel(t) for _, t in reduced]))
+        delta = np.concatenate([d.ravel() for d, _ in reduced])
+        out = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.sigma,
+                     self.t_resp, self.jac)
+        if self.jac:
+            out, d = out
+            dd, dz, db, dp, dt, dr, ds = np.moveaxis(d, -1, 0)
+            out = self._with_fields(out, delta[:, None], dd, dz, db, dp, ds, tau=tau,
+                                    d_tau=dt, d_tresp=dr)
         curves, start = [], 0
         for d, t in reduced:
             rows = out[start:start + d.size].reshape(d.shape + out.shape[1:])
-            curves.append(rows.take(distinct.searchsorted(t), axis=d.ndim))
+            curve = rows.take(tau.searchsorted(t), axis=d.ndim)
+            curves.append(float(curve) if curve.ndim == 0 else curve)
             start += d.size
         return curves
-
-    def g2zero(self, detuning_uev):
-        """Weak-pump zero-delay g2 per detuning, averaged on one shared
-        lattice and detected."""
-        return self._g2(0.0, self.delta(detuning_uev))
-
-    def _g2(self, tau, delta):
-        self._weak_pump_only()
-        out = avg_g2(tau, delta, self.zeta, self.beta, self.phi, self.sigma,
-                     self.t_resp, self.jac)
-        if not self.jac:
-            return out
-        out, d = out
-        dd, dz, db, dp, dt, dr, ds = np.moveaxis(d, -1, 0)
-        delta = delta.reshape(delta.shape + (1,) * np.ndim(tau))
-        return self._with_fields(out, delta, dd, dz, db, dp, ds, tau=tau,
-                                 d_tau=dt, d_tresp=dr)

@@ -17,6 +17,7 @@ helpers below them do not check again.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -124,9 +125,7 @@ class PhysicalParams:
             raise ValueError("detector_resp must be non-negative")
 
     def replace(self, **changes) -> "PhysicalParams":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(changes)
-        return PhysicalParams(**vals)
+        return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_mapping(cls, mapping) -> "PhysicalParams":
@@ -138,7 +137,7 @@ class PhysicalParams:
         return cls(**{k: float(v) for k, v in mapping.items()})
 
     def to_mapping(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,14 @@ def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams
     """Reduce dimensional parameters at a given laser energy.
 
     The laser energy is measured from the same reference as ``p.omega0``.
+    Raises ``ValueError`` where 4 drive_amp^2 lifetime (alpha at beta = 1) overflows.
     """
+    try:
+        finite = math.isfinite(4.0 * p.drive_amp**2 * p.lifetime)
+    except OverflowError:       # drive_amp^2 itself
+        finite = False
+    if not finite:
+        raise ValueError(f"drive_amp = {p.drive_amp!r} is too large: alpha overflows")
     return DimensionlessParams(
         delta=float(detuning_to_delta(laser_energy_uev - p.omega0, p.lifetime)),
         zeta=1.0 + 2.0 * p.lifetime / p.dephasing_time,

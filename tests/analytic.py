@@ -7,7 +7,8 @@ is the series writer as it was before it formatted a column at a time: the
 bytes the program must still write. :func:`reference_propagate_exact` is
 the exact propagation as it was before it applied exp(T tau) by back
 substitution, through the full matrix: the values the program must still
-give.
+give. :func:`mp_output_g2` is the regression solver's g2 in 40-digit mpmath;
+``mpmath_g2_reference.py`` stores its values on one grid.
 """
 
 import json
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from scipy.linalg import schur
 
@@ -164,3 +166,58 @@ def reference_propagate_exact(initials, identities, tau, M, b):
         w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)
         v = _matvec(Q[:, None, None], _matvec(F[:, None], w[:, :, None]))
     return vinf[..., None] + v.transpose(0, 1, 3, 2)
+
+
+def mp_drive(params):
+    """The reduced drive g = i exp(i phi/2) sqrt(alpha/2) in mpmath, at the
+    working precision."""
+    phi, alpha = mpmath.mpf(params.phi), mpmath.mpf(params.alpha)
+    return 1j * mpmath.exp(1j * phi / 2) * mpmath.sqrt(alpha / 2)
+
+
+def unscaled_system(params, g):
+    """The physical Bloch system d/dtau (s-, s+, s_z) = M v + b, built from
+    the equations of motion and not from ``bloch_matrix``; nested lists."""
+    d, z = params.delta, params.zeta
+    M = [[1j * d - z, 0, -g],
+         [0, -1j * d - z, -g.conjugate()],
+         [2 * g.conjugate(), 2 * g, -2]]
+    return M, [0, 0, -2]
+
+
+def mp_output_g2(tau, params, beta):
+    """40-digit reference for the g2 of ``output_correlators``.
+
+    The unscaled regression system, solved in mpmath: the stationary state
+    by LU, each delay through ``mpmath.expm``, and the field amplitude
+    kappa = d/(t0*alpha_in) in place of its scaled form. The initial vectors
+    are the sandwiched operators (sigma_-, sigma_+, sigma_z) * sigma_- and
+    sigma_+ * (sigma_-, sigma_+, sigma_z) * sigma_-.
+    """
+    with mpmath.workdps(40):
+        g = mp_drive(params)
+        M, b = unscaled_system(params, g)
+        M, b = mpmath.matrix(M), mpmath.matrix(b)
+        s_minus, _, s_z = mpmath.lu_solve(M, -b)
+        n = (1 + s_z.real) / 2
+        # (components, identity) of u = (1, sigma_-) and v = (sigma_+, sigma_-)
+        u0, u_id = mpmath.matrix([0, n, -s_minus]), s_minus
+        v0, v_id = mpmath.matrix([0, 0, -n]), n
+        u_inf = mpmath.lu_solve(M, -b * u_id)
+        v_inf = mpmath.lu_solve(M, -b * v_id)
+        t0 = mpmath.cos(params.phi)
+        kap = (1j * mpmath.exp(1j * mpmath.mpf(params.phi) / 2) * beta
+               * mpmath.sqrt(2 / mpmath.mpf(params.alpha)) / t0)
+        k2 = abs(kap) ** 2
+        g1 = 1 + 2 * (kap * s_minus).real + k2 * n
+        out = []
+        for t in tau:
+            E = mpmath.expm(M * mpmath.mpf(t))
+            um, up, uz = u_inf + E * (u0 - u_inf)
+            vm, _, vz = v_inf + E * (v0 - v_inf)
+            G = (1 + 4 * (kap * s_minus).real + 2 * k2 * n
+                 + 2 * (kap**2 * um).real + 2 * k2 * up.real
+                 + 2 * k2 * (kap * (u_id + uz) / 2).real
+                 + 2 * k2 * (kap * vm).real + k2**2 * ((v_id + vz) / 2).real)
+            out.append(float(G / g1**2))
+    return np.array(out)

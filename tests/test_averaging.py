@@ -204,6 +204,33 @@ class TestG2Curves:
             scale = np.abs(want[..., 1:]).max(axis=tuple(range(want.ndim - 1)))
             assert np.all(err[..., 1:] <= 1e-12 * scale)
 
+    # single requests: detunings scalar, 1-d and 2-d; delays scalar,
+    # negative, repeated, empty and 2-d
+    DETUNINGS = (3.0, np.linspace(-20.0, 20.0, 5), np.linspace(-20.0, 20.0, 6).reshape(2, 3))
+    DELAYS = (5.0, -40.0, np.array([5.0, -5.0, 5.0, 0.0, 100.0]), np.array([]),
+              np.array([[0.0, -12.5, 300.0], [12.5, 12.5, -600.0]]))
+
+    @pytest.mark.parametrize("jac", [False, True])
+    @pytest.mark.parametrize("p", [REF, REF.replace(sigma_wander=0.0),
+                                   REF.replace(detector_resp=0.0)],
+                             ids=["ref", "one-node", "ideal-detector"])
+    def test_single_requests_are_one_call_each(self, p, jac):
+        m = ModelCurves(p, jac=jac)
+        calls = []
+        g2_curves = m.g2_curves
+
+        def counted(requests):
+            calls.append(len(requests))
+            return g2_curves(requests)
+        m.g2_curves = counted
+        for det in self.DETUNINGS:
+            got = [m.g2zero(det)] + [m.g2_trace(det, tau) for tau in self.DELAYS]
+            for curve, tau in zip(got, (0.0,) + self.DELAYS):
+                assert np.array_equal(curve, g2_curves([(det, tau)])[0])
+                # a 0-d curve is a Python float, as transmission gives it
+                assert np.ndim(curve) > 0 or type(curve) is float
+        assert calls == [1] * (len(self.DELAYS) + 1) * len(self.DETUNINGS)
+
     def test_narrow_width_no_farther_from_the_reference(self, monkeypatch):
         # at sigma_wander 0.2 ueV (sigma ~ 0.076) a g2(0) call of its own
         # takes the step of tau = 0, and its rounding and aliasing near the
@@ -694,6 +721,15 @@ class TestModelCurves:
     def test_overflowing_dephasing_g2zero_is_a_typed_error(self):
         with pytest.raises(ValueError, match="zeta"):
             ModelCurves(PhysicalParams(dephasing_time=1e-300)).g2zero([0.0])
+
+    def test_dephasing_time_past_its_square_is_no_dephasing(self):
+        # T2^2 overflows beyond about 1.3e154 ps; at 1e200 ps zeta rounds to
+        # 1 and the T2 partial -2L/T2^2 dzeta underflows to 0, as at T2 = inf
+        det, tau = np.linspace(-20.0, 20.0, 5), np.array([0.0, 100.0])
+        far, inf = (ModelCurves(REF.replace(dephasing_time=t), jac=True)
+                    for t in (1e200, math.inf))
+        assert np.array_equal(far.transmission(det), inf.transmission(det))
+        assert np.array_equal(far.g2_trace(det, tau), inf.g2_trace(det, tau))
 
     def test_finite_at_the_rate_collision(self):
         # dephasing_time = 250 ps with the default 125 ps lifetime is zeta = 2;

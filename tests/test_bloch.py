@@ -1,8 +1,10 @@
 import contextlib
 import io
 import itertools
+import json
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, schur
 
-from analytic import g1_ideal, reference_propagate_exact
+from analytic import (g1_ideal, mp_drive, mp_output_g2, reference_propagate_exact,
+                      unscaled_system)
 import fanostat.bloch
 import fanostat.correlators
 from fanostat import (DimensionlessParams, bloch_matrix, g1_general,
@@ -22,6 +25,7 @@ from fanostat.correlators import detected_decay
 from fanostat.cli import G1_DRIVE, main, oracle_check
 
 PHI15 = phi_from_t0(math.sqrt(0.15))
+MPMATH_G2 = Path(__file__).with_name("mpmath_g2_reference.json")
 
 
 def dp(delta=0.0, zeta=1.0, alpha=1e-3, phi=PHI15, sigma=0.0, t_resp=0.0):
@@ -61,63 +65,9 @@ def g2_at(tau, params, beta):
                               params.phi, beta)[1][0]
 
 
-def mp_drive(params):
-    """``drive`` in mpmath at the working precision."""
-    phi, alpha = mpmath.mpf(params.phi), mpmath.mpf(params.alpha)
-    return 1j * mpmath.exp(1j * phi / 2) * mpmath.sqrt(alpha / 2)
-
-
-def unscaled_system(params, g):
-    """The physical Bloch system d/dtau (s-, s+, s_z) = M v + b, built from
-    the equations of motion and not from ``bloch_matrix``; nested lists."""
-    d, z = params.delta, params.zeta
-    M = [[1j * d - z, 0, -g],
-         [0, -1j * d - z, -g.conjugate()],
-         [2 * g.conjugate(), 2 * g, -2]]
-    return M, [0, 0, -2]
-
-
 def to_scaled(v, g):
     """Physical averages (s-, s+, s_z) as the scaled (x, y, m)."""
     return [v[0] / g, v[1] / g.conjugate(), (1 + v[2]) / 2 / abs(g) ** 2]
-
-
-def mp_output_g2(tau, params, beta):
-    """40-digit reference for the g2 of ``output_correlators``.
-
-    The unscaled regression system, solved in mpmath: the stationary state
-    by LU, each delay through ``mpmath.expm``, and the field amplitude
-    kappa = d/(t0*alpha_in) in place of its scaled form. The initial vectors
-    are the sandwiched operators (sigma_-, sigma_+, sigma_z) * sigma_- and
-    sigma_+ * (sigma_-, sigma_+, sigma_z) * sigma_-.
-    """
-    with mpmath.workdps(40):
-        g = mp_drive(params)
-        M, b = unscaled_system(params, g)
-        M, b = mpmath.matrix(M), mpmath.matrix(b)
-        s_minus, _, s_z = mpmath.lu_solve(M, -b)
-        n = (1 + s_z.real) / 2
-        # (components, identity) of u = (1, sigma_-) and v = (sigma_+, sigma_-)
-        u0, u_id = mpmath.matrix([0, n, -s_minus]), s_minus
-        v0, v_id = mpmath.matrix([0, 0, -n]), n
-        u_inf = mpmath.lu_solve(M, -b * u_id)
-        v_inf = mpmath.lu_solve(M, -b * v_id)
-        t0 = mpmath.cos(params.phi)
-        kap = (1j * mpmath.exp(1j * mpmath.mpf(params.phi) / 2) * beta
-               * mpmath.sqrt(2 / mpmath.mpf(params.alpha)) / t0)
-        k2 = abs(kap) ** 2
-        g1 = 1 + 2 * (kap * s_minus).real + k2 * n
-        out = []
-        for t in tau:
-            E = mpmath.expm(M * mpmath.mpf(t))
-            um, up, uz = u_inf + E * (u0 - u_inf)
-            vm, _, vz = v_inf + E * (v0 - v_inf)
-            G = (1 + 4 * (kap * s_minus).real + 2 * k2 * n
-                 + 2 * (kap**2 * um).real + 2 * k2 * up.real
-                 + 2 * k2 * (kap * (u_id + uz) / 2).real
-                 + 2 * k2 * (kap * vm).real + k2**2 * ((v_id + vz) / 2).real)
-            out.append(float(G / g1**2))
-    return np.array(out)
 
 
 def mp_propagate(v0, tau, params):
@@ -303,17 +253,21 @@ class TestPropagateExact:
 
     def test_g2_matches_mpmath_reference(self):
         # the reference runs the unscaled system, so this also checks the
-        # scaling of the basis and of the field amplitude
+        # scaling of the basis and of the field amplitude; its values are
+        # stored by tests/mpmath_g2_reference.py
+        ref = json.loads(MPMATH_G2.read_text())
         tau = np.linspace(0, 8, 17)
-        worst = 0.0
-        for T0 in (0.15, 1.0):
-            phi = phi_from_t0(math.sqrt(T0))
-            for delta in (-6.0, -1.0, 0.0, 2.0):
-                for zeta in (1.0, 1.2):
-                    params = dp(delta=delta, zeta=zeta, phi=phi, alpha=1e-3)
-                    got = g2_at(tau, params, 0.9)
-                    worst = max(worst, scaled_error(got, mp_output_g2(tau, params, 0.9)))
+        points = [dp(delta=delta, zeta=zeta, phi=phi_from_t0(math.sqrt(T0)), alpha=1e-3)
+                  for T0 in (0.15, 1.0) for delta in (-6.0, -1.0, 0.0, 2.0)
+                  for zeta in (1.0, 1.2)]
+        assert ref["beta"] == 0.9 and ref["tau"] == tau.tolist()
+        assert ref["points"] == [{"delta": p.delta, "zeta": p.zeta, "phi": p.phi,
+                                  "alpha": p.alpha} for p in points]
+        worst = max(scaled_error(g2_at(tau, p, 0.9), np.array(want))
+                    for p, want in zip(points, ref["g2"]))
         assert worst < 1e-9
+        # the stored values are mp_output_g2's: one point computed live
+        assert mp_output_g2(tau, points[3], 0.9).tolist() == ref["g2"][3]
 
     @pytest.mark.parametrize("params", [
         dp(delta=0.0, zeta=1.0, alpha=0.125, phi=0.0),   # two eigenvalues -1.5

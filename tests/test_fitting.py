@@ -239,6 +239,15 @@ class TestFitFullModel:
         with pytest.raises(ValueError, match="bounds"):
             fit_full_model(data, REF.replace(sigma_wander=0.01))
 
+    def test_start_past_the_square_of_dephasing_time(self):
+        # T2^2 overflows beyond about 1.3e154 ps, where the T2 partial
+        # underflows to 0: the fit runs from there to a finite optimum
+        data = synthetic_data(noise=0.0, histograms=False)
+        result = fit_full_model(data, REF.replace(dephasing_time=1e200),
+                                bounds={"dephasing_time": (100.0, 1e300)})
+        assert result.converged
+        assert np.isfinite(result.objective)
+
     def test_bad_options_rejected(self):
         # a misspelt bounds key or a weight that excludes every g2 residual
         # must not be dropped silently

@@ -483,6 +483,16 @@ class TestCLI:
         assert "drive_amp" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("drive", ["1e154", "1e200"])
+    def test_huge_drive_exit_code(self, tmp_path, capsys, drive):
+        # drive_amp^2 overflows at 1e200, alpha at 1e154: both name drive_amp
+        code = main(["scan", "--mode", "transmission", "--grid=-40:40:3",
+                     "--set", f"drive_amp={drive}", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "drive_amp" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("setting,field", [("t0=1", "t0"), ("beta=1", "beta"),
                                                ("sigma_wander=0", "sigma_wander"),
                                                ("beta=0", "beta")])

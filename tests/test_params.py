@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from analytic import g2_coefficients, scattering_matrix
-from fanostat import (HBAR_UEV_PS, DimensionlessParams, PhysicalParams, avg_g1,
-                      avg_g2, detuning_to_delta, g1_general, g2_tau_general,
+from fanostat import (HBAR_UEV_PS, DimensionlessParams, ModelCurves, PhysicalParams,
+                      avg_g1, avg_g2, detuning_to_delta, g1_general, g2_tau_general,
                       g2_tau_parts, g2zero_ideal, hbar_gamma,
                       output_correlators, output_g1, phi_from_t0,
                       tau_to_dimensionless, to_dimensionless)
@@ -119,6 +119,22 @@ class TestPhysicalParamsValidation:
     def test_mapping_roundtrip(self):
         p = PhysicalParams(beta=0.5)
         assert PhysicalParams.from_mapping(p.to_mapping()) == p
+
+    def test_replace_checks_as_the_constructor_does(self):
+        assert REF.replace(beta=0.5) == PhysicalParams(beta=0.5)
+        with pytest.raises(ValueError, match="beta"):
+            REF.replace(beta=1.2)
+        with pytest.raises(TypeError):
+            REF.replace(lifetme=125.0)
+
+    @pytest.mark.parametrize("drive", [1e154, 1e200, -1e200])
+    def test_huge_drive_is_named(self, drive):
+        # drive_amp^2 overflows beyond about 1.3e154; at 1e154 alpha does
+        p = PhysicalParams(drive_amp=drive)
+        with pytest.raises(ValueError, match="drive_amp"):
+            to_dimensionless(p, 0.0)
+        with pytest.raises(ValueError, match="drive_amp"):
+            ModelCurves(p)
 
 
 class TestDimensionlessParamsValidation:
