@@ -52,6 +52,10 @@ numbers. The emitter field relative to the background, kappa*sigma_- with
 kappa = d/(t0*alpha_in), becomes c*x with c = kappa*g = -exp(i*phi)*beta/t0,
 free of alpha. The regression initial conditions are constants of this basis,
 since sigma_- sigma_- = 0, sigma_+ sigma_- = n and n sigma_- = 0.
+
+``scipy.linalg`` is imported by the first Schur form, through the
+module-level :func:`schur`, which is the name that tests patch; a scan never
+loads it.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import schur
 
 from .params import check_reduced
 
@@ -193,6 +196,12 @@ def _matvec(A, x):
     """A @ x over the last axes as elementwise products summed in a fixed
     order, so each vector of a batch is computed as it would be alone."""
     return A[..., 0] * x[..., :1] + A[..., 1] * x[..., 1:2] + A[..., 2] * x[..., 2:]
+
+
+def schur(*args, **kwargs):
+    """:func:`scipy.linalg.schur`, imported on the first call."""
+    from scipy.linalg import schur
+    return schur(*args, **kwargs)
 
 
 def propagate_exact(initials, identities, tau, M, b):

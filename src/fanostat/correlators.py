@@ -332,11 +332,17 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
 
     # along the coefficient arguments: the node sums of dg1^2 and dA, and
     # per delay those of Re[dK D]; then Re[K dD/da], Re[K dD/dt] and
-    # Re[K dD/ds]
+    # Re[K dD/ds]. Each (nodes x delays) term is contracted as it is formed,
+    # so that at a fit's sizes (58 x 49, 45 KB a term) every temporary stays
+    # under glibc's 128 KB mmap threshold, whatever earlier allocations
+    # raised or left it. Stacked, the six came to 273 KB, and 136 KB more
+    # for the copy of their real part: mapped and unmapped on each
+    # evaluation unless an import had happened to raise the threshold.
     n = dK.shape[-1]
     dg1sq_sum, dA_sum = node_sum(np.moveaxis(np.stack([dg1sq, dA]), -1, 1))
-    terms = node_sum(np.stack([dK[..., i] * osc for i in range(n)]
-                              + [K_osc_a, K * osc_t, K * osc_s]).real)
+    terms = [node_sum((dK[..., i] * osc).real) for i in range(n)]
+    terms += [node_sum(K_osc_a.real), node_sum((K * osc_t).real),
+              node_sum((K * osc_s).real)]
     dnum = [dg1sq_sum[i] + dA_sum[i] * decay + terms[i] for i in range(n)]
     A = node_sum(A)     # summed over the nodes
     dnum[n - 3] = dnum[n - 3] + terms[n]        # zeta

@@ -20,6 +20,10 @@ Pereyra, 2003). Rows of non-finite residuals are zeroed like the residuals.
 Every g2 curve of an evaluation, g2(0) and the histograms on each of their
 delay grids, comes from one :meth:`~fanostat.averaging.ModelCurves.g2_curves`
 call, which averages them on one shared lattice.
+
+``scipy.optimize`` is imported by the first solver call, through the
+module-level :func:`least_squares`, which is the name that tests and the
+benchmark's tracer patch; a scan never loads the optimizer.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .averaging import FIT_FIELDS, ModelCurves
 from .params import PhysicalParams, to_dimensionless
@@ -114,6 +117,17 @@ class MeasurementSet:
 
 # ---------------------------------------------------------------------------
 # full model fit
+
+
+# the open range of each fitted field that pack_params maps to a real number
+PACKING_RANGE = {
+    "omega0": (-math.inf, math.inf),
+    "lifetime": (0.0, math.inf),
+    "dephasing_time": (0.0, math.inf),
+    "sigma_wander": (0.0, math.inf),
+    "t0": (0.0, 1.0),
+    "beta": (0.0, 1.0),
+}
 
 
 def _logit(x):
@@ -271,6 +285,12 @@ MULTISTART_T0 = (0.3, 0.5, 0.7, 0.9)
 MULTISTART_SIGMA = (2.0, 5.0, 10.0)
 
 
+def least_squares(*args, **kwargs):
+    """:func:`scipy.optimize.least_squares`, imported on the first call."""
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
+
+
 def _single_fit(obj: _Objective, x0, lo, hi):
     # the solver asks for the Jacobian at the point it has just evaluated,
     # so each evaluation computes both and keeps the Jacobian for that call
@@ -305,7 +325,9 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
         (detector response, drive amplitude).
     bounds : dict, optional
         Per-field (low, high) in physical units; merged over defaults. A key
-        that is not a fitted field raises ``ValueError``.
+        that is not a fitted field raises ``ValueError``, and so does, naming
+        its field, a bound or start outside ``PACKING_RANGE`` or a pair of
+        bounds that packs to no finite range of positive width.
     multi_start : bool
         Additionally start from the coarse (t0, sigma) grid and keep the
         best result. Useful against lineshape-asymmetry local minima.
@@ -329,7 +351,16 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
         if not low <= value <= high:
             raise ValueError(f"initial {name} = {value:g} lies outside the "
                              f"fit bounds [{low:g}, {high:g}]")
+        a, b = PACKING_RANGE[name]      # the start lies between the bounds
+        for what, v in (("lower bound", low), ("upper bound", high)):
+            if not a < v < b:
+                raise ValueError(f"{what} {name} = {v!r} lies outside the range "
+                                 f"({a:g}, {b:g}) that the fit packing takes")
     lo, hi = _transformed_bounds(bnds)
+    for name, a, b in zip(FIT_FIELDS, lo, hi):
+        if not -math.inf < a < b < math.inf:
+            raise ValueError(f"fit bounds {name} = {bnds[name]!r} pack to "
+                             f"[{a:g}, {b:g}], not a finite range of positive width")
     x_init = pack_params(initial)
 
     obj = _Objective(data, initial, g2_weight)

@@ -45,8 +45,9 @@ class DataFormatError(Exception):
 
 
 def read_config(path) -> dict:
-    """Parse a flat key-value config file into a dict of floats."""
-    out = {}
+    """Parse a flat key-value config file into a dict of floats. A key set
+    twice raises, naming both lines, rather than keeping one value silently."""
+    out, lines = {}, {}
     path = Path(path)
     if not path.exists():
         raise DataFormatError("config file not found", path)
@@ -58,6 +59,10 @@ def read_config(path) -> dict:
             raise DataFormatError(f"expected 'key = value', got {line!r}", path, ln)
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in lines:
+            raise DataFormatError(f"key {key!r} repeats the one on line {lines[key]}",
+                                  path, ln)
+        lines[key] = ln
         try:
             out[key] = float(value.strip())
         except ValueError as err:

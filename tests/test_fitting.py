@@ -239,6 +239,24 @@ class TestFitFullModel:
         with pytest.raises(ValueError, match="bounds"):
             fit_full_model(data, REF.replace(sigma_wander=0.01))
 
+    @pytest.mark.parametrize("name,low,high,message", [
+        ("dephasing_time", 100.0, float("inf"), r"upper bound dephasing_time = inf .*\(0, inf\)"),
+        ("sigma_wander", 0.0, 50.0, r"lower bound sigma_wander = 0\.0 .*\(0, inf\)"),
+        ("t0", 0.02, 1.0, r"upper bound t0 = 1\.0 .*\(0, 1\)"),
+        ("beta", 0.05, 1.0, r"upper bound beta = 1\.0 .*\(0, 1\)"),
+        ("omega0", 0.0, 0.0, r"bounds omega0 = \(0\.0, 0\.0\) pack to \[0, 0\]"),
+        ("lifetime", 5e-324, 2000.0, r"bounds lifetime = .* pack to \[-7\.6\d*, inf\]")])
+    def test_bounds_outside_the_packing_name_the_field(self, monkeypatch, name, low,
+                                                      high, message):
+        # every value is a valid PhysicalParams field, but the packing maps it
+        # to no finite coordinate, or the pair to an empty range
+        def solver(*args, **kwargs):
+            raise AssertionError("the solver was called")
+        monkeypatch.setattr(fitting, "least_squares", solver)
+        data = synthetic_data(noise=0.0, histograms=False, n_trans=5, n_g2=3)
+        with pytest.raises(ValueError, match=message):
+            fit_full_model(data, REF, bounds={name: (low, high)})
+
     def test_start_past_the_square_of_dephasing_time(self):
         # T2^2 overflows beyond about 1.3e154 ps, where the T2 partial
         # underflows to 0: the fit runs from there to a finite optimum

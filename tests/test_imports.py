@@ -6,9 +6,17 @@ of ``src/`` and ``tests/`` (package ``__init__`` files re-export by design
 and are skipped) fails on any such name. A module-level ``_name`` in
 ``src/fanostat`` that no code of ``src/`` refers to outside its own
 definition is dead, or lives for the tests only; that scan fails on it.
+
+The optimizer and the dense linear algebra of scipy load on first use: a
+fresh interpreter checks which of them a scan, an oracle check and a fit
+each leave in ``sys.modules``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +93,40 @@ def test_scan_finds_a_dead_helper():
 def test_no_dead_private_helpers():
     dead = dead_private_helpers({p.name: p.read_text() for p in PACKAGE})
     assert not dead, ", ".join(f"{module}: {name}" for module, name in dead)
+
+
+IMPORT_GRAPH = """
+import json, sys
+import numpy as np
+from fanostat import cli
+from fanostat.averaging import ModelCurves
+from fanostat.fitting import MeasurementSet, fit_full_model
+from fanostat.params import PhysicalParams
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+
+out = {}
+for mode, extra in (("transmission", []), ("g2trace", ["--detuning", "9"])):
+    assert cli.main(["scan", "--mode", mode, "--grid=-40:40:5", *extra,
+                     "--out", f"{sys.argv[1]}/{mode}.csv"]) == 0
+out["scan"] = loaded()
+cli.oracle_check(deltas=(1.0,), t0s=(0.5,), zetas=(1.0,), betas=(0.9,), tau_points=3)
+out["oracle"] = loaded()
+det = np.linspace(-20.0, 20.0, 7)
+trans = ModelCurves(PhysicalParams()).transmission(det)
+data = MeasurementSet(transmission=np.column_stack([det, trans, np.full(7, 0.03)]))
+fit_full_model(data, PhysicalParams(t0=0.6))
+out["fit"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_scipy_subpackages_load_on_first_use(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["scan"] == []
+    assert loaded["oracle"] == ["scipy.linalg"]
+    assert "scipy.optimize" in loaded["fit"]

@@ -61,6 +61,19 @@ class TestConfig:
         params = params_from_config(cfg, {"t0": 0.5})
         assert params.t0 == 0.5
 
+    def test_repeated_key_is_refused(self, tmp_path, capsys):
+        # one of the two values would be dropped silently; --set still overrides
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("lifetime = 125\nt0 = 0.62\nlifetime = 200\n")
+        with pytest.raises(DataFormatError, match=r"twice.cfg:3: key 'lifetime' .* line 1"):
+            read_config(cfg)
+        code = main(["scan", "--mode", "transmission", "--grid=-40:40:3",
+                     "--config", str(cfg), "--set", "lifetime=150",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3 and "lifetime" in capsys.readouterr().err
+        cfg.write_text("lifetime = 125\nt0 = 0.62\n")
+        assert params_from_config(cfg, {"lifetime": 200.0}).lifetime == 200.0
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="not found"):
             read_config(tmp_path / "nope.cfg")
