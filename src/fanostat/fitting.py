@@ -326,8 +326,8 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
     bounds : dict, optional
         Per-field (low, high) in physical units; merged over defaults. A key
         that is not a fitted field raises ``ValueError``, and so does, naming
-        its field, a bound or start outside ``PACKING_RANGE`` or a pair of
-        bounds that packs to no finite range of positive width.
+        its field, a bound outside ``PACKING_RANGE`` or a pair of bounds that
+        packs to no finite range of positive width.
     multi_start : bool
         Additionally start from the coarse (t0, sigma) grid and keep the
         best result. Useful against lineshape-asymmetry local minima.
