@@ -4,10 +4,9 @@ independent Bloch-equation solver, and parameter fitting."""
 
 __version__ = "0.1.0"
 
-from .params import (HBAR_UEV_PS, DimensionlessParams, FPBackground,
-                     PhysicalParams, detuning_to_delta, fp_background,
-                     hbar_gamma, phi_from_t0, tau_to_dimensionless,
-                     to_dimensionless)
+from .params import (HBAR_UEV_PS, FPBackground, PhysicalParams,
+                     detuning_to_delta, fp_background, hbar_gamma,
+                     phi_from_t0, tau_to_dimensionless)
 from .correlators import (CorrelatorDecomposition, g1_general, g2_tau_general,
                           g2_tau_parts, g2zero_ideal)
 from .averaging import ModelCurves, avg_g1, avg_g2

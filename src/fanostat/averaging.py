@@ -80,13 +80,15 @@ averages' in delta, sigma and zeta from w'.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import wofz
 
 from .correlators import (_g1_formula, _g1_residue, _g2_sums, _pole_coefficients,
                           _residue_delays, complex_step, g1_general)
 from .params import (HBAR_UEV_PS, PhysicalParams, check_reduced, detuning_to_delta,
-                     tau_to_dimensionless, to_dimensionless)
+                     phi_from_t0, tau_to_dimensionless)
 
 # the physical fields the model curves are differentiated in, in this order
 FIT_FIELDS = ("omega0", "lifetime", "dephasing_time", "sigma_wander", "t0", "beta")
@@ -161,7 +163,7 @@ def _blocks(delta, step, sigma, n_tau):
     most = 2.0 * TAIL * sigma / step + 1.0    # nodes per window
     if 2.0 * most > MAX_EVALUATIONS:
         raise ValueError(
-            f"the wandering average needs {int(most)} nodes per detuning, over the "
+            f"the wandering average needs {most:.3g} nodes per detuning, over the "
             f"budget of {MAX_EVALUATIONS} node evaluations: sigma (tau_max + "
             f"6 t_resp) must stay below about "
             f"{np.pi * (MAX_EVALUATIONS - 2.0) / (2.0 * TAIL) - ALIAS:.3g} "
@@ -404,28 +406,47 @@ class ModelCurves:
     Transmission is normalized to the bare background; g2 curves are
     normalized to their long-delay value (unity by construction).
 
+    The reduction of ``p`` is made here once, with L the lifetime and hbar
+    = HBAR_UEV_PS: the dephasing measure ``zeta`` = 1 + 2L/dephasing_time
+    (1 + 2 gamma_de/gamma), the drive intensity ``alpha`` = 4 beta
+    drive_amp^2 L, the background phase ``phi`` with cos(phi) = t0, and the
+    widths ``sigma`` = 2L sigma_wander/hbar, in detuning units hbar gamma/2,
+    and ``t_resp`` = detector_resp/(2L), in time units 2/gamma. Each laser
+    energy E becomes delta = 2L(E - omega0)/hbar (:meth:`delta`), each delay
+    tau/(2L). A reduced field out of its domain, overflow included, raises
+    ``ValueError`` naming it (``drive_amp`` where alpha overflows).
+
     Both widths are those of ``p``: ``detector_resp = 0`` means an ideal
     detector, and ``sigma_wander = detector_resp = 0`` gives the bare closed
-    forms. The drive enters the transmission through the reduced intensity
-    ``alpha``. Every g2 curve comes from :meth:`g2_curves`, which refuses a
-    finite drive: the g2 closed form is weak-pump only.
+    forms. The drive enters the transmission through ``alpha``. Every g2
+    curve comes from :meth:`g2_curves`, which refuses a finite drive: the g2
+    closed form is weak-pump only.
 
     With ``jac``, every curve also carries its partials with respect to
     :data:`FIT_FIELDS`: the result gains a last axis of length 7 holding the
     value and then the six partials. Without ``jac`` the curves do no
-    derivative work.
+    derivative work. The t0 partial diverges at t0 = 1, where ``jac``
+    raises ``ValueError``.
     """
 
     def __init__(self, p: PhysicalParams, jac: bool = False):
-        self.params = p
-        d = to_dimensionless(p, p.omega0)
-        self.zeta = d.zeta
-        self.phi = d.phi
-        self.alpha = d.alpha
-        self.sigma = d.sigma
-        self.t_resp = d.t_resp
-        self.beta = p.beta
-        self.jac = jac
+        try:
+            finite = math.isfinite(4.0 * p.drive_amp**2 * p.lifetime)
+        except OverflowError:       # drive_amp^2 itself
+            finite = False
+        if not finite:
+            raise ValueError(f"drive_amp = {p.drive_amp!r} is too large: alpha overflows")
+        self.params, self.beta, self.jac = p, p.beta, jac
+        self.zeta = 1.0 + 2.0 * p.lifetime / p.dephasing_time
+        self.alpha = 4.0 * p.beta * p.drive_amp**2 * p.lifetime
+        self.phi = phi_from_t0(p.t0)
+        self.sigma = float(detuning_to_delta(p.sigma_wander, p.lifetime))
+        self.t_resp = float(tau_to_dimensionless(p.detector_resp, p.lifetime))
+        check_reduced(self.zeta, phi=self.phi, alpha=self.alpha, sigma=self.sigma,
+                      t_resp=self.t_resp)
+        if jac and p.t0 == 1.0:
+            raise ValueError("t0 = 1 has no partial: dphi/dt0 = 1/sqrt(1 - t0^2) "
+                             "diverges; build the curves without jac")
 
     def delta(self, detuning_uev):
         """Reduced detunings of the laser energies ``detuning_uev`` (ueV,
@@ -436,12 +457,9 @@ class ModelCurves:
     def _with_fields(self, value, delta, d_delta, d_zeta, d_beta, d_phi,
                      d_sigma, d_alpha=0.0, tau=0.0, d_tau=0.0, d_tresp=0.0):
         """The value followed by its partials along FIT_FIELDS, from those
-        in the reduced quantities.
-
-        With L the lifetime: delta = 2L(E - omega0)/hbar, sigma =
-        2L sigma_wander/hbar and alpha = 4 beta drive^2 L grow with L;
-        tau = tau_ps/(2L) and t_resp = detector_resp/(2L) shrink with it;
-        zeta = 1 + 2L/dephasing_time; dphi/dt0 = 1/sqrt(1 - t0^2).
+        in the reduced quantities, by the chain rule through the reduction
+        of the class docstring: delta, sigma and alpha grow like L, tau and
+        t_resp shrink like 1/L, and dphi/dt0 = 1/sqrt(1 - t0^2).
         """
         p = self.params
         L, T2 = p.lifetime, p.dephasing_time

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import FIT_FIELDS, ModelCurves
-from .params import PhysicalParams, to_dimensionless
+from .params import PhysicalParams
 
 DEFAULT_BOUNDS = {
     "omega0": (-20.0, 20.0),
@@ -431,7 +431,7 @@ def fit_report(result: FitResult, data: MeasurementSet) -> dict:
 
     Residual counts and rms cover finite residuals only (strict JSON)."""
     p = result.params
-    d = to_dimensionless(p, p.omega0)
+    d = ModelCurves(p)
     return {
         "parameters": p.to_mapping(),
         "parameter_stderr": result.stderr,

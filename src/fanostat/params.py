@@ -9,10 +9,11 @@ Conventions used throughout the package:
 * transition frequencies quoted in THz are ordinary frequencies (E = h*nu)
 
 :func:`check_reduced` is the one check of the reduced quantities. The
-model entries call it on entry: :class:`DimensionlessParams`, the closed
-forms of :mod:`fanostat.correlators`, ``avg_g1`` and ``avg_g2`` of
-:mod:`fanostat.averaging` and the oracle of :mod:`fanostat.bloch`; the
-helpers below them do not check again.
+model entries call it on entry: ``ModelCurves``, which makes the one
+reduction of a :class:`PhysicalParams`, and ``avg_g1`` and ``avg_g2`` of
+:mod:`fanostat.averaging`, the closed forms of :mod:`fanostat.correlators`
+and the oracle of :mod:`fanostat.bloch`; the helpers below them do not
+check again.
 """
 
 from __future__ import annotations
@@ -58,15 +59,18 @@ def detuning_to_delta(detuning_uev, lifetime_ps):
     """Dimensionless detuning from a laser-transition detuning in ueV.
 
     Also reduces spectral widths; with :func:`tau_to_dimensionless` it is the
-    one unit reduction behind :func:`to_dimensionless` and the model curves.
+    one unit reduction behind the model curves. Both overflow to inf
+    silently: :func:`check_reduced` names the reduced quantity that does.
     """
-    return 2.0 * np.asarray(detuning_uev, dtype=float) / hbar_gamma(lifetime_ps)
+    with np.errstate(over="ignore"):
+        return 2.0 * np.asarray(detuning_uev, dtype=float) / hbar_gamma(lifetime_ps)
 
 
 def tau_to_dimensionless(tau_ps, lifetime_ps):
     """Dimensionless delay tau*gamma/2 from a delay in ps."""
     _check_lifetime(lifetime_ps)
-    return np.asarray(tau_ps, dtype=float) / (2.0 * lifetime_ps)
+    with np.errstate(over="ignore"):
+        return np.asarray(tau_ps, dtype=float) / (2.0 * lifetime_ps)
 
 
 @dataclass(frozen=True)
@@ -140,30 +144,6 @@ class PhysicalParams:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Reduced quantities consumed by the correlator formulas.
-
-    ``delta`` is the detuning in units of hbar*gamma/2, ``zeta`` the
-    dephasing measure ``1 + 2*gamma_de/gamma``, ``alpha`` the reduced drive
-    intensity ``4*beta*|drive|^2/gamma``, ``phi`` the background phase, with
-    cos(phi) = t0 (the bare intensity transmission is cos(phi)^2), ``sigma``
-    the wandering width and ``t_resp`` the detector width, both in delta /
-    tau_t units.
-    """
-
-    delta: float
-    zeta: float
-    alpha: float
-    phi: float
-    sigma: float
-    t_resp: float
-
-    def __post_init__(self):
-        check_reduced(self.zeta, phi=self.phi, alpha=self.alpha, sigma=self.sigma,
-                      t_resp=self.t_resp, delta=self.delta)
-
-
 def check_reduced(zeta=1.0, beta=0.0, phi=0.0, alpha=0.0, sigma=0.0, t_resp=0.0,
                   delta=None, tau=None):
     """Raise ``ValueError``, naming the first offender, unless every given
@@ -171,9 +151,12 @@ def check_reduced(zeta=1.0, beta=0.0, phi=0.0, alpha=0.0, sigma=0.0, t_resp=0.0,
     beta in [0, 1], phi in (-pi/2, 0], alpha, sigma and t_resp >= 0, sigma
     and the detunings ``delta`` at most REDUCED_MAX in size; ``tau`` holds
     the delays. The defaults are valid, so each caller passes what it takes.
-    ``beta`` and ``phi`` may also be arrays of background fields, which
-    broadcast against each other; each field is checked as a scalar call
-    checks it, and the first offender is named.
+    A unit reduction that overflowed arrives as inf and is named as any
+    other offender: ``ModelCurves`` checks its five reduced fields, and the
+    curves their detunings and delays. ``beta`` and ``phi`` may also be
+    arrays of background fields, which broadcast against each other; each
+    field is checked as a scalar call checks it, and the first offender is
+    named.
     """
     if isinstance(beta, np.ndarray) or isinstance(phi, np.ndarray):
         for b, p in zip(*(v.ravel().tolist() for v in np.broadcast_arrays(beta, phi))):
@@ -198,28 +181,6 @@ def check_reduced(zeta=1.0, beta=0.0, phi=0.0, alpha=0.0, sigma=0.0, t_resp=0.0,
                          f"got up to {float(np.max(np.abs(delta)))!r}")
     if tau is not None and not np.all(np.isfinite(tau)):
         raise ValueError("reduced delays tau must be finite")
-
-
-def to_dimensionless(p: PhysicalParams, laser_energy_uev) -> DimensionlessParams:
-    """Reduce dimensional parameters at a given laser energy.
-
-    The laser energy is measured from the same reference as ``p.omega0``.
-    Raises ``ValueError`` where 4 drive_amp^2 lifetime (alpha at beta = 1) overflows.
-    """
-    try:
-        finite = math.isfinite(4.0 * p.drive_amp**2 * p.lifetime)
-    except OverflowError:       # drive_amp^2 itself
-        finite = False
-    if not finite:
-        raise ValueError(f"drive_amp = {p.drive_amp!r} is too large: alpha overflows")
-    return DimensionlessParams(
-        delta=float(detuning_to_delta(laser_energy_uev - p.omega0, p.lifetime)),
-        zeta=1.0 + 2.0 * p.lifetime / p.dephasing_time,
-        alpha=4.0 * p.beta * p.drive_amp**2 * p.lifetime,
-        phi=phi_from_t0(p.t0),
-        sigma=float(detuning_to_delta(p.sigma_wander, p.lifetime)),
-        t_resp=float(tau_to_dimensionless(p.detector_resp, p.lifetime)),
-    )
 
 
 @dataclass(frozen=True)

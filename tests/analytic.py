@@ -7,8 +7,9 @@ is the series writer as it was before it formatted a column at a time: the
 bytes the program must still write. :func:`reference_propagate_exact` is
 the exact propagation as it was before it applied exp(T tau) by back
 substitution, through the full matrix: the values the program must still
-give. :func:`mp_output_g2` is the regression solver's g2 in 40-digit mpmath;
-``mpmath_g2_reference.py`` stores its values on one grid.
+give. :func:`mp_output_g2` is the regression solver's g2 in 40-digit mpmath
+at a :class:`ReducedPoint`; ``mpmath_g2_reference.py`` stores its values on
+one grid.
 """
 
 import json
@@ -166,6 +167,18 @@ def reference_propagate_exact(initials, identities, tau, M, b):
         w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)
         v = _matvec(Q[:, None, None], _matvec(F[:, None], w[:, :, None]))
     return vinf[..., None] + v.transpose(0, 1, 3, 2)
+
+
+@dataclass(frozen=True)
+class ReducedPoint:
+    """One point of the regression solver's tests, in the reduced units of
+    ``ModelCurves``: the detuning ``delta``, the dephasing measure ``zeta``,
+    the drive intensity ``alpha`` and the background phase ``phi``."""
+
+    delta: float
+    zeta: float
+    alpha: float
+    phi: float
 
 
 def mp_drive(params):

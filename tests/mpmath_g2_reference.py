@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from analytic import mp_output_g2
-from fanostat import DimensionlessParams, phi_from_t0
+from analytic import ReducedPoint, mp_output_g2
+from fanostat import phi_from_t0
 
 PATH = Path(__file__).with_name("mpmath_g2_reference.json")
 BETA = 0.9
@@ -28,8 +28,8 @@ BETA = 0.9
 
 def main():
     tau = np.linspace(0, 8, 17)
-    points = [DimensionlessParams(delta=delta, zeta=zeta, alpha=1e-3,
-                                  phi=phi_from_t0(math.sqrt(T0)), sigma=0.0, t_resp=0.0)
+    points = [ReducedPoint(delta=delta, zeta=zeta, alpha=1e-3,
+                           phi=phi_from_t0(math.sqrt(T0)))
               for T0 in (0.15, 1.0) for delta in (-6.0, -1.0, 0.0, 2.0)
               for zeta in (1.0, 1.2)]
     ref = {"beta": BETA, "tau": tau.tolist(),

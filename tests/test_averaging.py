@@ -85,6 +85,12 @@ class TestLattice:
         assert np.isfinite(wide.g2zero([0.0])).all()
         with pytest.raises(ValueError, match="budget"):
             wide.g2_trace([0.0], [1e4])
+        # a detector width of 1e300 ps asks for about 1e299 nodes: the count
+        # is given in three digits, not in all of them
+        huge = ModelCurves(REF.replace(detector_resp=1e300))
+        with pytest.raises(ValueError, match=r"needs \d\.\d\de\+299 nodes") as err:
+            huge.g2zero([0.0])
+        assert len(str(err.value)) < 250
 
 
 class TestWorkCounts:
@@ -828,6 +834,7 @@ def case(**changes):
 @example(**case(sigma_wander=1e-9), jac=True)
 @example(**case(t0=1.0, beta=1.0, dephasing_time=math.inf, sigma_wander=0.0),
          jac=False)                                                   # Fano zero
+@example(**case(t0=1.0), jac=True)                                    # dphi/dt0 = inf
 @example(**case(**FIT_CORNERS["lower"]), jac=True)
 @example(**case(**FIT_CORNERS["upper"]), jac=True)
 @example(**case(**FIT_CORNERS["dephased"]), jac=True)
@@ -839,7 +846,7 @@ def test_curves_finite_or_typed_error(omega0, lifetime, dephasing_time, beta, t0
     in_fit_bounds = all(lo <= getattr(p, k) <= hi for k, (lo, hi) in DEFAULT_BOUNDS.items())
     try:
         m = ModelCurves(p, jac=jac)
-    except ValueError:          # t0 = 0: phi = -pi/2 is singular
+    except ValueError:          # t0 = 0: phi = -pi/2 is singular; t0 = 1 with jac
         assert not in_fit_bounds
         return
     det = omega0 + np.array([-20.0, -9.0, 0.0, 9.0, 20.0])

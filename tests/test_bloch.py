@@ -13,13 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, schur
 
-from analytic import (g1_ideal, mp_drive, mp_output_g2, reference_propagate_exact,
-                      unscaled_system)
+from analytic import (ReducedPoint, g1_ideal, mp_drive, mp_output_g2,
+                      reference_propagate_exact, unscaled_system)
 import fanostat.bloch
 import fanostat.correlators
-from fanostat import (DimensionlessParams, bloch_matrix, g1_general,
-                      g2_tau_general, output_correlators, output_g1,
-                      phi_from_t0, propagate_exact, steady_state)
+from fanostat import (bloch_matrix, g1_general, g2_tau_general, output_correlators,
+                      output_g1, phi_from_t0, propagate_exact, steady_state)
 from fanostat.bloch import _apply_exp_triangular
 from fanostat.correlators import detected_decay
 from fanostat.cli import G1_DRIVE, main, oracle_check
@@ -28,9 +27,8 @@ PHI15 = phi_from_t0(math.sqrt(0.15))
 MPMATH_G2 = Path(__file__).with_name("mpmath_g2_reference.json")
 
 
-def dp(delta=0.0, zeta=1.0, alpha=1e-3, phi=PHI15, sigma=0.0, t_resp=0.0):
-    return DimensionlessParams(delta=delta, zeta=zeta, alpha=alpha, phi=phi,
-                               sigma=sigma, t_resp=t_resp)
+def dp(delta=0.0, zeta=1.0, alpha=1e-3, phi=PHI15):
+    return ReducedPoint(delta=delta, zeta=zeta, alpha=alpha, phi=phi)
 
 
 def drive(params):

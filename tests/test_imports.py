@@ -6,6 +6,8 @@ of ``src/`` and ``tests/`` (package ``__init__`` files re-export by design
 and are skipped) fails on any such name. A module-level ``_name`` in
 ``src/fanostat`` that no code of ``src/`` refers to outside its own
 definition is dead, or lives for the tests only; that scan fails on it.
+So does a name of ``fanostat.__all__`` that no module of ``src/`` uses
+outside its own definition and the re-export in ``__init__.py``.
 
 The optimizer and the dense linear algebra of scipy load on first use: a
 fresh interpreter checks which of them a scan, an oracle check and a fit
@@ -20,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fanostat
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
@@ -52,24 +56,23 @@ def test_no_unused_imports(path):
     assert not unused, ", ".join(f"line {line}: {name}" for line, name in unused)
 
 
-def _private_definitions(statement):
-    """The module-level private names a top-level statement defines."""
+def _definitions(statement):
+    """The module-level names a top-level statement defines."""
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-        names = {statement.name}
-    elif isinstance(statement, ast.Assign):
-        names = {t.id for t in statement.targets if isinstance(t, ast.Name)}
-    else:
-        names = set()
-    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    return set()
 
 
-def dead_private_helpers(sources):
-    """The private names defined at module level in ``sources`` (name ->
-    source text) that no code of them refers to outside the definition."""
+def unreferenced(sources, selected):
+    """The module-level names of ``sources`` (module -> source text) that
+    ``selected`` picks and that no code of them refers to outside the
+    definition."""
     defined, used = {}, set()
     for module, source in sources.items():
         for statement in ast.parse(source).body:
-            own = _private_definitions(statement)
+            own = set(filter(selected, _definitions(statement)))
             defined.update(dict.fromkeys(own, module))
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -84,6 +87,12 @@ def dead_private_helpers(sources):
     return sorted((module, name) for name, module in defined.items() if name not in used)
 
 
+def dead_private_helpers(sources):
+    """The private module-level names of ``sources`` that no code of them
+    refers to outside the definition."""
+    return unreferenced(sources, lambda n: n.startswith("_") and not n.endswith("__"))
+
+
 def test_scan_finds_a_dead_helper():
     sources = {"a": "def _dead():\n    return _dead()\n_LIVE = 1\n",
                "b": "from .a import _LIVE\n_ALSO = _LIVE\nx = _ALSO\n"}
@@ -93,6 +102,20 @@ def test_scan_finds_a_dead_helper():
 def test_no_dead_private_helpers():
     dead = dead_private_helpers({p.name: p.read_text() for p in PACKAGE})
     assert not dead, ", ".join(f"{module}: {name}" for module, name in dead)
+
+
+def test_scan_finds_an_export_only_the_tests_hold():
+    sources = {"a": "def held():\n    return held()\ndef used():\n    pass\n",
+               "b": "from .a import used\nx = used()\n"}
+    assert unreferenced(sources, {"held", "used"}.__contains__) == [("a", "held")]
+
+
+def test_every_export_is_used_by_the_package():
+    # a name of fanostat.__all__ that no module of src/ uses outside its own
+    # definition and the re-export in __init__.py is held by the tests alone
+    held = unreferenced({p.name: p.read_text() for p in PACKAGE if p.name != "__init__.py"},
+                        set(fanostat.__all__).__contains__)
+    assert not held, ", ".join(f"{module}: {name}" for module, name in held)
 
 
 IMPORT_GRAPH = """

@@ -18,8 +18,7 @@ from fanostat import (DataFormatError, FPBackground, MeasurementSet,
                       ModelCurves, PhysicalParams, detuning_to_delta,
                       fp_background, g1_general, g2_tau_general,
                       load_measurements, merge_measurements, params_from_config,
-                      read_config, tau_to_dimensionless, to_dimensionless,
-                      write_series)
+                      read_config, tau_to_dimensionless, write_series)
 from fanostat.cli import SCAN_MODES, ScanRequest, main, oracle_check, run_scan
 
 from analytic import reference_write_series
@@ -286,7 +285,7 @@ class TestRunScan:
                           grid_count=161, out_path="unused", average=False,
                           detuning=9.0 if mode == "g2trace" else None)
         got = np.array([r[1] for r in run_scan(req)[1]])
-        d = to_dimensionless(p, p.omega0)
+        d = ModelCurves(p)
         delta = detuning_to_delta(req.grid() - p.omega0, p.lifetime)
         if mode == "transmission":
             want = g1_general(delta, d.zeta, p.beta, d.phi, d.alpha)
@@ -294,8 +293,7 @@ class TestRunScan:
             want = g2_tau_general(0.0, delta, d.zeta, p.beta, d.phi)
         else:
             want = g2_tau_general(tau_to_dimensionless(req.grid(), p.lifetime),
-                                  to_dimensionless(p, 9.0).delta, d.zeta, p.beta,
-                                  d.phi)
+                                  d.delta(9.0), d.zeta, p.beta, d.phi)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["transmission", "g2zero", "g2trace"])
@@ -327,7 +325,7 @@ class TestRunScan:
                               grid_stop=2.0, grid_count=5, out_path="unused",
                               average=average)
             vals[average] = np.array([r[1] for r in run_scan(req)[1]])
-        d = to_dimensionless(p, p.omega0)
+        d = ModelCurves(p)
         want = g1_general(detuning_to_delta(req.grid() - p.omega0, p.lifetime),
                           d.zeta, p.beta, d.phi, d.alpha)
         assert d.alpha > 0

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from analytic import g2_coefficients, scattering_matrix
-from fanostat import (HBAR_UEV_PS, DimensionlessParams, ModelCurves, PhysicalParams,
-                      avg_g1, avg_g2, detuning_to_delta, g1_general, g2_tau_general,
-                      g2_tau_parts, g2zero_ideal, hbar_gamma,
-                      output_correlators, output_g1, phi_from_t0,
-                      tau_to_dimensionless, to_dimensionless)
+from fanostat import (HBAR_UEV_PS, ModelCurves, PhysicalParams, avg_g1, avg_g2,
+                      detuning_to_delta, g1_general, g2_tau_general, g2_tau_parts,
+                      g2zero_ideal, hbar_gamma, output_correlators, output_g1,
+                      phi_from_t0, tau_to_dimensionless)
 
 REF = PhysicalParams()   # defaults are the documented reference configuration
 
@@ -46,9 +45,9 @@ def test_detuning_to_delta_rejects_a_bad_lifetime(lifetime):
 
 
 def test_reduced_detuning_example():
-    d = to_dimensionless(REF, 9.0)
-    assert d.delta == pytest.approx(2 * 9 * 125 / HBAR_UEV_PS, rel=1e-14)
-    assert d.delta == pytest.approx(3.4183518, abs=1e-6)
+    delta = ModelCurves(REF).delta(9.0)
+    assert delta == pytest.approx(2 * 9 * 125 / HBAR_UEV_PS, rel=1e-14)
+    assert delta == pytest.approx(3.4183518, abs=1e-6)
 
 
 def test_phi_from_t0_reference():
@@ -59,13 +58,13 @@ def test_phi_from_t0_reference():
 
 
 def test_zeta_reference():
-    d = to_dimensionless(REF, 0.0)
+    d = ModelCurves(REF)
     assert d.zeta == pytest.approx(1 + 2 * 125 / 38000, rel=1e-14)
     assert d.zeta == pytest.approx(1.00658, abs=1e-5)
 
 
 def test_sigma_and_tresp_reduction():
-    d = to_dimensionless(REF, 0.0)
+    d = ModelCurves(REF)
     assert d.sigma == pytest.approx(2 * 4.7 / (HBAR_UEV_PS / 125), rel=1e-12)
     assert d.t_resp == pytest.approx(34 / 250, rel=1e-14)
 
@@ -79,16 +78,16 @@ def test_phi_identities(t0):
 
 
 def test_detuning_and_tau_conversions_roundtrip():
-    # the forward helpers are the reduction behind to_dimensionless: same floats
+    # the forward helpers are the reduction behind ModelCurves: same floats
     p = PhysicalParams(omega0=3.0, lifetime=212.0, dephasing_time=9000.0,
                        beta=0.8, t0=0.4, sigma_wander=2.2, drive_amp=1e-3,
                        detector_resp=20.0)
     rng = np.random.default_rng(7)
     lasers = rng.uniform(-50, 50, 20)
     delta = detuning_to_delta(lasers - p.omega0, p.lifetime)
-    assert delta.tolist() == [to_dimensionless(p, x).delta for x in lasers]
+    d = ModelCurves(p)
+    assert delta.tolist() == [float(d.delta(x)) for x in lasers]
     assert delta[0] == 2.0 * (lasers[0] - p.omega0) / hbar_gamma(p.lifetime)
-    d = to_dimensionless(p, p.omega0)
     assert detuning_to_delta(p.sigma_wander, p.lifetime) == d.sigma
     assert tau_to_dimensionless(p.detector_resp, p.lifetime) == d.t_resp
     assert tau_to_dimensionless(p.detector_resp, p.lifetime) == \
@@ -130,23 +129,39 @@ class TestPhysicalParamsValidation:
     @pytest.mark.parametrize("drive", [1e154, 1e200, -1e200])
     def test_huge_drive_is_named(self, drive):
         # drive_amp^2 overflows beyond about 1.3e154; at 1e154 alpha does
-        p = PhysicalParams(drive_amp=drive)
         with pytest.raises(ValueError, match="drive_amp"):
-            to_dimensionless(p, 0.0)
-        with pytest.raises(ValueError, match="drive_amp"):
-            ModelCurves(p)
+            ModelCurves(PhysicalParams(drive_amp=drive))
 
 
-class TestDimensionlessParamsValidation:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["delta", "zeta", "alpha", "phi", "sigma",
-                                       "t_resp"])
-    def test_rejects_non_finite(self, field, bad):
-        valid = dict(delta=0.5, zeta=1.2, alpha=1e-3, phi=-0.5, sigma=0.0,
-                     t_resp=0.0)
-        DimensionlessParams(**valid)
+# valid PhysicalParams whose reduction leaves a field's domain, overflows
+# included: a ValueError naming the field, and no warning on the way; with
+# jac, t0 = 1 also names t0, where dphi/dt0 diverges
+@pytest.mark.parametrize("field,changes,jac", [
+    ("zeta", dict(lifetime=1e300), False),
+    ("zeta", dict(dephasing_time=1e-300), False),
+    ("zeta", dict(lifetime=1e300, dephasing_time=1e-300), False),     # zeta overflows
+    ("sigma", dict(sigma_wander=1e300), False),
+    ("sigma", dict(sigma_wander=1e308, lifetime=1e10), False),        # sigma overflows
+    ("t_resp", dict(detector_resp=1e308, lifetime=1e-300), False),    # t_resp overflows
+    ("drive_amp", dict(drive_amp=1e200), False),
+    ("phi", dict(t0=0.0), False),
+    ("t0", dict(t0=1.0), True),
+], ids=["zeta-lifetime", "zeta-dephasing", "zeta-inf", "sigma-cap", "sigma-inf",
+        "t_resp-inf", "drive_amp", "phi", "t0-jac"])
+def test_model_curves_name_each_reduced_field(field, changes, jac):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=field):
-            DimensionlessParams(**{**valid, field: bad})
+            ModelCurves(REF.replace(**changes), jac=jac)
+
+
+def test_the_unit_reductions_overflow_silently():
+    # check_reduced names what overflowed; no warning comes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tau_to_dimensionless(1e308, 1e-300) == math.inf
+        assert detuning_to_delta(1e100, 1e300) == math.inf
+        assert detuning_to_delta(-1e308, 125.0) == -math.inf
 
 
 # every public entry into the model, with the reduced arguments it takes in
@@ -168,7 +183,6 @@ ENTRIES = {
     "output_correlators": (
         lambda tau, delta, *rest: output_correlators([tau], [delta], *rest),
         "tau delta zeta alpha phi beta"),
-    "DimensionlessParams": (DimensionlessParams, "delta zeta alpha phi sigma t_resp"),
 }
 
 
@@ -235,6 +249,9 @@ class TestScatteringMatrix:
             phi_from_t0(1.01)
 
 
-def test_to_dimensionless_rejects_nonfinite_laser():
-    with pytest.raises(ValueError):
-        to_dimensionless(REF, math.inf)
+@pytest.mark.parametrize("laser", [math.inf, -math.inf, math.nan])
+def test_nonfinite_laser_energy_is_a_typed_error(laser):
+    m = ModelCurves(REF)
+    for curve in (m.transmission, m.g2zero):
+        with pytest.raises(ValueError, match="detunings"):
+            curve([0.0, laser])
