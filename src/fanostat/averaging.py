@@ -76,6 +76,9 @@ corrections add theirs: the residues' by the complex step and from
 averages' in delta, sigma and zeta from w'.
 :class:`ModelCurves` chains them to the physical fields of
 :data:`FIT_FIELDS`.
+
+``scipy.special`` is imported by the first pole average, through the
+module-level :func:`wofz`; a command that averages nothing never loads it.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import wofz
 
 from .correlators import (_g1_formula, _g1_residue, _g2_sums, _pole_coefficients,
                           _residue_delays, complex_step, g1_general)
@@ -185,6 +187,12 @@ def _blocks(delta, step, sigma, n_tau):
         blocks.append((order[j:j + n], min(chunk, n_tau), True))
         j += n
     return blocks
+
+
+def wofz(z):
+    """:func:`scipy.special.wofz`, imported on the first call."""
+    from scipy.special import wofz
+    return wofz(z)
 
 
 def _pole_averages(p, delta, sigma, order=2):

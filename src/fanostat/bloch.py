@@ -17,10 +17,12 @@ transmitted-field correlators from the input-output relation
 Every function works on a detuning sweep: a 1-d array of n detunings at
 one (zeta, alpha). The n Bloch matrices are stacked into an (n, 3, 3)
 array, their stationary states come from one batched solve, and the
-propagation runs over a leading point axis; only the Schur form is taken
-one matrix at a time. Each point is computed with the same elementwise
-operations as it would be alone, so a sweep equals its points solved one by
-one, bit for bit.
+propagation runs over a leading point axis; only the Schur form of a driven
+sweep is taken one matrix at a time. At alpha = 0 every Bloch matrix is
+lower triangular, so in the reversed basis order it is its own Schur form,
+exact and with no factorization. Each point is computed with the same
+elementwise operations as it would be alone, so a sweep equals its points
+solved one by one, bit for bit.
 
 The background (phi, beta) changes no emitter dynamics: the scaled system
 below is free of both, which enter only the input-output assembly through
@@ -53,9 +55,9 @@ kappa = d/(t0*alpha_in), becomes c*x with c = kappa*g = -exp(i*phi)*beta/t0,
 free of alpha. The regression initial conditions are constants of this basis,
 since sigma_- sigma_- = 0, sigma_+ sigma_- = n and n sigma_- = 0.
 
-``scipy.linalg`` is imported by the first Schur form, through the
-module-level :func:`schur`, which is the name that tests patch; a scan never
-loads it.
+``scipy.linalg`` is imported by the first Schur form of a driven sweep,
+through the module-level :func:`schur`, which is the name that tests patch;
+a scan and an oracle check at alpha = 0 never load it.
 """
 
 from __future__ import annotations
@@ -204,6 +206,19 @@ def schur(*args, **kwargs):
     return schur(*args, **kwargs)
 
 
+def _schur_forms(M):
+    """Complex Schur forms (T, Q), M = Q T Q^H, of the n matrices of M.
+
+    Where every M[p] is lower triangular, as at alpha = 0, the reversed
+    basis order makes it upper triangular: T is M reversed and Q the
+    reversal permutation, exact and with no factorization. Any other sweep
+    takes :func:`schur` of each matrix.
+    """
+    if not np.any(np.triu(M, 1)):
+        return M[:, ::-1, ::-1], np.broadcast_to(np.eye(3, dtype=complex)[::-1], M.shape)
+    return tuple(map(np.array, zip(*[schur(m, output="complex") for m in M])))
+
+
 def propagate_exact(initials, identities, tau, M, b):
     """Exact propagation of scaled regression vectors to every delay.
 
@@ -215,7 +230,9 @@ def propagate_exact(initials, identities, tau, M, b):
     one-time state). ``tau`` is a non-empty 1-d array of finite,
     non-negative reduced delays. The system is linear, so
     v(tau) = v_inf + Q exp(T tau) Q^H (v0 - v_inf), with M = Q T Q^H the
-    complex Schur form of each Bloch matrix. exp(T tau) has exp(lambda_i tau)
+    complex Schur form of each Bloch matrix (at alpha = 0, M itself in the
+    reversed basis order, with Q the reversal permutation; see
+    :func:`_schur_forms`). exp(T tau) has exp(lambda_i tau)
     on its diagonal and divided differences of exp(lambda tau) above it,
     with a series for the second one where all three eigenvalues meet; the
     unitary Q keeps this exact at exceptional points, where M has no
@@ -241,7 +258,7 @@ def propagate_exact(initials, identities, tau, M, b):
         raise ValueError("initials must have shape (n, k, 3), identities "
                          "(n, k) and M (n, 3, 3)")
     vinf = np.linalg.solve(M, -b[:, None] * ident[:, None, :]).transpose(0, 2, 1)
-    T, Q = map(np.array, zip(*[schur(m, output="complex") for m in M]))
+    T, Q = _schur_forms(M)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)  # Q^H (v0 - v_inf)
         y0, y1, y2 = (y[:, :, None] for y in _apply_exp_triangular(T, tau, w))

@@ -35,6 +35,10 @@ Derivatives for the fit come with the values they differentiate:
 (erfcx'(z) = 2z erfcx(z) - 2/sqrt(pi)), and :func:`g2_tau_parts`
 differentiates the rational coefficients by the complex step
 (:func:`complex_step`), which is exact to rounding.
+
+``scipy.special`` is imported by the first special-function call, through
+the module-level :func:`erf` and :func:`erfcx`; the closed forms with no
+detector response call neither, so the weak-drive oracle never loads it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfcx
 
 from .params import check_reduced
 
@@ -210,6 +213,18 @@ def _coefficient_partials(delta, zeta, beta, phi, g1, along_delta=True):
             else complex_step(at_delta, zeta, beta, phi), -1, 0)
     # the clamped g1 is flat where the clamp acts
     return dA, dB, dg20, np.where(np.asarray(g1)[..., None] > 0.0, dg1, 0.0)
+
+
+def erf(z):
+    """:func:`scipy.special.erf`, imported on the first call."""
+    from scipy.special import erf
+    return erf(z)
+
+
+def erfcx(z):
+    """:func:`scipy.special.erfcx`, imported on the first call."""
+    from scipy.special import erfcx
+    return erfcx(z)
 
 
 def detected_decay(a, tau, t_resp, partials=False):

@@ -6,10 +6,10 @@ program's internals that only the tests read. :func:`reference_write_series`
 is the series writer as it was before it formatted a column at a time: the
 bytes the program must still write. :func:`reference_propagate_exact` is
 the exact propagation as it was before it applied exp(T tau) by back
-substitution, through the full matrix: the values the program must still
-give. :func:`mp_output_g2` is the regression solver's g2 in 40-digit mpmath
-at a :class:`ReducedPoint`; ``mpmath_g2_reference.py`` stores its values on
-one grid.
+substitution, through the full matrix, from the program's own Schur forms:
+the values the program must still give. :func:`mp_output_g2` is the
+regression solver's g2 in 40-digit mpmath at a :class:`ReducedPoint`;
+``mpmath_g2_reference.py`` stores its values on one grid.
 """
 
 import json
@@ -19,9 +19,8 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
-from scipy.linalg import schur
 
-from fanostat.bloch import _second_divided_difference
+from fanostat.bloch import _schur_forms, _second_divided_difference
 from fanostat.correlators import _clamped_coefficients
 from fanostat.io import DataFormatError
 from fanostat.params import check_reduced
@@ -151,7 +150,7 @@ def reference_propagate_exact(initials, identities, tau, M, b):
     v0 = np.asarray(initials, dtype=complex)
     ident = np.asarray(identities, dtype=complex)
     vinf = np.linalg.solve(M, -b[:, None] * ident[:, None, :]).transpose(0, 2, 1)
-    T, Q = map(np.array, zip(*[schur(m, output="complex") for m in M]))
+    T, Q = _schur_forms(M)
     lam = np.diagonal(T, axis1=1, axis2=2)
     dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], tau)
           for i, j in ((0, 1), (1, 2), (0, 2))}

@@ -449,12 +449,13 @@ class TestSweep:
     def test_one_stationary_solve_per_point_and_drive(self, monkeypatch):
         # the default grid: each zeta is one sweep over the 6 (t0, beta)
         # fields, g1 and g2 at alpha from one solve, g1 at G1_DRIVE from
-        # another, so 2 zeta x 13 detunings x 2 drives, and one Schur form per
-        # detuning of the g2 sweep (one sweep per (t0, zeta, beta) block made
-        # 312 solves and 156 Schur forms, the per-point code 466 solves); the
-        # closed form g2 takes D(2, tau) and D(zeta - i delta, tau) once per
-        # zeta for every field (once per block made 24 calls)
-        solved, factored, decays = [], [], []
+        # another, so 2 zeta x 13 detunings x 2 drives (one sweep per
+        # (t0, zeta, beta) block made 312 solves, the per-point code 466);
+        # the closed form g2 takes D(2, tau) and D(zeta - i delta, tau) once
+        # per zeta for every field (once per block made 24 calls). At
+        # alpha = 0 every Bloch matrix is its own Schur form; at a finite
+        # drive each detuning of the g2 sweep takes one (156 before the
+        # sweeps)
 
         def counted(M, b):
             solved.append(len(M))
@@ -470,9 +471,11 @@ class TestSweep:
         monkeypatch.setattr(fanostat.bloch, "steady_state", counted)
         monkeypatch.setattr(fanostat.bloch, "schur", counted_schur)
         monkeypatch.setattr(fanostat.correlators, "detected_decay", counted_decay)
-        rows, _ = oracle_check(tau_points=2)
-        assert len(rows) == 156 and sum(solved) == 52 and len(factored) == 26
-        assert len(decays) == 4
+        for alpha, schur_forms in ((0.0, 0), (0.1, 26)):
+            solved, factored, decays = [], [], []
+            rows, _ = oracle_check(alpha=alpha, tau_points=2)
+            assert len(rows) == 156 and sum(solved) == 52
+            assert len(factored) == schur_forms and len(decays) == 4
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_each_field_equals_it_alone(self, corner):
@@ -580,6 +583,27 @@ class TestSweep:
         args = (initials, np.stack([v[:, 0], v[:, 2]], axis=-1),
                 np.linspace(0, 8, 161), M, b)
         assert propagate_exact(*args).tobytes() == reference_propagate_exact(*args).tobytes()
+
+    @pytest.mark.parametrize("corner", [c for c in CORNERS if CORNERS[c]["alpha"] == 0])
+    def test_undriven_schur_form_is_the_reversed_matrix(self, corner, monkeypatch):
+        # at alpha = 0 the Bloch matrix in reversed basis order is its own
+        # Schur form; propagated through it or through scipy's Schur form,
+        # the regression vectors agree to rounding, at the triple eigenvalue
+        # of the rate collision and the subnormal split too
+        p = CORNERS[corner]
+        deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
+        M, b = bloch_matrix(deltas, p["zeta"], 0.0)
+        v = steady_state(M, b)
+        initials = np.zeros((4, 2, 3), dtype=complex)
+        initials[:, 0, 1] = v[:, 2]
+        initials[:, 1] = [0.2 - 0.1j, 0.2 + 0.1j, 0.3]
+        args = (initials, np.stack([v[:, 0], v[:, 2]], axis=-1),
+                np.linspace(0, 8, 161), M, b)
+        reversed_form = propagate_exact(*args)
+        monkeypatch.setattr(fanostat.bloch, "_schur_forms", lambda M: tuple(
+            map(np.array, zip(*[schur(m, output="complex") for m in M]))))
+        factored = propagate_exact(*args)
+        assert np.all(np.abs(reversed_form - factored) <= 1e-14 * np.abs(factored))
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_closed_forms_over_fields_equal_each_field_alone(self, corner):

@@ -9,9 +9,11 @@ definition is dead, or lives for the tests only; that scan fails on it.
 So does a name of ``fanostat.__all__`` that no module of ``src/`` uses
 outside its own definition and the re-export in ``__init__.py``.
 
-The optimizer and the dense linear algebra of scipy load on first use: a
-fresh interpreter checks which of them a scan, an oracle check and a fit
-each leave in ``sys.modules``.
+Every scipy subpackage loads on first use: a fresh interpreter checks that
+importing the package, the commands that evaluate no special function and
+the oracle at alpha = 0 load no scipy module, and which subpackages the
+scans of model curves, a driven oracle check and a fit then leave in
+``sys.modules``.
 """
 
 import ast
@@ -126,15 +128,28 @@ from fanostat.averaging import ModelCurves
 from fanostat.fitting import MeasurementSet, fit_full_model
 from fanostat.params import PhysicalParams
 
-def loaded():
-    return [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
-out = {}
+def loaded():
+    # the public subpackages among them: scipy.special, not scipy._lib
+    return [m for m in scipy_modules() if m.count(".") == 1 and "._" not in m
+            and hasattr(sys.modules[m], "__path__")]
+
+out, out_dir = {"import": scipy_modules()}, sys.argv[1]
+assert cli.main(["fp-background", "--reflectivity", "0.3", "--fsr-nm", "1",
+                 "--grid=910:920:5", "--out", f"{out_dir}/fp.csv"]) == 0
+assert cli.main(["scan", "--mode", "decompose", "--grid=-40:40:5",
+                 "--out", f"{out_dir}/decompose.csv"]) == 0
+cli.oracle_check(deltas=(0.0, 1.0), t0s=(0.5,), zetas=(1.0, 2.0), betas=(0.9,),
+                 tau_points=3)
+out["undriven"] = scipy_modules()
 for mode, extra in (("transmission", []), ("g2trace", ["--detuning", "9"])):
     assert cli.main(["scan", "--mode", mode, "--grid=-40:40:5", *extra,
-                     "--out", f"{sys.argv[1]}/{mode}.csv"]) == 0
+                     "--out", f"{out_dir}/{mode}.csv"]) == 0
 out["scan"] = loaded()
-cli.oracle_check(deltas=(1.0,), t0s=(0.5,), zetas=(1.0,), betas=(0.9,), tau_points=3)
+cli.oracle_check(alpha=0.1, deltas=(1.0,), t0s=(0.5,), zetas=(1.0,), betas=(0.9,),
+                 tau_points=3)
 out["oracle"] = loaded()
 det = np.linspace(-20.0, 20.0, 7)
 trans = ModelCurves(PhysicalParams()).transmission(det)
@@ -146,10 +161,15 @@ print(json.dumps(out))
 
 
 def test_scipy_subpackages_load_on_first_use(tmp_path):
+    # one fresh interpreter, step by step: importing the package, the
+    # commands with no special function and the oracle at alpha = 0 load no
+    # scipy module; the model-curve scans load scipy.special alone, a driven
+    # oracle check scipy.linalg and a fit scipy.optimize
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     loaded = json.loads(run.stdout.splitlines()[-1])
-    assert loaded["scan"] == []
-    assert loaded["oracle"] == ["scipy.linalg"]
+    assert loaded["import"] == [] and loaded["undriven"] == []
+    assert loaded["scan"] == ["scipy.special"]
+    assert loaded["oracle"] == ["scipy.linalg", "scipy.special"]
     assert "scipy.optimize" in loaded["fit"]
