@@ -396,6 +396,20 @@ CORNERS = {
 }
 
 
+def propagation_args(corner):
+    """``propagate_exact``'s arguments for the corner's detuning among
+    others: the g2 regression vector and one of no symmetry."""
+    p = CORNERS[corner]
+    deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
+    M, b = bloch_matrix(deltas, p["zeta"], p["alpha"])
+    v = steady_state(M, b)
+    initials = np.zeros((4, 2, 3), dtype=complex)
+    initials[:, 0, 1] = v[:, 2]
+    initials[:, 1] = [0.2 - 0.1j, 0.2 + 0.1j, 0.3]
+    return (initials, np.stack([v[:, 0], v[:, 2]], axis=-1),
+            np.linspace(0, 8, 161), M, b)
+
+
 class TestSweep:
     @pytest.mark.parametrize("corner", CORNERS)
     def test_each_point_equals_it_alone(self, corner):
@@ -573,15 +587,7 @@ class TestSweep:
     def test_propagation_is_the_full_matrix_product(self, corner):
         # the back substitution drops only the exact zeros of exp(T tau), so
         # it gives the bits of the full matrix-vector products
-        p = CORNERS[corner]
-        deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
-        M, b = bloch_matrix(deltas, p["zeta"], p["alpha"])
-        v = steady_state(M, b)
-        initials = np.zeros((4, 2, 3), dtype=complex)
-        initials[:, 0, 1] = v[:, 2]
-        initials[:, 1] = [0.2 - 0.1j, 0.2 + 0.1j, 0.3]
-        args = (initials, np.stack([v[:, 0], v[:, 2]], axis=-1),
-                np.linspace(0, 8, 161), M, b)
+        args = propagation_args(corner)
         assert propagate_exact(*args).tobytes() == reference_propagate_exact(*args).tobytes()
 
     @pytest.mark.parametrize("corner", [c for c in CORNERS if CORNERS[c]["alpha"] == 0])
@@ -590,15 +596,7 @@ class TestSweep:
         # Schur form; propagated through it or through scipy's Schur form,
         # the regression vectors agree to rounding, at the triple eigenvalue
         # of the rate collision and the subnormal split too
-        p = CORNERS[corner]
-        deltas = np.array([-3.0, p["delta"], 0.4, p["delta"] + 1.0])
-        M, b = bloch_matrix(deltas, p["zeta"], 0.0)
-        v = steady_state(M, b)
-        initials = np.zeros((4, 2, 3), dtype=complex)
-        initials[:, 0, 1] = v[:, 2]
-        initials[:, 1] = [0.2 - 0.1j, 0.2 + 0.1j, 0.3]
-        args = (initials, np.stack([v[:, 0], v[:, 2]], axis=-1),
-                np.linspace(0, 8, 161), M, b)
+        args = propagation_args(corner)
         reversed_form = propagate_exact(*args)
         monkeypatch.setattr(fanostat.bloch, "_schur_forms", lambda M: tuple(
             map(np.array, zip(*[schur(m, output="complex") for m in M]))))
