@@ -41,7 +41,10 @@ uncorrected rule misses them by about exp(-2 pi zeta/h) < exp(-ALIAS
 zeta/sigma) < exp(-ALIAS^2), and the correction, whose true value is
 smaller still, would add only its rounding, which the residue's delay
 functions multiply by up to t_resp. The half-step anchor keeps every node off
-delta = 0, where the bare closed form is singular at zeta = 2. Where the
+delta = 0, where the bare closed form is singular at zeta = 2, and makes
+the lattice symmetric about it: the coherence's detected decay
+D(zeta + i|x|, tau) is the conjugate of D(zeta - i|x|, tau), so a window
+that straddles delta = 0 takes it once per mirrored pair of nodes. Where the
 rounding of the nodes, eps |x|, exceeds :data:`RESOLUTION` sigma, the
 lattice cannot resolve the Gaussian and each detuning is its own node (the
 one-node rule, as at sigma = 0, with no pole correction; its error is
@@ -78,7 +81,9 @@ averages' in delta, sigma and zeta from w'.
 :data:`FIT_FIELDS`.
 
 ``scipy.special`` is imported by the first pole average, through the
-module-level :func:`wofz`; a command that averages nothing never loads it.
+module-level :func:`wofz`, which then keeps it (as :func:`erf` and
+:func:`erfcx` of :mod:`fanostat.correlators` do); a command that averages
+nothing never loads it.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ import math
 import numpy as np
 
 from .correlators import (_g1_formula, _g1_residue, _g2_sums, _pole_coefficients,
-                          _residue_delays, complex_step, g1_general)
+                          _residue_delays, _special, complex_step, g1_general)
 from .params import (HBAR_UEV_PS, PhysicalParams, check_reduced, detuning_to_delta,
                      phi_from_t0, tau_to_dimensionless)
 
@@ -191,8 +196,7 @@ def _blocks(delta, step, sigma, n_tau):
 
 def wofz(z):
     """:func:`scipy.special.wofz`, imported on the first call."""
-    from scipy.special import wofz
-    return wofz(z)
+    return _special().wofz(z)
 
 
 def _pole_averages(p, delta, sigma, order=2):

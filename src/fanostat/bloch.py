@@ -7,8 +7,9 @@ of its 3x3 triangular factor is closed form, with divided differences of
 exp(lambda*tau) off the diagonal (a short series where all three eigenvalues
 meet). That exponential is never built as a matrix: it is applied to each
 regression vector by back substitution over its three components, from the
-three diagonal exponentials, each taken once, and the three entries above
-the diagonal. It then applies the regression rule (two-time correlators
+three diagonal exponentials, each taken once, and those entries above the
+diagonal whose coefficients in the triangular factor are not exact zeros.
+It then applies the regression rule (two-time correlators
 obey the same linear system, with the inhomogeneous term scaled by the
 equal-time expectation of the sandwich operators) and assembles the
 transmitted-field correlators from the input-output relation
@@ -20,9 +21,15 @@ array, their stationary states come from one batched solve, and the
 propagation runs over a leading point axis; only the Schur form of a driven
 sweep is taken one matrix at a time. At alpha = 0 every Bloch matrix is
 lower triangular, so in the reversed basis order it is its own Schur form,
-exact and with no factorization. Each point is computed with the same
-elementwise operations as it would be alone, so a sweep equals its points
-solved one by one, bit for bit.
+exact and with no factorization. Its unitary factor, the reversal
+permutation, is applied as an index reversal, and its triangle
+[[-2, 1, 1], [0, lambda, 0], [0, 0, conj(lambda)]], lambda = -zeta -
+i*delta, takes one exponential of the coherence and one divided
+difference: the entry T12 = 0 drops f[lambda, conj(lambda)] and the second
+divided difference, and the conjugate rate's exponential and divided
+difference are the conjugates of lambda's. Each point is computed with the
+same elementwise operations as it would be alone, so a sweep equals its
+points solved one by one, bit for bit.
 
 The background (phi, beta) changes no emitter dynamics: the scaled system
 below is free of both, which enter only the input-output assembly through
@@ -178,20 +185,36 @@ def _apply_exp_triangular(T, tau, w):
     divided differences above it. Each exp(lambda_i*tau) is taken once, and
     the product is the back substitution y2 = E2 w2, y1 = E1 w1 + F12 w2,
     y0 = E0 w0 + F01 w1 + F02 w2, the terms of the full matrix-vector
-    product in the same order, less its exact zeros.
+    product in the same order, less its exact zeros. A divided difference
+    whose coefficient is an exact zero at every point of the sweep is not
+    taken, nor is its term: at alpha = 0, T12 = 0 drops F12 and the second
+    divided difference. Where lambda0 is real and lambda2 = conj(lambda1) at
+    every point, as at alpha = 0, E2 = conj(E1) and f[lambda0, lambda2] =
+    conj(f[lambda0, lambda1]), since exp(lambda*tau) is real on the real
+    axis.
     """
     lam = np.diagonal(T, axis1=1, axis2=2)
-    E = np.exp(lam[:, :, None] * tau)
-    dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], E[:, i], E[:, j], tau)
-          for i, j in ((0, 1), (1, 2), (0, 2))}
-    F01 = T[:, 0, 1, None] * dd[0, 1]
-    F12 = T[:, 1, 2, None] * dd[1, 2]
-    F02 = (T[:, 0, 2, None] * dd[0, 2] + (T[:, 0, 1] * T[:, 1, 2])[:, None]
-           * _second_divided_difference(lam, tau, dd))
-    E, F01, F12, F02 = E[:, None], F01[:, None], F12[:, None], F02[:, None]
-    w0, w1, w2 = (w[:, :, i, None] for i in range(3))
-    return (E[:, :, 0] * w0 + F01 * w1 + F02 * w2, E[:, :, 1] * w1 + F12 * w2,
-            E[:, :, 2] * w2)
+    mirrored = not np.any(lam[:, 0].imag) and np.array_equal(lam[:, 2], lam[:, 1].conj())
+    E = np.exp(lam[:, :2 if mirrored else 3, None] * tau)
+    if mirrored:
+        E = np.concatenate([E, E[:, 1:].conj()], axis=1)
+    T01_T12 = T[:, 0, 1] * T[:, 1, 2]
+    second = np.any(T01_T12)    # the second difference needs all three first ones
+    dd = {}
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        if not (second or np.any(T[:, i, j])):
+            continue
+        if mirrored and (i, j) == (0, 2) and (0, 1) in dd:
+            dd[i, j] = dd[0, 1].conj()
+        else:
+            dd[i, j] = _divided_difference(lam[:, i], lam[:, j], E[:, i], E[:, j], tau)
+    F = {(i, j): T[:, i, j, None] * d for (i, j), d in dd.items()}
+    if second:
+        F[0, 2] = F[0, 2] + T01_T12[:, None] * _second_divided_difference(lam, tau, dd)
+    y = [E[:, None, i] * w[:, :, i, None] for i in range(3)]
+    for (i, j), f in F.items():     # F01, F12, F02: each row's terms in order
+        y[i] = y[i] + f[:, None] * w[:, :, j, None]
+    return tuple(y)
 
 
 def _matvec(A, x):
@@ -211,11 +234,11 @@ def _schur_forms(M):
 
     Where every M[p] is lower triangular, as at alpha = 0, the reversed
     basis order makes it upper triangular: T is M reversed and Q the
-    reversal permutation, exact and with no factorization. Any other sweep
-    takes :func:`schur` of each matrix.
+    reversal permutation, exact and with no factorization, returned as
+    ``None``. Any other sweep takes :func:`schur` of each matrix.
     """
     if not np.any(np.triu(M, 1)):
-        return M[:, ::-1, ::-1], np.broadcast_to(np.eye(3, dtype=complex)[::-1], M.shape)
+        return M[:, ::-1, ::-1], None
     return tuple(map(np.array, zip(*[schur(m, output="complex") for m in M])))
 
 
@@ -241,7 +264,11 @@ def propagate_exact(initials, identities, tau, M, b):
     F02 w2, and v(tau) - v_inf = Q y over the three components: the
     products of the full matrix-vector products, in their order, less the
     exact zeros below the diagonal, so the (n, len(tau), 3, 3) matrix is
-    never formed. Returns an array of shape (n, k, 3, len(tau)).
+    never formed. The terms of an entry that is zero at every point are
+    dropped as well, with the divided differences they would multiply (see
+    :func:`_apply_exp_triangular`); where Q is the reversal permutation,
+    Q^H and Q reverse the order of the components, with no product. Returns
+    an array of shape (n, k, 3, len(tau)).
 
     Where the drive is so strong that the propagation overflows, it raises
     ``ValueError``.
@@ -260,10 +287,14 @@ def propagate_exact(initials, identities, tau, M, b):
     vinf = np.linalg.solve(M, -b[:, None] * ident[:, None, :]).transpose(0, 2, 1)
     T, Q = _schur_forms(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)  # Q^H (v0 - v_inf)
-        y0, y1, y2 = (y[:, :, None] for y in _apply_exp_triangular(T, tau, w))
-        Q = Q[:, None, :, :, None]
-        v = Q[..., 0, :] * y0 + Q[..., 1, :] * y1 + Q[..., 2, :] * y2     # Q y
+        if Q is None:       # the reversal permutation: Q^H and Q reverse the order
+            v = np.stack(_apply_exp_triangular(T, tau, (v0 - vinf)[..., ::-1])[::-1],
+                         axis=2)
+        else:
+            w = _matvec(Q.conj().transpose(0, 2, 1)[:, None], v0 - vinf)  # Q^H (v0 - v_inf)
+            y0, y1, y2 = (y[:, :, None] for y in _apply_exp_triangular(T, tau, w))
+            Q = Q[:, None, :, :, None]
+            v = Q[..., 0, :] * y0 + Q[..., 1, :] * y1 + Q[..., 2, :] * y2     # Q y
     if not np.all(np.isfinite(v)):
         raise ValueError("regression propagation overflowed: the drive is "
                          "too strong for double precision")

@@ -37,12 +37,14 @@ differentiates the rational coefficients by the complex step
 (:func:`complex_step`), which is exact to rounding.
 
 ``scipy.special`` is imported by the first special-function call, through
-the module-level :func:`erf` and :func:`erfcx`; the closed forms with no
+the module-level :func:`erf` and :func:`erfcx`, and kept for the later
+ones (:func:`_special`); the closed forms with no
 detector response call neither, so the weak-drive oracle never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,16 +217,21 @@ def _coefficient_partials(delta, zeta, beta, phi, g1, along_delta=True):
     return dA, dB, dg20, np.where(np.asarray(g1)[..., None] > 0.0, dg1, 0.0)
 
 
+@functools.cache
+def _special():
+    """:mod:`scipy.special`, imported on the first call only."""
+    from scipy import special
+    return special
+
+
 def erf(z):
     """:func:`scipy.special.erf`, imported on the first call."""
-    from scipy.special import erf
-    return erf(z)
+    return _special().erf(z)
 
 
 def erfcx(z):
     """:func:`scipy.special.erfcx`, imported on the first call."""
-    from scipy.special import erfcx
-    return erfcx(z)
+    return _special().erfcx(z)
 
 
 def detected_decay(a, tau, t_resp, partials=False):
@@ -313,18 +320,22 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
     (n, len(tau)) and (n, 1) for the denominator. ``g1^2`` and ``A`` are
     summed per node and ``D(2, tau)`` depends on the delay alone, so only
     ``Re[K D(zeta - i x, tau)]`` and its partials are evaluated per delay and
-    node, each reduced by one product with the weights. With ``jac`` the
-    weights are stacked with their detuning and width derivatives to
-    (3, n, N), whose sums of the node terms give the delta and sigma
-    partials: the numerator's are along (delta, zeta, beta, phi, tau,
-    t_resp, sigma) and the denominator's along (delta, zeta, beta, phi,
-    sigma). Unvalidated: its callers have checked the parameters.
+    node, each reduced by one product with the weights; ``D(zeta - i x,
+    tau)`` itself is taken once per distinct |x| (:func:`_mirrored_decay`),
+    so a lattice about delta = 0 takes half its nodes' rates. Without
+    weights every point takes its own, and equals its scalar call. With
+    ``jac`` the weights are stacked with their detuning and width
+    derivatives to (3, n, N), whose sums of the node terms give the delta
+    and sigma partials: the numerator's are along (delta, zeta, beta, phi,
+    tau, t_resp, sigma) and the denominator's along (delta, zeta, beta,
+    phi, sigma). Unvalidated: its callers have checked the parameters.
     """
     A, B, g20, g1 = _clamped_coefficients(x, zeta, beta, phi)
     g1sq = g1 * g1
     K = g20 - g1sq - A - 1j * B
     decay = detected_decay(2.0, tau, t_resp, jac)
-    osc = detected_decay(zeta - 1j * x, tau, t_resp, jac)
+    osc = (detected_decay(zeta - 1j * x, tau, t_resp, jac) if weights is None
+           else _mirrored_decay(x, zeta, tau, t_resp, jac))
     if jac:
         (decay, _, decay_t, decay_s), (osc, osc_a, osc_t, osc_s) = decay, osc
 
@@ -371,6 +382,22 @@ def _g2_sums(tau, x, zeta, beta, phi, t_resp, jac, weights=None):
         dnum = [dnum_delta, *dnum, dnum_sigma]
         dden = [dden_delta, *dden, dden_sigma]
     return num, den, np.stack(dnum, axis=-1), np.stack(dden, axis=-1)
+
+
+def _mirrored_decay(x, zeta, tau, t_resp, partials):
+    """:func:`detected_decay` of zeta - i x at the column of lattice nodes
+    ``x``, evaluated once per distinct |x|. D is real on the real axis, so
+    D(zeta + i|x|) = conj D(zeta - i|x|), and so are its partials; the
+    half-step lattice is symmetric about delta = 0, so each node of a window
+    that straddles it has its mirror image there."""
+    size, inverse = np.unique(np.abs(x.ravel()), return_inverse=True)
+    if size.size == x.size:
+        return detected_decay(zeta - 1j * x, tau, t_resp, partials)
+    parts = detected_decay(zeta - 1j * size[:, None], tau, t_resp, partials)
+    parts = [v[inverse] for v in (parts if partials else (parts,))]
+    for v in parts:
+        np.conjugate(v, out=v, where=x < 0.0)
+    return parts if partials else parts[0]
 
 
 def _g1_residue(zeta, beta, phi, alpha=0.0):

@@ -191,6 +191,8 @@ class _Objective:
         if not (math.isfinite(g2_weight) and g2_weight >= 0.0):
             raise ValueError(f"g2_weight must be finite and non-negative, got {g2_weight!r}")
         self.template = template
+        # x and the residuals by dataset of the last vector_and_jacobian
+        self.last = None, None
         # (keys, kind, its model arguments, measured, sigma, weight), one key
         # per row of the curve; a g2 term's arguments are its g2_curves request
         self.terms = []
@@ -255,6 +257,7 @@ class _Objective:
         """
         params = unpack_params(x, self.template)
         res = self.residuals(params, jac=True)
+        self.last = x.copy(), {key: r for key, (r, _) in res.items()}
         vec = np.concatenate([res[key][0] for key in sorted(res)])
         J = np.concatenate([res[key][1] for key in sorted(res)])
         J *= _packing_slopes(params)
@@ -383,7 +386,11 @@ def fit_full_model(data: MeasurementSet, initial: PhysicalParams,
             best = sol
 
     params = unpack_params(best.x, initial)
-    residuals = obj.residuals(params)
+    # the solver's last evaluation is usually at its solution; the residuals
+    # of a curve with partials are those without, bit for bit
+    x, residuals = obj.last
+    if not np.array_equal(x, best.x):
+        residuals = obj.residuals(params)
     vec = np.concatenate([residuals[k] for k in sorted(residuals)])
     n_excluded = int(np.sum(~np.isfinite(vec)))
     objective = float(np.nansum(vec * vec))

@@ -151,6 +151,8 @@ def reference_propagate_exact(initials, identities, tau, M, b):
     ident = np.asarray(identities, dtype=complex)
     vinf = np.linalg.solve(M, -b[:, None] * ident[:, None, :]).transpose(0, 2, 1)
     T, Q = _schur_forms(M)
+    if Q is None:       # the reversal permutation
+        Q = np.broadcast_to(np.eye(3, dtype=complex)[::-1], M.shape)
     lam = np.diagonal(T, axis1=1, axis2=2)
     dd = {(i, j): _divided_difference(lam[:, i], lam[:, j], tau)
           for i, j in ((0, 1), (1, 2), (0, 2))}

@@ -11,7 +11,7 @@ from scipy.special import roots_hermite
 
 from fanostat import (ModelCurves, PhysicalParams, avg_g1, avg_g2, g1_general,
                       g2_tau_general, hbar_gamma, phi_from_t0)
-from fanostat import averaging
+from fanostat import averaging, correlators
 from fanostat.averaging import _wandering_nodes
 from fanostat.cli import ScanRequest, run_scan
 from fanostat.correlators import _g2_sums, detected_decay, g2_tau_parts
@@ -48,6 +48,43 @@ class TestLattice:
         fd_sigma = (weights(delta, sigma + h) - weights(delta, sigma - h)) / (2 * h)
         assert np.allclose(w[1], fd_delta, rtol=0, atol=1e-9)
         assert np.allclose(w[2], fd_sigma, rtol=0, atol=1e-9)
+
+    # lattices about delta = 0 (mirror images of every node), across it
+    # (some nodes), wholly above or below it (none), and two windows
+    MIRRORS = {"about": [0.0], "across": [3.418], "above": [40.0], "below": [-40.0],
+               "two-windows": [-60.0, 6.0]}
+
+    @pytest.mark.parametrize("t_resp", [0.136, 0.0], ids=["detected", "ideal"])
+    @pytest.mark.parametrize("jac", [False, True])
+    @pytest.mark.parametrize("case", MIRRORS)
+    def test_lattice_sums_are_the_node_terms_summed(self, case, jac, t_resp):
+        # the lattice takes D(zeta - i x) once per |x| and conjugates it
+        # below delta = 0; each node's bare term, weighted, gives the same
+        tau, sigma = np.linspace(-2.4, 2.4, 13), 1.7852
+        delta = np.array(self.MIRRORS[case])
+        x, w = _wandering_nodes(delta, averaging._step(tau, sigma, t_resp), sigma, jac)
+        negative = np.sum(x < 0)
+        assert {"about": negative == x.size / 2, "across": 0 < negative < x.size / 2,
+                "above": negative == 0, "below": negative == x.size,
+                "two-windows": 0 < negative < x.size}[case]
+        assert_node_sums(tau, x, w, jac, t_resp)
+
+    @pytest.mark.parametrize("jac", [False, True])
+    def test_lattice_sums_in_blocks_are_the_node_terms_summed(self, jac, monkeypatch):
+        # a call over the budget: each block of detunings has its own
+        # lattice, some about delta = 0 and some off it, and its delays come
+        # in chunks
+        monkeypatch.setattr(averaging, "MAX_EVALUATIONS", 400)
+        delta, tau = np.array([-20.0, -9.0, 0.0, 0.5, 9.0]), np.linspace(0.0, 2.4, 25)
+        sigma = 1.7852
+        step = averaging._step(tau, sigma, 0.136)
+        blocks = averaging._blocks(delta, step, sigma, tau.size)
+        assert len(blocks) > 1 and any(chunk < tau.size for _, chunk, _ in blocks)
+        for rows, chunk, lattice in blocks:
+            assert lattice
+            x, w = _wandering_nodes(delta[rows], step, sigma, jac)
+            for start in range(0, tau.size, chunk):
+                assert_node_sums(tau[start:start + chunk], x, w, jac, 0.136)
 
     def test_no_node_on_zero_detuning(self):
         # the half-step anchor: zeta = 2 has its rate collision at delta = 0
@@ -91,6 +128,38 @@ class TestLattice:
         with pytest.raises(ValueError, match=r"needs \d\.\d\de\+299 nodes") as err:
             huge.g2zero([0.0])
         assert len(str(err.value)) < 250
+
+
+def node_by_node(bare, w):
+    """``_g2_sums`` with the weights ``w`` from ``bare``, its bare-path
+    terms at each node, summed with them: no node's term comes from
+    another's."""
+    if len(bare) == 2:
+        return [w @ v for v in bare]
+    num, den, dnum, dden = bare
+    W, W_delta, W_sigma = w
+
+    def along(v):     # the node partials but delta's, summed with the weights
+        return np.einsum("nk,k...->n...", W, v[..., 1:])
+    return [W @ num, W @ den] + [
+        np.concatenate([(W_delta @ v)[..., None], along(dv), (W_sigma @ v)[..., None]],
+                       axis=-1) for v, dv in ((num, dnum), (den, dden))]
+
+
+def assert_node_sums(tau, x, w, jac, t_resp, zeta=1.0066, beta=0.9, phi=PHI15):
+    """``_g2_sums`` on a lattice against :func:`node_by_node`, within 1e-14
+    of each column's largest sum of magnitudes |W| |term|: the delta and
+    sigma weights sum to zero, so their sums cancel, far from resonance to
+    1e-3 of their terms."""
+    got = _g2_sums(tau, x[:, None], zeta, beta, phi, t_resp, jac, w)
+    bare = _g2_sums(tau, x[:, None], zeta, beta, phi, t_resp, jac)
+    want = node_by_node(bare, w)
+    bound = node_by_node([np.abs(v) for v in bare], np.abs(w))
+    assert len(got) == len(want)
+    for g, v, b in zip(got, want, bound):
+        assert g.shape == v.shape
+        scale = b.max(axis=(0, 1)) if b.ndim == 3 else b.max()
+        assert np.all(np.abs(g - v) <= 1e-14 * scale)
 
 
 class TestWorkCounts:
@@ -149,6 +218,22 @@ class TestWorkCounts:
             for jac in (False, True):
                 obj.residuals(p, jac=jac)
             assert calls == [(shared, 49)] * 2
+
+    @pytest.mark.parametrize("jac", [False, True])
+    def test_criterion_7_coherence_once_per_distinct_rate(self, jac, monkeypatch):
+        # the lattice of the criterion-7 requests lies about delta = 0: its
+        # 58 nodes hold 29 distinct |x|, and D(zeta - i x, tau) is taken at
+        # those alone
+        rates, calls = [], TestWorkCounts.spy(monkeypatch)
+        detected_decay = correlators.detected_decay
+
+        def counted(a, *args):
+            if np.iscomplexobj(a):
+                rates.append(np.size(a))
+            return detected_decay(a, *args)
+        monkeypatch.setattr(correlators, "detected_decay", counted)
+        ModelCurves(REF, jac=jac).g2_curves(TestG2Curves.CASES["criterion-7"])
+        assert calls == [(58, 49)] and rates == [29]
 
     def test_sparse_detunings_keep_separate_windows(self, monkeypatch):
         m = ModelCurves(REF)

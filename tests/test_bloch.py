@@ -491,6 +491,28 @@ class TestSweep:
             assert len(rows) == 156 and sum(solved) == 52
             assert len(factored) == schur_forms and len(decays) == 4
 
+    @pytest.mark.parametrize("alpha,first,second", [(0.0, 1, 0), (0.1, 3, 1)])
+    def test_divided_differences_of_one_sweep(self, alpha, first, second, monkeypatch):
+        # at alpha = 0, T12 = 0 drops f[lambda1, lambda2] and the second
+        # difference, and f[lambda0, lambda2] is the conjugate of
+        # f[lambda0, lambda1]; a driven sweep takes all four
+        calls = []
+
+        def counted(name):
+            original = getattr(fanostat.bloch, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(fanostat.bloch, name, wrapper)
+        for name in ("propagate_exact", "_divided_difference",
+                     "_second_divided_difference"):
+            counted(name)
+        oracle_check(alpha=alpha, zetas=(1.2,), tau_points=9)
+        assert calls.count("propagate_exact") == 1
+        assert calls.count("_divided_difference") == first
+        assert calls.count("_second_divided_difference") == second
+
     @pytest.mark.parametrize("corner", CORNERS)
     def test_each_field_equals_it_alone(self, corner):
         # the corner's background among others, one of them twice and one

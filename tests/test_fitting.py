@@ -423,6 +423,42 @@ class TestFitFullModel:
         monkeypatch.setattr(fitting, "least_squares", capped)
         assert fit_full_model(data, PhysicalParams(t0=0.55)).n_eval < 200
 
+    def test_one_residual_evaluation_per_solver_evaluation(self, monkeypatch):
+        # the residuals at the solution are those of the solver's last
+        # evaluation, which is there: no evaluation after the solve
+        data = synthetic_data(noise=0.02, seed=4)
+        start = REF.replace(t0=0.6, sigma_wander=0.8)
+        calls = []
+        residuals = _Objective.residuals
+
+        def counted(self, params, jac=False):
+            calls.append(jac)
+            return residuals(self, params, jac)
+        monkeypatch.setattr(_Objective, "residuals", counted)
+        res = fit_full_model(data, start)
+        assert len(calls) == res.n_eval and all(calls)
+        monkeypatch.undo()
+        want = _Objective(data, start).residuals(res.params)
+        assert res.residuals.keys() == want.keys()
+        for key, value in want.items():
+            assert np.array_equal(res.residuals[key], value), key
+
+    def test_residuals_taken_anew_away_from_the_last_evaluation(self, monkeypatch):
+        # as after another start: the last evaluation is not at the solution
+        data = synthetic_data(noise=0.02, seed=4, histograms=False)
+        single_fit = fitting._single_fit
+
+        def then_elsewhere(obj, x0, lo, hi):
+            sol = single_fit(obj, x0, lo, hi)
+            obj.vector_and_jacobian(np.clip(x0, lo + 1e-9, hi - 1e-9))
+            return sol
+        monkeypatch.setattr(fitting, "_single_fit", then_elsewhere)
+        start = REF.replace(t0=0.6)
+        res = fit_full_model(data, start)
+        want = _Objective(data, start).residuals(res.params)
+        for key, value in want.items():
+            assert np.array_equal(res.residuals[key], value), key
+
     def test_report_counts_jacobian_evaluations(self):
         data = synthetic_data(noise=0.02, seed=4, histograms=False)
         res = fit_full_model(data, REF)

@@ -17,12 +17,15 @@ scans of model curves, a driven oracle check and a fit then leave in
 """
 
 import ast
+import builtins
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fanostat
@@ -173,3 +176,24 @@ def test_scipy_subpackages_load_on_first_use(tmp_path):
     assert loaded["scan"] == ["scipy.special"]
     assert loaded["oracle"] == ["scipy.linalg", "scipy.special"]
     assert "scipy.optimize" in loaded["fit"]
+
+
+@pytest.mark.parametrize("module,name", [("correlators", "erf"), ("correlators", "erfcx"),
+                                         ("averaging", "wofz")])
+def test_special_functions_import_on_the_first_call_only(module, name, monkeypatch):
+    # the forwarding functions keep scipy.special once it is imported: ten
+    # calls after the first run no import statement
+    function = getattr(importlib.import_module(f"fanostat.{module}"), name)
+    z = np.array([0.3 + 0.2j, 1.5 - 0.4j])
+    function(z)
+    imports = []
+    original = builtins.__import__
+
+    def counted(*args, **kwargs):
+        imports.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(builtins, "__import__", counted)
+    for _ in range(10):
+        function(z)
+    monkeypatch.undo()
+    assert imports == []
